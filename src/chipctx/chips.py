@@ -71,6 +71,24 @@ _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / _SQRT2
 _EYE2 = np.eye(2, dtype=np.complex128)
 
 
+def _json_number(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _json_numbers(value, name: str) -> tuple[float, ...]:
+    if not isinstance(value, list):
+        raise ValueError(f"{name} must be an array of numbers, got {value!r}")
+    return tuple(_json_number(x, f"{name} entry") for x in value)
+
+
+def _json_object(value, name: str) -> Mapping:
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a JSON object, got {value!r}")
+    return value
+
+
 def _check_context(context: str) -> str:
     if context not in CONTEXTS:
         raise ValueError(f"unknown context {context!r}, expected one of {CONTEXTS}")
@@ -113,13 +131,15 @@ class PreparationConfig:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "PreparationConfig":
+        data = _json_object(data, "preparation")
         kwargs = {}
         if "phi" in data:
-            kwargs["phi"] = data["phi"]
+            kwargs["phi"] = _json_number(data["phi"], "preparation phi")
         if "coupler_Ts" in data:
-            kwargs["coupler_ts"] = tuple(data["coupler_Ts"])
+            kwargs["coupler_ts"] = _json_numbers(data["coupler_Ts"], "preparation coupler_Ts")
         if "calibration_phases" in data:
-            kwargs["calibration_phases"] = tuple(data["calibration_phases"])
+            kwargs["calibration_phases"] = _json_numbers(
+                data["calibration_phases"], "preparation calibration_phases")
         return cls(**kwargs)
 
 
@@ -178,14 +198,18 @@ class MeasurementConfig:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "MeasurementConfig":
+        data = _json_object(data, "measurement config")
         if "context" not in data:
             raise ValueError("measurement config requires a 'context' field")
+        coupler_ts = _json_object(data.get("coupler_Ts", {}), "measurement coupler_Ts")
         return cls(
             context=data["context"],
             mode=data.get("mode", "ideal"),
-            coupler_ts=dict(data.get("coupler_Ts", {})),
+            coupler_ts={slot: _json_number(t, f"transmissivity for {slot!r}")
+                        for slot, t in coupler_ts.items()},
             calibration_phases=(
-                tuple(data["calibration_phases"]) if "calibration_phases" in data else None
+                _json_numbers(data["calibration_phases"], "measurement calibration_phases")
+                if "calibration_phases" in data else None
             ),
         )
 
@@ -226,8 +250,8 @@ class DeviceConfig:
         if "preparation" in data:
             prep = PreparationConfig.from_json_dict(data["preparation"])
         meas = {}
-        for ctx, entry in data.get("measurements", {}).items():
-            entry = dict(entry)
+        for ctx, entry in _json_object(data.get("measurements", {}), "measurements").items():
+            entry = dict(_json_object(entry, f"measurement {ctx!r}"))
             entry.setdefault("context", ctx)
             meas[ctx] = MeasurementConfig.from_json_dict(entry)
         return cls(preparation=prep, measurements=meas)
@@ -242,7 +266,10 @@ def load_device_config(path: str | Path) -> DeviceConfig:
             raise ValueError(f"invalid device config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ValueError(f"device config {path} must be a JSON object")
-    return DeviceConfig.from_json_dict(data)
+    try:
+        return DeviceConfig.from_json_dict(data)
+    except ValueError as exc:
+        raise ValueError(f"invalid device config {path}: {exc}") from exc
 
 
 def prepare_state_direct(phi: float) -> ModeVector:
@@ -258,23 +285,58 @@ def prepare_state_direct(phi: float) -> ModeVector:
     return amps / (2.0 * math.sqrt(2.0 + _SQRT2))
 
 
-def preparation_unitary(config: PreparationConfig) -> TransferMatrix:
-    """Transfer matrix of the full preparation chip."""
+def _preparation_sections(config: PreparationConfig) -> list[TransferMatrix]:
+    """Preparation-chip sections in propagation order: C1, R1, C2, C3, trims."""
     t1, t2, t3 = config.coupler_ts
     r2, r3, r4 = config.calibration_phases
-    sections = [
+    return [
         coupler(CouplerSpec((1, 3), t1)),
         phase_shifter({1}, config.phi),
         coupler(CouplerSpec((1, 2), t2)),
         coupler(CouplerSpec((3, 4), t3)),
         np.diag(np.exp(1j * np.array([0.0, r2, r3, r4]))),
     ]
-    return compose(sections)
+
+
+def preparation_unitary(config: PreparationConfig) -> TransferMatrix:
+    """Transfer matrix of the full preparation chip."""
+    return compose(_preparation_sections(config))
 
 
 def prepare_state_circuit(config: PreparationConfig) -> ModeVector:
     """Propagate a photon injected in mode 1 through the preparation chip."""
     return preparation_unitary(config) @ basis_state(1)
+
+
+def prepare_states(preparation: PreparationConfig | None, phis: np.ndarray) -> np.ndarray:
+    """Prepared states for an array of phases, one row per phase.
+
+    ``preparation=None`` selects the direct constructor; otherwise the
+    circuit is used with its ``phi`` replaced by each phase.  Every row equals
+    the scalar :func:`prepare_state_direct` or :func:`prepare_state_circuit`
+    result bit for bit: the mode-1 column is pushed through the sections one
+    at a time, in the order :func:`compose` multiplies them.  Folding the
+    fixed sections into one matrix first would change the last ulp.
+    """
+    phis = np.asarray(phis, dtype=float)
+    if not np.all(np.isfinite(phis)):
+        raise ValueError("phases must be finite")
+    rotation = np.exp(1j * phis)
+    if preparation is None:
+        k = 1.0 + _SQRT2
+        amps = np.empty((len(phis), 4), dtype=np.complex128)
+        amps[:, 0] = rotation
+        amps[:, 1] = k * rotation
+        amps[:, 2] = k
+        amps[:, 3] = -1.0
+        return amps / (2.0 * math.sqrt(2.0 + _SQRT2))
+    c1, _, *fixed = _preparation_sections(preparation)
+    column = np.tile(c1[:, 0], (len(phis), 1))
+    column[:, 0] *= rotation  # R1 on mode 1
+    column = column[..., None]
+    for section in fixed:
+        column = section @ column
+    return column[..., 0]
 
 
 def _ideal_unitary(context: str) -> TransferMatrix:
@@ -545,5 +607,6 @@ __all__ = [
     "preparation_unitary",
     "prepare_state_circuit",
     "prepare_state_direct",
+    "prepare_states",
     "two_mode_skeleton",
 ]

@@ -67,7 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default=None,
                        help="bootstrap replicates for sigma_S instead of propagation "
                             f"(default {DEFAULT_BOOTSTRAP_REPLICATES} when given bare)")
-    sweep.add_argument("--jobs", type=int, default=1)
     sweep.add_argument("--emit-figure3", action="store_true",
                        help="write the ideal and configured-device curves side by side")
     sweep.set_defaults(func=cmd_sweep)
@@ -109,7 +108,7 @@ def cmd_sweep(args) -> int:
         phi_start=args.phi_start, phi_end=args.phi_end, steps=args.steps,
         mode=args.mode, shots=args.shots, master_seed=args.seed,
         device=device if args.device == "imperfect" else DeviceConfig.ideal(),
-        bootstrap=args.bootstrap, jobs=args.jobs,
+        bootstrap=args.bootstrap,
     )
 
     if args.emit_figure3:
@@ -117,23 +116,24 @@ def cmd_sweep(args) -> int:
         print(f"wrote ideal and device curves ({spec.steps} points) to {args.out}")
         return 0
 
-    rows = run_sweep(spec)
-    write_sweep_csv(args.out, rows)
-    print(f"wrote {len(rows)} sweep rows to {args.out}")
+    table = run_sweep(spec)
+    write_sweep_csv(args.out, table)
+    print(f"wrote {len(table)} sweep rows to {args.out}")
     if spec.mode == "sampled":
         counts_path = args.counts_out
         if counts_path is None:
             counts_path = args.out.with_name(args.out.stem + "_counts.csv")
-        write_counts_csv(counts_path, counts_rows(rows))
-        print(f"wrote {4 * len(rows)} count records to {counts_path}")
-    best = max(rows, key=lambda r: r.report.s)
-    print(f"max S = {best.report.s:.6f} at phi = {best.phi:.6f}")
+        write_counts_csv(counts_path, counts_rows(table))
+        print(f"wrote {4 * len(table)} count records to {counts_path}")
+    best = int(table.s.argmax())
+    print(f"max S = {table.s[best]:.6f} at phi = {table.phi[best]:.6f}")
     return 0
 
 
-def _verdict(z: float | None, s: float) -> str:
+def _verdict(z: float | None, s: float, bound: float) -> str:
+    """Verdict from the z-score, or from S against the bound when z is undefined."""
     if z is None:
-        return "violation" if s > 2.0 else "no violation"
+        return "violation" if s > bound else "no violation"
     return "violation" if z > VERDICT_SIGMAS else "no violation"
 
 
@@ -143,7 +143,7 @@ def cmd_hv(args) -> int:
         s = galton_s_exact(prep, x_flip_probability=args.flip_prob)
         print(f"S = {s!r} (exact)")
         print(f"classical bound: 2; margin to bound = {2.0 - s!r}")
-        print(f"verdict: {_verdict(None, s)}")
+        print(f"verdict: {_verdict(None, s, 2.0)}")
         return 0
     s, sigma_s = galton_s(prep, args.shots, args.seed, x_flip_probability=args.flip_prob)
     z = (s - 2.0) / sigma_s if sigma_s > 0.0 else None
@@ -152,7 +152,7 @@ def cmd_hv(args) -> int:
         print(f"classical bound: 2; (S - 2)/sigma_S = {z:.3f}")
     else:
         print("classical bound: 2; sigma_S = 0, comparing S directly")
-    print(f"verdict: {_verdict(z, s)}")
+    print(f"verdict: {_verdict(z, s, 2.0)}")
     return 0
 
 
@@ -175,7 +175,7 @@ def cmd_analyze(args) -> int:
         print(
             f"phi={phi!r}: S={report.s:.6f} +- {report.sigma_s:.6f} "
             f"epsilon={report.epsilon:.6f} bound={report.bound:.6f} "
-            f"significance={sig_text} [{_verdict(sig, report.s)}]"
+            f"significance={sig_text} [{_verdict(sig, report.s, report.bound)}]"
         )
 
     payload: dict = {"groups": []}
@@ -188,7 +188,7 @@ def cmd_analyze(args) -> int:
         s, bound, sigma = args.summary
         z = significance(s, bound - 2.0, sigma)
         print(f"summary: S={s!r} bound={bound!r} sigma_S={sigma!r} "
-              f"-> significance = {z:.3f} sigma [{_verdict(z, s)}]")
+              f"-> significance = {z:.3f} sigma [{_verdict(z, s, bound)}]")
         print(_SUMMARY_NOTE)
         payload["summary"] = {"S": s, "bound": bound, "sigma_S": sigma, "significance": z}
 

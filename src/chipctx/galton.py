@@ -10,6 +10,7 @@ letter section; the two commute because they touch different bits.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,6 +27,22 @@ _DIGIT_FLIP = np.array([1, 0, 3, 2])
 _LETTER_FLIP = np.array([2, 3, 0, 1])
 
 
+def _check_preparation(preparation: Sequence[float]) -> tuple[float, ...]:
+    """Four finite non-negative weights summing to 1, as floats."""
+    prep = tuple(float(p) for p in preparation)
+    if len(prep) != 4 or not all(math.isfinite(p) and p >= 0.0 for p in prep):
+        raise ValueError(f"preparation must be four finite non-negative weights, got {preparation!r}")
+    if abs(sum(prep) - 1.0) > 1e-9:
+        raise ValueError(f"preparation must sum to 1 within 1e-9, got sum {sum(prep)!r}")
+    return prep
+
+
+def _check_flip_probability(f: float) -> float:
+    if not (0.0 <= f <= 1.0):
+        raise ValueError(f"flip probability must lie in [0, 1], got {f!r}")
+    return f
+
+
 @dataclass(frozen=True)
 class GaltonConfig:
     """One board run: channel distribution, section choices, shot count."""
@@ -37,17 +54,12 @@ class GaltonConfig:
     x_flip_probability: float = 0.5
 
     def __post_init__(self):
-        prep = tuple(float(p) for p in self.preparation)
-        if len(prep) != 4 or any(p < 0.0 for p in prep):
-            raise ValueError(f"preparation must be four non-negative weights, got {self.preparation!r}")
-        if abs(sum(prep) - 1.0) > 1e-9:
-            raise ValueError(f"preparation must sum to 1 within 1e-9, got sum {sum(prep)!r}")
+        prep = _check_preparation(self.preparation)
         if self.m12 not in MEASUREMENTS or self.nab not in MEASUREMENTS:
             raise ValueError(f"sections must be 'Z' or 'X', got {self.m12!r}, {self.nab!r}")
         if self.shots < 1:
             raise ValueError(f"shots must be positive, got {self.shots}")
-        if not (0.0 <= self.x_flip_probability <= 1.0):
-            raise ValueError(f"flip probability must lie in [0, 1], got {self.x_flip_probability!r}")
+        _check_flip_probability(self.x_flip_probability)
         object.__setattr__(self, "preparation", prep)
 
     @property
@@ -123,8 +135,8 @@ def galton_s_exact(
     contributes exactly zero and S reduces bit-exactly to the negated
     ZZ-context expectation of the preparation.
     """
-    zz = zz_expectation(preparation)
-    scale = 1.0 - 2.0 * x_flip_probability
+    zz = zz_expectation(_check_preparation(preparation))
+    scale = 1.0 - 2.0 * _check_flip_probability(x_flip_probability)
     es = {}
     for ctx in CONTEXTS:
         e = zz

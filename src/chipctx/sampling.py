@@ -3,9 +3,9 @@
 Randomness comes from numpy's PCG64 generator (``np.random.default_rng``).
 Substreams for a (sweep point, context) pair are derived by seeding a
 ``SeedSequence`` with the tuple (master_seed, point_index, context_index) and
-collapsing it to a 64-bit child seed, so parallel evaluation order never
-affects the drawn counts.  The child seed is stored in each record, which
-makes any record reproducible in isolation.
+collapsing it to a 64-bit child seed, so the drawn counts never depend on
+evaluation order or on how a sweep is split into blocks.  The child seed is
+stored in each record, which makes any record reproducible in isolation.
 """
 
 from __future__ import annotations
@@ -179,6 +179,8 @@ def read_counts_csv(path: str | Path) -> list[tuple[float, CountRecord]]:
                 raise ValueError(f"{path}:{lineno}: expected {len(COUNTS_CSV_COLUMNS)} fields")
             try:
                 phi = float(row[0])
+                if not math.isfinite(phi):
+                    raise ValueError(f"phi must be finite, got {row[0].strip()!r}")
                 rec = CountRecord(
                     context=row[1].strip(),
                     counts=tuple(int(x) for x in row[2:6]),

@@ -1,43 +1,46 @@
 """Phase-sweep engine: evaluates the full pipeline over a grid of phases.
 
-A sweep point builds the prepared state, pushes it through the four context
-circuits, and either reports the exact probabilities (analytic mode) or
-draws multinomial counts and reports estimates with uncertainties (sampled
-mode).  Sweep points are independent; with ``jobs > 1`` they are evaluated
-in a thread pool, and output order is fixed by the phase grid, never by
-completion order.
+The grid is evaluated in blocks of ``_BLOCK`` phases.  For each block the
+prepared states are built as one array, pushed through the four context
+circuits with one stacked matrix product, and reduced to E, S, epsilon and
+the bound with array expressions.  Analytic mode reports the exact
+probabilities; sampled mode draws one multinomial record per (phase,
+context) from its own derived seed and reports estimates with
+uncertainties.  Results fill preallocated per-grid columns in grid order.
+
+Every value equals the one the scalar path (:func:`prepare_state_circuit`,
+:func:`outcome_probabilities`, :func:`report_from_probabilities`,
+:func:`sample_counts`, :func:`estimate_s`) gives at that phase, bit for bit.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import analysis
-from .analysis import ContextProbabilities, InequalityReport
-from .chips import (
-    CONTEXTS,
-    DeviceConfig,
-    context_unitaries,
-    outcome_probabilities,
-    prepare_state_circuit,
-    prepare_state_direct,
-)
+from .analysis import PROB_SUM_TOL, ContextProbabilities, InequalityReport
+from .chips import CONTEXTS, DeviceConfig, context_unitaries, prepare_states
 from .errors import ConsistencyError
 from .optics import TransferMatrix, is_unitary
-from .sampling import CountRecord, derive_seed, estimate_expectation, estimate_s, sample_counts
+from .sampling import CountRecord, derive_seed, estimate_expectation, estimate_s
 
 SWEEP_CSV_COLUMNS = (
     "phi", "E_XX", "E_XZ", "E_ZX", "E_ZZ", "S", "epsilon", "bound", "sigma_S", "significance",
 )
 
 FIGURE3_CSV_COLUMNS = ("phi", "S_ideal", "S_device", "epsilon_device", "bound_device")
+
+# Phases evaluated at a time: bounds the engine's temporaries to a few hundred
+# kB whatever the grid size.
+_BLOCK = 1024
+
+_XX, _XZ, _ZX, _ZZ = range(4)  # context axis, in CONTEXTS order
 
 
 @dataclass(frozen=True)
@@ -52,7 +55,6 @@ class SweepSpec:
     master_seed: int = 0
     device: DeviceConfig = field(default_factory=DeviceConfig.ideal)
     bootstrap: int | None = None
-    jobs: int = 1
 
     def __post_init__(self):
         if not (math.isfinite(self.phi_start) and math.isfinite(self.phi_end)):
@@ -65,8 +67,6 @@ class SweepSpec:
             raise ValueError(f"mode must be 'analytic' or 'sampled', got {self.mode!r}")
         if self.shots < 1:
             raise ValueError(f"shots must be positive, got {self.shots}")
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be positive, got {self.jobs}")
 
     def phis(self) -> np.ndarray:
         return np.linspace(self.phi_start, self.phi_end, self.steps)
@@ -81,10 +81,62 @@ class SweepRow:
     counts: tuple[CountRecord, ...] | None = None
 
 
-def _prepared_state(device: DeviceConfig, phi: float) -> np.ndarray:
-    if device.preparation is None:
-        return prepare_state_direct(phi)
-    return prepare_state_circuit(replace(device.preparation, phi=phi))
+@dataclass(frozen=True, eq=False)
+class SweepTable:
+    """Columnar result of a sweep, one array per output column in grid order.
+
+    ``expectations`` has one column per context in CONTEXTS order and
+    ``significance`` is NaN where it is undefined (sigma_S = 0).  A sampled
+    sweep also carries its counts, shaped (steps, context, detector), and the
+    seed of every record.  Indexing and iterating yield :class:`SweepRow`
+    objects, built on demand.
+    """
+
+    phi: np.ndarray
+    expectations: np.ndarray
+    s: np.ndarray
+    epsilon: np.ndarray
+    bound: np.ndarray
+    sigma_s: np.ndarray
+    significance: np.ndarray
+    counts: np.ndarray | None = None
+    seeds: np.ndarray | None = None
+
+    @classmethod
+    def allocate(cls, phis: np.ndarray, sampled: bool) -> "SweepTable":
+        n = len(phis)
+        return cls(
+            phi=phis,
+            expectations=np.empty((n, len(CONTEXTS))),
+            s=np.empty(n), epsilon=np.empty(n), bound=np.empty(n),
+            sigma_s=np.zeros(n), significance=np.full(n, np.nan),
+            counts=np.empty((n, len(CONTEXTS), 4), dtype=np.int64) if sampled else None,
+            seeds=np.empty((n, len(CONTEXTS)), dtype=np.uint64) if sampled else None,
+        )
+
+    def __len__(self) -> int:
+        return len(self.phi)
+
+    def __iter__(self) -> Iterator[SweepRow]:
+        return (self[i] for i in range(len(self)))
+
+    def record(self, i: int, c: int) -> CountRecord:
+        """Count record of grid point ``i`` and context index ``c``."""
+        counts = self.counts[i, c].tolist()
+        return CountRecord(context=CONTEXTS[c], counts=tuple(counts), total=sum(counts),
+                           seed=int(self.seeds[i, c]))
+
+    def __getitem__(self, i: int) -> SweepRow:
+        sig = float(self.significance[i])
+        report = InequalityReport(
+            expectations=dict(zip(CONTEXTS, self.expectations[i].tolist())),
+            s=float(self.s[i]), epsilon=float(self.epsilon[i]), bound=float(self.bound[i]),
+            sigma_s=float(self.sigma_s[i]), significance=None if math.isnan(sig) else sig,
+        )
+        counts = None
+        if self.counts is not None:
+            counts = tuple(self.record(i, c) for c in range(len(CONTEXTS)))
+        return SweepRow(phi=float(self.phi[i]), report=report, counts=counts)
 
 
 def _checked_unitaries(device: DeviceConfig) -> dict[str, TransferMatrix]:
@@ -95,34 +147,86 @@ def _checked_unitaries(device: DeviceConfig) -> dict[str, TransferMatrix]:
     return unitaries
 
 
-def context_probability_map(
-    device: DeviceConfig, phi: float, unitaries: dict[str, TransferMatrix] | None = None
-) -> dict[str, np.ndarray]:
-    """Exact outcome probabilities of every context at one phase."""
-    if unitaries is None:
-        unitaries = _checked_unitaries(device)
-    state = _prepared_state(device, phi)
-    return {ctx: outcome_probabilities(state, unitaries[ctx]) for ctx in CONTEXTS}
+def _context_probabilities(unitaries: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Outcome probabilities shaped (phase, context, detector).
+
+    One matrix-vector product per (phase, context), as in
+    :func:`outcome_probabilities`; an einsum would differ in the last ulp.
+    """
+    amps = (unitaries @ states[:, None, :, None])[..., 0]
+    p = np.abs(amps) ** 2
+    if np.any(np.abs(p.sum(axis=-1) - 1.0) > PROB_SUM_TOL):
+        raise ConsistencyError("context outcome probabilities do not sum to 1")
+    return p
 
 
-def evaluate_point(
-    spec: SweepSpec,
-    index: int,
-    unitaries: dict[str, TransferMatrix],
-) -> SweepRow:
-    """Evaluate one grid point of a sweep."""
-    phi = float(spec.phis()[index])
-    probs = context_probability_map(spec.device, phi, unitaries)
-    if spec.mode == "analytic":
-        cps = [ContextProbabilities(ctx, tuple(probs[ctx])) for ctx in CONTEXTS]
-        return SweepRow(phi=phi, report=analysis.report_from_probabilities(cps))
+def _epsilon(p: np.ndarray) -> np.ndarray:
+    """:func:`analysis.epsilon` over a (phase, context, detector) array."""
+    letter = (p[..., 0] + p[..., 1]) - (p[..., 2] + p[..., 3])
+    digit = (p[..., 0] + p[..., 2]) - (p[..., 1] + p[..., 3])
+    return (
+        np.abs(digit[:, _XX] - digit[:, _XZ])
+        + np.abs(digit[:, _ZX] - digit[:, _ZZ])
+        + np.abs(letter[:, _XX] - letter[:, _ZX])
+        + np.abs(letter[:, _XZ] - letter[:, _ZZ])
+    )
 
-    records = []
-    for ctx_index, ctx in enumerate(CONTEXTS):
-        seed = derive_seed(spec.master_seed, index, ctx_index)
-        records.append(sample_counts(probs[ctx], spec.shots, seed, context=ctx))
-    report = report_from_counts(records, bootstrap=spec.bootstrap)
-    return SweepRow(phi=phi, report=report, counts=tuple(records))
+
+def _fill_analytic(table: SweepTable, block: slice, p: np.ndarray) -> None:
+    e = p[..., 0] - p[..., 1] - p[..., 2] + p[..., 3]
+    table.expectations[block] = e
+    table.s[block] = e[:, _XX] + e[:, _XZ] + e[:, _ZX] - e[:, _ZZ]
+    table.epsilon[block] = _epsilon(p)
+
+
+def _fill_sampled(table: SweepTable, block: slice, p: np.ndarray, spec: SweepSpec) -> None:
+    # the renormalization sample_counts applies to each record
+    p = np.clip(p, 0.0, None)
+    p = p / p.sum(axis=-1, keepdims=True)
+    counts, seeds = table.counts[block], table.seeds[block]
+    for i, point in enumerate(range(block.start, block.stop)):
+        for c in range(len(CONTEXTS)):
+            seed = derive_seed(spec.master_seed, point, c)
+            counts[i, c] = np.random.default_rng(seed).multinomial(spec.shots, p[i, c])
+            seeds[i, c] = seed
+
+    # estimate_expectation and the propagated sigma of estimate_s
+    e = (counts[..., 0] - counts[..., 1] - counts[..., 2] + counts[..., 3]) / spec.shots
+    sigma = np.sqrt(np.maximum(1.0 - e * e, 0.0) / spec.shots)
+    # estimate_s squares with Python's float **, which calls the C library
+    # pow; np.float_power does too, while np.square (and ** on an array) can
+    # differ from pow in the last ulp
+    var = np.float_power(sigma, 2.0)
+    table.expectations[block] = e
+    table.s[block] = e[:, _XX] + e[:, _XZ] + e[:, _ZX] - e[:, _ZZ]
+    table.sigma_s[block] = np.sqrt(var[:, _XX] + var[:, _XZ] + var[:, _ZX] + var[:, _ZZ])
+    table.epsilon[block] = _epsilon(counts / float(spec.shots))
+    if spec.bootstrap is not None:
+        for i in range(block.start, block.stop):
+            records = [table.record(i, c) for c in range(len(CONTEXTS))]
+            table.sigma_s[i] = estimate_s(records, bootstrap=spec.bootstrap)[1]
+
+
+def run_sweep(spec: SweepSpec) -> SweepTable:
+    """Evaluate every grid point, in grid order."""
+    unitaries = _checked_unitaries(spec.device)
+    stacked = np.stack([unitaries[ctx] for ctx in CONTEXTS])
+    sampled = spec.mode == "sampled"
+    table = SweepTable.allocate(spec.phis(), sampled)
+    for start in range(0, spec.steps, _BLOCK):
+        block = slice(start, min(start + _BLOCK, spec.steps))
+        states = prepare_states(spec.device.preparation, table.phi[block])
+        p = _context_probabilities(stacked, states)
+        if sampled:
+            _fill_sampled(table, block, p, spec)
+        else:
+            _fill_analytic(table, block, p)
+    table.bound[:] = 2.0 + table.epsilon
+    positive = table.sigma_s > 0.0
+    table.significance[positive] = (
+        table.s[positive] - table.bound[positive]
+    ) / table.sigma_s[positive]
+    return table
 
 
 def report_from_counts(
@@ -140,45 +244,34 @@ def report_from_counts(
     )
 
 
-def run_sweep(spec: SweepSpec) -> list[SweepRow]:
-    """Evaluate every grid point, in grid order."""
-    unitaries = _checked_unitaries(spec.device)
-    indices = range(spec.steps)
-    if spec.jobs > 1:
-        with ThreadPoolExecutor(max_workers=spec.jobs) as pool:
-            return list(pool.map(lambda i: evaluate_point(spec, i, unitaries), indices))
-    return [evaluate_point(spec, i, unitaries) for i in indices]
-
-
 def _fmt(x: float) -> str:
-    return repr(float(x))
+    return "" if math.isnan(x) else repr(x)
 
 
-def write_sweep_csv(path: str | Path, rows: Iterable[SweepRow]) -> None:
+def _csv_rows(columns: Sequence[np.ndarray]) -> Iterator[list[str]]:
+    """Format columns row by row, one block at a time; NaN cells are empty."""
+    for start in range(0, len(columns[0]), _BLOCK):
+        block = [col[start:start + _BLOCK].tolist() for col in columns]
+        for values in zip(*block):
+            yield [_fmt(x) for x in values]
+
+
+def write_sweep_csv(path: str | Path, table: SweepTable) -> None:
     """Write sweep rows; the significance cell is empty when undefined."""
+    columns = [table.phi, *table.expectations.T, table.s, table.epsilon, table.bound,
+               table.sigma_s, table.significance]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SWEEP_CSV_COLUMNS)
-        for row in rows:
-            rep = row.report
-            sig = "" if rep.significance is None else _fmt(rep.significance)
-            writer.writerow([
-                _fmt(row.phi),
-                _fmt(rep.expectations["XX"]), _fmt(rep.expectations["XZ"]),
-                _fmt(rep.expectations["ZX"]), _fmt(rep.expectations["ZZ"]),
-                _fmt(rep.s), _fmt(rep.epsilon), _fmt(rep.bound), _fmt(rep.sigma_s), sig,
-            ])
+        writer.writerows(_csv_rows(columns))
 
 
-def counts_rows(rows: Iterable[SweepRow]) -> list[tuple[float, CountRecord]]:
-    """Flatten sampled sweep rows into (phi, record) pairs for the counts CSV."""
-    out: list[tuple[float, CountRecord]] = []
-    for row in rows:
-        if row.counts is None:
-            continue
-        for rec in row.counts:
-            out.append((row.phi, rec))
-    return out
+def counts_rows(table: SweepTable) -> list[tuple[float, CountRecord]]:
+    """Flatten a sampled sweep into (phi, record) pairs for the counts CSV."""
+    if table.counts is None:
+        return []
+    return [(phi, table.record(i, c))
+            for i, phi in enumerate(table.phi.tolist()) for c in range(len(CONTEXTS))]
 
 
 def write_figure_curves_csv(
@@ -189,18 +282,9 @@ def write_figure_curves_csv(
     Columns: phi, S of the ideal pipeline, S of the device pipeline, the
     device epsilon and the corrected bound 2 + epsilon.
     """
-    ideal_spec = replace(spec, mode="analytic", device=DeviceConfig.ideal())
-    device_spec = replace(spec, mode="analytic", device=device)
-    ideal_rows = run_sweep(ideal_spec)
-    device_rows = run_sweep(device_spec)
+    ideal = run_sweep(replace(spec, mode="analytic", device=DeviceConfig.ideal()))
+    dev = run_sweep(replace(spec, mode="analytic", device=device))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(FIGURE3_CSV_COLUMNS)
-        for ideal_row, device_row in zip(ideal_rows, device_rows):
-            writer.writerow([
-                _fmt(ideal_row.phi),
-                _fmt(ideal_row.report.s),
-                _fmt(device_row.report.s),
-                _fmt(device_row.report.epsilon),
-                _fmt(device_row.report.bound),
-            ])
+        writer.writerows(_csv_rows([ideal.phi, ideal.s, dev.s, dev.epsilon, dev.bound]))

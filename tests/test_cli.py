@@ -4,12 +4,13 @@ import csv
 import json
 
 import numpy as np
+import pytest
 
 from chipctx import cli
 from chipctx.chips import DeviceConfig, MeasurementConfig, PreparationConfig
 from chipctx.errors import ConsistencyError
 from chipctx.galton import GaltonConfig, galton_run
-from chipctx.sampling import write_counts_csv
+from chipctx.sampling import CountRecord, write_counts_csv
 from chipctx.sweep import SWEEP_CSV_COLUMNS
 
 from conftest import oracle_s
@@ -105,14 +106,6 @@ class TestSweepCommand:
                 "--seed", 2, "--out", out2)
         assert out1.read_bytes() != out2.read_bytes()
 
-    def test_jobs_do_not_change_output(self, tmp_path):
-        out1, out2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
-        run_cli("sweep", "--steps", 9, "--mode", "sampled", "--shots", 1000,
-                "--seed", 3, "--out", out1)
-        run_cli("sweep", "--steps", 9, "--mode", "sampled", "--shots", 1000,
-                "--seed", 3, "--jobs", 4, "--out", out2)
-        assert out1.read_bytes() == out2.read_bytes()
-
     def test_imperfect_device_raises_the_bound(self, tmp_path):
         cfg = write_device_config(tmp_path / "dev.json", XZ={"digit_12": 0.4})
         out = tmp_path / "sweep.csv"
@@ -163,6 +156,20 @@ class TestSweepCommand:
     def test_emit_figure3_requires_config(self, tmp_path):
         assert run_cli("sweep", "--emit-figure3", "--out", tmp_path / "f.csv") == 1
 
+    @pytest.mark.parametrize("doc", [
+        {"preparation": {"coupler_Ts": 5}},
+        {"measurements": {"XZ": {"mode": "physical", "coupler_Ts": {"digit_12": "0.4"}}}},
+        {"measurements": []},
+    ], ids=["scalar-coupler-ts", "string-transmissivity", "measurements-list"])
+    def test_mistyped_config_is_a_one_line_data_error(self, tmp_path, capsys, doc):
+        cfg = tmp_path / "dev.json"
+        cfg.write_text(json.dumps(doc), encoding="utf-8")
+        assert run_cli("sweep", "--device", "imperfect", "--config", cfg,
+                       "--out", tmp_path / "s.csv") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid device config {cfg}:")
+        assert err.count("\n") == 1
+
 
 class TestHvCommand:
     def test_concentrated_preparation_no_violation(self, capsys):
@@ -194,6 +201,16 @@ class TestHvCommand:
 
     def test_rejects_bad_distribution(self, capsys):
         assert run_cli("hv", "--prep", 0.6, 0.6, 0, 0) == 2
+
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_rejects_non_finite_preparation(self, capsys, bad, exact):
+        argv = ["hv", "--prep", bad, 1, 0, 0, "--shots", 100]
+        assert run_cli(*argv, *(["--exact"] if exact else [])) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: preparation must be")
+        assert captured.err.count("\n") == 1
 
 
 class TestAnalyzeCommand:
@@ -255,6 +272,33 @@ class TestAnalyzeCommand:
         write_counts_csv(counts, [(0.0, galton_run(cfg, seed=1))])
         assert run_cli("analyze", counts) == 2
         assert "missing" in capsys.readouterr().err
+
+    def test_verdict_uses_the_corrected_bound_when_sigma_is_zero(self, tmp_path, capsys):
+        # S = 4 with epsilon = 2: on the bound 2 + epsilon, not above it
+        rows = [(0.0, CountRecord(ctx, (100, 0, 0, 0), 100, seed=i))
+                for i, ctx in enumerate(("XX", "XZ", "ZX"))]
+        rows.append((0.0, CountRecord("ZZ", (0, 100, 0, 0), 100, seed=3)))
+        counts = tmp_path / "counts.csv"
+        write_counts_csv(counts, rows)
+        report = tmp_path / "report.json"
+        assert run_cli("analyze", counts, "--bootstrap", 20, "--out", report) == 0
+        out = capsys.readouterr().out
+        assert "S=4.000000 +- 0.000000" in out
+        assert "bound=4.000000" in out
+        assert "[no violation]" in out
+        group = json.loads(report.read_text(encoding="utf-8"))["groups"][0]
+        assert group["significance"] is None
+
+    def test_non_finite_phi_is_a_data_error(self, tmp_path, capsys):
+        counts = tmp_path / "counts.csv"
+        cfg = GaltonConfig((1.0, 0.0, 0.0, 0.0), shots=100)
+        write_counts_csv(counts, [(0.0, galton_run(cfg, seed=1))])
+        lines = counts.read_text(encoding="utf-8").splitlines()
+        lines[1] = "nan" + lines[1][len("0.0"):]
+        counts.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run_cli("analyze", counts) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {counts}:2: phi must be finite, got 'nan'\n"
 
     def test_malformed_csv_is_a_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"

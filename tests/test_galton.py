@@ -92,6 +92,19 @@ class TestGaltonRun:
         with pytest.raises(ValueError):
             GaltonConfig((0.5, 0.4, 0.0, 0.0), shots=10)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_weights(self, bad):
+        prep = (bad, 1.0, 0.0, 0.0)
+        with pytest.raises(ValueError, match="finite"):
+            GaltonConfig(prep, shots=10)
+        with pytest.raises(ValueError, match="finite"):
+            galton_s_exact(prep)
+
+    @pytest.mark.parametrize("prep", [(0.5, 0.5, 0.5, -0.5), (0.5, 0.4, 0.0, 0.0)])
+    def test_exact_rejects_bad_distribution(self, prep):
+        with pytest.raises(ValueError):
+            galton_s_exact(prep)
+
 
 class TestGaltonS:
     def test_exact_identity_with_preparation_zz(self):
