@@ -9,9 +9,9 @@ stochastic-board baseline that can never violate the bound.
 """
 
 from .analysis import (
+    CONTEXTS,
     ContextProbabilities,
     InequalityReport,
-    chsh_s,
     classical_bound_enumeration,
     epsilon,
     expectation,
@@ -20,7 +20,6 @@ from .analysis import (
     significance,
 )
 from .chips import (
-    CONTEXTS,
     DeviceConfig,
     MeasurementConfig,
     PreparationConfig,
@@ -60,7 +59,6 @@ __all__ = [
     "SweepSpec",
     "__version__",
     "calibrate_phases",
-    "chsh_s",
     "classical_bound_enumeration",
     "compose",
     "coupler",

@@ -1,4 +1,8 @@
-"""Expectations, marginals, the CHSH-like quantity S and its classical bounds.
+"""Statistics core: expectations, S, epsilon, the bound and the report.
+
+Each formula is written once over arrays whose last two axes are (context in
+``CONTEXTS`` order, detector); the scalar path, the sweep, the count
+estimators and the classical board all reduce their data through it.
 
 Outcome signs follow the detector formula E = p1 - p2 - p3 + p4: the product
 of the two measurement outcomes is +1 on modes 1 and 4 and -1 on modes 2 and
@@ -10,20 +14,23 @@ factorization leaves S and epsilon unchanged.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 CONTEXTS = ("XX", "XZ", "ZX", "ZZ")
 
-# Product outcome per mode, fixed by E = p1 - p2 - p3 + p4.
-OUTCOME_SIGNS = np.array([1.0, -1.0, -1.0, 1.0])
-
 # Input probability vectors may come from empirically normalized counts, so
 # the sum check is looser than the internal 1e-12 unitarity tolerance.
 PROB_SUM_TOL = 1e-9
+
+
+def check_context(context: str) -> str:
+    """The context tag itself; ValueError unless it is one of CONTEXTS."""
+    if context not in CONTEXTS:
+        raise ValueError(f"unknown context {context!r}, expected one of {CONTEXTS}")
+    return context
 
 
 @dataclass(frozen=True)
@@ -34,8 +41,7 @@ class ContextProbabilities:
     p: tuple[float, float, float, float]
 
     def __post_init__(self):
-        if self.context not in CONTEXTS:
-            raise ValueError(f"unknown context {self.context!r}, expected one of {CONTEXTS}")
+        check_context(self.context)
         p = tuple(float(x) for x in self.p)
         if len(p) != 4:
             raise ValueError(f"need exactly four probabilities, got {len(p)}")
@@ -63,8 +69,7 @@ class InequalityReport:
 
     def __post_init__(self):
         for ctx, e in self.expectations.items():
-            if ctx not in CONTEXTS:
-                raise ValueError(f"unknown context {ctx!r} in expectations")
+            check_context(ctx)
             if abs(e) > 1.0 + PROB_SUM_TOL:
                 raise ValueError(f"expectation for {ctx} out of [-1, 1]: {e!r}")
         if abs(self.s) > 4.0 + PROB_SUM_TOL:
@@ -86,95 +91,114 @@ class InequalityReport:
         }
 
 
-def expectation(cp: ContextProbabilities) -> float:
-    """Product expectation p1 - p2 - p3 + p4 of one context."""
-    p = cp.p
-    return p[0] - p[1] - p[2] + p[3]
+def sign_sum(x: np.ndarray) -> np.ndarray:
+    """x1 - x2 - x3 + x4 over the last axis: E of probabilities, N*E of counts."""
+    return x[..., 0] - x[..., 1] - x[..., 2] + x[..., 3]
 
 
-def marginals(cp: ContextProbabilities) -> tuple[float, float]:
-    """Single-measurement marginals (letter, digit) of one context.
-
-    Letter outcome +1 on the left half, digit outcome +1 on the odd modes,
-    consistent with the product signs of :func:`expectation`.
-    """
-    p = cp.p
-    m_letter = (p[0] + p[1]) - (p[2] + p[3])
-    m_digit = (p[0] + p[2]) - (p[1] + p[3])
-    return m_letter, m_digit
+def s_value(e: np.ndarray) -> np.ndarray:
+    """S = E_XX + E_XZ + E_ZX - E_ZZ over the last (context) axis."""
+    return e[..., 0] + e[..., 1] + e[..., 2] - e[..., 3]
 
 
-def _by_context(cps: Iterable[ContextProbabilities]) -> dict[str, ContextProbabilities]:
-    seen: dict[str, ContextProbabilities] = {}
-    for cp in cps:
-        if cp.context in seen:
-            raise ValueError(f"duplicate probabilities for context {cp.context}")
-        seen[cp.context] = cp
-    missing = [c for c in CONTEXTS if c not in seen]
-    if missing:
-        raise ValueError(f"missing probabilities for context(s) {missing}")
-    return seen
+def _marginals(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(letter, digit) marginals over the last (detector) axis."""
+    letter = (p[..., 0] + p[..., 1]) - (p[..., 2] + p[..., 3])
+    digit = (p[..., 0] + p[..., 2]) - (p[..., 1] + p[..., 3])
+    return letter, digit
 
 
-def chsh_s(cps: Iterable[ContextProbabilities]) -> float:
-    """S = E_XX + E_XZ + E_ZX - E_ZZ from one probability vector per context."""
-    by_ctx = _by_context(cps)
-    e = {c: expectation(by_ctx[c]) for c in CONTEXTS}
-    return e["XX"] + e["XZ"] + e["ZX"] - e["ZZ"]
-
-
-def epsilon(cps: Iterable[ContextProbabilities]) -> float:
-    """Compatibility correction: summed marginal shifts across partner swaps.
+def epsilon_value(p: np.ndarray) -> np.ndarray:
+    """Compatibility correction over (..., context, detector) probabilities.
 
     For each single measurement, the marginal taken in the context whose
     partner is X is compared with the one whose partner is Z; the four
     absolute differences are summed.
     """
-    by_ctx = _by_context(cps)
-    letter = {c: marginals(by_ctx[c])[0] for c in CONTEXTS}
-    digit = {c: marginals(by_ctx[c])[1] for c in CONTEXTS}
+    letter, digit = _marginals(p)
+    xx, xz, zx, zz = range(4)
     return (
-        abs(digit["XX"] - digit["XZ"])      # digit X measurement
-        + abs(digit["ZX"] - digit["ZZ"])    # digit Z measurement
-        + abs(letter["XX"] - letter["ZX"])  # letter X measurement
-        + abs(letter["XZ"] - letter["ZZ"])  # letter Z measurement
+        np.abs(digit[..., xx] - digit[..., xz])      # digit X measurement
+        + np.abs(digit[..., zx] - digit[..., zz])    # digit Z measurement
+        + np.abs(letter[..., xx] - letter[..., zx])  # letter X measurement
+        + np.abs(letter[..., xz] - letter[..., zz])  # letter Z measurement
     )
 
 
-def significance(s: float, eps: float, sigma_s: float) -> float:
-    """Violation z-score (s - (2 + eps)) / sigma_s; negative means no violation."""
-    if not (sigma_s > 0.0) or not math.isfinite(sigma_s):
+def corrected_bound(eps):
+    """The compatibility-corrected non-contextual bound 2 + epsilon."""
+    return 2.0 + eps
+
+
+def significance(s, eps, sigma_s):
+    """Violation z-score (s - (2 + eps)) / sigma_s, elementwise; negative: no violation."""
+    sigma = np.asarray(sigma_s)
+    if not ((sigma > 0.0) & np.isfinite(sigma)).all():
         raise ValueError(f"sigma_s must be positive, got {sigma_s!r}")
-    return (s - (2.0 + eps)) / sigma_s
+    return (s - corrected_bound(eps)) / sigma_s
 
 
-def assignment_values() -> np.ndarray:
-    """S evaluated on all 16 deterministic +-1 outcome assignments."""
-    values = []
-    for x12, z12, xab, zab in itertools.product((1, -1), repeat=4):
-        values.append(x12 * xab + x12 * zab + z12 * xab - z12 * zab)
-    return np.array(values, dtype=float)
+def in_context_order(items: Iterable, what: str) -> list:
+    """The items, one per ``context`` tag, in CONTEXTS order; ``what`` names them in errors."""
+    seen: dict = {}
+    for item in items:
+        if item.context in seen:
+            raise ValueError(f"duplicate {what} for context {item.context}")
+        seen[item.context] = item
+    missing = [c for c in CONTEXTS if c not in seen]
+    if missing:
+        raise ValueError(f"missing {what} for context(s) {missing}")
+    return [seen[c] for c in CONTEXTS]
 
 
-def classical_bound_enumeration() -> float:
-    """Maximum of S over every deterministic outcome assignment (equals 2)."""
-    return float(np.max(assignment_values()))
+def build_report(e: Sequence[float], eps: float, sigma_s: float = 0.0) -> InequalityReport:
+    """Report from E (CONTEXTS order), epsilon and sigma_S; significance only if sigma_S > 0."""
+    e = np.asarray(e, dtype=float)
+    s = float(s_value(e))
+    eps, sigma_s = float(eps), float(sigma_s)
+    return InequalityReport(
+        expectations=dict(zip(CONTEXTS, e.tolist())), s=s, epsilon=eps,
+        bound=corrected_bound(eps), sigma_s=sigma_s,
+        significance=significance(s, eps, sigma_s) if sigma_s > 0.0 else None,
+    )
+
+
+def _probability_array(cps: Iterable[ContextProbabilities]) -> np.ndarray:
+    return np.array([cp.p for cp in in_context_order(cps, "probabilities")])
+
+
+def expectation(cp: ContextProbabilities) -> float:
+    """Product expectation p1 - p2 - p3 + p4 of one context."""
+    return float(sign_sum(np.asarray(cp.p)))
+
+
+def marginals(cp: ContextProbabilities) -> tuple[float, float]:
+    """Single-measurement marginals (letter, digit) of one context."""
+    letter, digit = _marginals(np.asarray(cp.p))
+    return float(letter), float(digit)
+
+
+def epsilon(cps: Iterable[ContextProbabilities]) -> float:
+    """Compatibility correction of one probability vector per context."""
+    return float(epsilon_value(_probability_array(cps)))
 
 
 def report_from_probabilities(
     cps: Iterable[ContextProbabilities], sigma_s: float = 0.0
 ) -> InequalityReport:
     """Bundle expectations, S, epsilon, bound and significance into a report."""
-    by_ctx = _by_context(cps)
-    expectations = {c: expectation(by_ctx[c]) for c in CONTEXTS}
-    s = expectations["XX"] + expectations["XZ"] + expectations["ZX"] - expectations["ZZ"]
-    eps = epsilon(by_ctx.values())
-    sig = significance(s, eps, sigma_s) if sigma_s > 0.0 else None
-    return InequalityReport(
-        expectations=expectations,
-        s=s,
-        epsilon=eps,
-        bound=2.0 + eps,
-        sigma_s=sigma_s,
-        significance=sig,
-    )
+    p = _probability_array(cps)
+    return build_report(sign_sum(p), epsilon_value(p), sigma_s)
+
+
+def assignment_values() -> np.ndarray:
+    """S on all 16 deterministic +-1 assignments of (digit X, digit Z, letter X, letter Z)."""
+    a = np.array(list(itertools.product((1.0, -1.0), repeat=4)))
+    digit = a[:, [0 if c[0] == "X" else 1 for c in CONTEXTS]]
+    letter = a[:, [2 if c[1] == "X" else 3 for c in CONTEXTS]]
+    return s_value(digit * letter)
+
+
+def classical_bound_enumeration() -> float:
+    """Maximum of S over every deterministic outcome assignment (equals 2)."""
+    return float(np.max(assignment_values()))

@@ -27,6 +27,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
+from .analysis import CONTEXTS, check_context
 from .errors import CalibrationError
 from .optics import (
     CouplerSpec,
@@ -39,8 +40,6 @@ from .optics import (
     phase_shifter,
     probabilities,
 )
-
-CONTEXTS = ("XX", "XZ", "ZX", "ZZ")
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -87,12 +86,6 @@ def _json_object(value, name: str) -> Mapping:
     if not isinstance(value, dict):
         raise ValueError(f"{name} must be a JSON object, got {value!r}")
     return value
-
-
-def _check_context(context: str) -> str:
-    if context not in CONTEXTS:
-        raise ValueError(f"unknown context {context!r}, expected one of {CONTEXTS}")
-    return context
 
 
 @dataclass(frozen=True)
@@ -163,7 +156,7 @@ class MeasurementConfig:
     calibration_phases: tuple[float, float, float, float] | None = None
 
     def __post_init__(self):
-        _check_context(self.context)
+        check_context(self.context)
         if self.mode not in ("ideal", "physical"):
             raise ValueError(f"mode must be 'ideal' or 'physical', got {self.mode!r}")
         slots = MEASUREMENT_COUPLER_SLOTS[self.context]
@@ -354,7 +347,7 @@ def measurement_unitary(config: MeasurementConfig) -> TransferMatrix:
     calibration phases, the digit couplers and the crossing-wrapped letter
     couplers.
     """
-    _check_context(config.context)
+    check_context(config.context)
     if config.mode == "ideal":
         return _ideal_unitary(config.context)
     digit_meas, letter_meas = config.context[0], config.context[1]
@@ -421,7 +414,7 @@ def measurement_skeleton(
     context: str, coupler_ts: Mapping[str, float] | None = None
 ) -> PhaseSkeleton:
     """Physical measurement circuit with the four input phases left free."""
-    _check_context(context)
+    check_context(context)
     ts = dict(coupler_ts or {})
 
     def build(phases: Sequence[float]) -> TransferMatrix:
@@ -576,7 +569,7 @@ def calibration_residual(
 
 def ideal_context_unitary(context: str) -> TransferMatrix:
     """Ideal (tensor-product) unitary for one context tag."""
-    return _ideal_unitary(_check_context(context))
+    return _ideal_unitary(check_context(context))
 
 
 def outcome_probabilities(state: ModeVector, unitary: TransferMatrix) -> np.ndarray:
@@ -585,7 +578,6 @@ def outcome_probabilities(state: ModeVector, unitary: TransferMatrix) -> np.ndar
 
 
 __all__ = [
-    "CONTEXTS",
     "DEFAULT_MEASUREMENT_PHASES",
     "DEFAULT_PREPARATION_PHASES",
     "DEFAULT_PREPARATION_TS",

@@ -17,14 +17,11 @@ from .analysis import significance
 from .chips import DeviceConfig, load_device_config
 from .errors import CalibrationError, ConsistencyError
 from .galton import galton_s, galton_s_exact
-from .sampling import DEFAULT_BOOTSTRAP_REPLICATES, read_counts_csv, write_counts_csv
+from .sampling import (
+    DEFAULT_BOOTSTRAP_REPLICATES, read_counts_csv, report_from_counts, write_counts_csv,
+)
 from .sweep import (
-    SweepSpec,
-    counts_rows,
-    report_from_counts,
-    run_sweep,
-    write_figure_curves_csv,
-    write_sweep_csv,
+    SweepSpec, counts_rows, run_sweep, write_figure_curves_csv, write_sweep_csv,
 )
 
 # z-score above which a printed verdict reads "violation"
@@ -45,6 +42,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def non_negative_int(text: str) -> int:
+    """argparse type of a seed: numpy seeds must be non-negative."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="chipctx", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -56,7 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--mode", choices=("analytic", "sampled"), default="analytic")
     sweep.add_argument("--shots", type=int, default=100_000,
                        help="events per (phase, context) in sampled mode")
-    sweep.add_argument("--seed", type=int, default=0, help="master seed for sampled mode")
+    sweep.add_argument("--seed", type=non_negative_int, default=0,
+                       help="master seed for sampled mode")
     sweep.add_argument("--device", choices=("ideal", "imperfect"), default="ideal")
     sweep.add_argument("--config", type=Path, default=None,
                        help="device config JSON (required for --device imperfect)")
@@ -76,7 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
                     metavar=("P1", "P2", "P3", "P4"),
                     help="channel probability distribution")
     hv.add_argument("--shots", type=int, default=1_000_000)
-    hv.add_argument("--seed", type=int, default=0)
+    hv.add_argument("--seed", type=non_negative_int, default=0)
     hv.add_argument("--flip-prob", type=float, default=0.5,
                     help="bit-flip probability of an X section")
     hv.add_argument("--exact", action="store_true", help="exact probabilities, no sampling")
@@ -95,13 +101,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _sweep_usage_error(args) -> str | None:
+    """Why this flag combination is unusable: a missing or an ignored flag."""
+    needs_config = args.device == "imperfect" or args.emit_figure3
+    if needs_config and args.config is None:
+        return "--config is required for --device imperfect and --emit-figure3"
+    if not needs_config and args.config is not None:
+        return "--config applies only to --device imperfect and --emit-figure3"
+    for flag, value in (("--bootstrap", args.bootstrap), ("--counts-out", args.counts_out)):
+        if args.mode == "analytic" and value is not None:
+            return f"{flag} applies only to --mode sampled"
+    return None
+
+
 def cmd_sweep(args) -> int:
+    usage_error = _sweep_usage_error(args)
+    if usage_error is not None:
+        print(f"error: {usage_error}", file=sys.stderr)
+        return 1
     device = DeviceConfig.ideal()
-    if args.device == "imperfect" or args.emit_figure3:
-        if args.config is None:
-            print("error: --config is required for --device imperfect and --emit-figure3",
-                  file=sys.stderr)
-            return 1
+    if args.config is not None:
         device = load_device_config(args.config)
 
     spec = SweepSpec(
@@ -146,7 +165,7 @@ def cmd_hv(args) -> int:
         print(f"verdict: {_verdict(None, s, 2.0)}")
         return 0
     s, sigma_s = galton_s(prep, args.shots, args.seed, x_flip_probability=args.flip_prob)
-    z = (s - 2.0) / sigma_s if sigma_s > 0.0 else None
+    z = significance(s, 0.0, sigma_s) if sigma_s > 0.0 else None  # the board has epsilon = 0
     print(f"S = {s:.6f} +- {sigma_s:.6f} ({args.shots} shots per context)")
     if z is not None:
         print(f"classical bound: 2; (S - 2)/sigma_S = {z:.3f}")
@@ -166,10 +185,9 @@ def cmd_analyze(args) -> int:
     for phi, rec in rows:
         groups.setdefault(phi, []).append(rec)
 
-    reports = []
+    payload: dict = {"groups": []}
     for phi, records in groups.items():
         report = report_from_counts(records, bootstrap=args.bootstrap)
-        reports.append((phi, report))
         sig = report.significance
         sig_text = f"{sig:.3f}" if sig is not None else "n/a"
         print(
@@ -177,12 +195,7 @@ def cmd_analyze(args) -> int:
             f"epsilon={report.epsilon:.6f} bound={report.bound:.6f} "
             f"significance={sig_text} [{_verdict(sig, report.s, report.bound)}]"
         )
-
-    payload: dict = {"groups": []}
-    for phi, report in reports:
-        entry = {"phi": phi}
-        entry.update(report.to_json_dict())
-        payload["groups"].append(entry)
+        payload["groups"].append({"phi": phi, **report.to_json_dict()})
 
     if args.summary is not None:
         s, bound, sigma = args.summary

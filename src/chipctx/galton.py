@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .analysis import CONTEXTS
+from .analysis import CONTEXTS, s_value, sign_sum
 from .sampling import CountRecord, derive_seed, estimate_s
 
 MEASUREMENTS = ("Z", "X")
@@ -137,21 +137,14 @@ def galton_s_exact(
     """
     zz = zz_expectation(_check_preparation(preparation))
     scale = 1.0 - 2.0 * _check_flip_probability(x_flip_probability)
-    es = {}
-    for ctx in CONTEXTS:
-        e = zz
-        if ctx[0] == "X":
-            e *= scale
-        if ctx[1] == "X":
-            e *= scale
-        es[ctx] = e
-    return float(es["XX"] + es["XZ"] + es["ZX"] - es["ZZ"])
+    e = [zz * (scale if digit == "X" else 1.0) * (scale if letter == "X" else 1.0)
+         for digit, letter in CONTEXTS]
+    return float(s_value(np.array(e)))
 
 
 def zz_expectation(preparation: Sequence[float]) -> float:
     """Signed sum of the preparation itself (the ZZ-context expectation)."""
-    p = np.asarray(preparation, dtype=float)
-    return float(p[0] - p[1] - p[2] + p[3])
+    return float(sign_sum(np.asarray(preparation, dtype=float)))
 
 
 __all__ = [

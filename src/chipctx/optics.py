@@ -34,7 +34,6 @@ ModeVector = NDArray[np.complex128]     # shape (4,)
 TransferMatrix = NDArray[np.complex128]  # shape (4, 4)
 
 N_MODES = 4
-MODE_LABELS = ("00", "01", "10", "11")
 
 # Absolute tolerance for unitarity / normalization checks: double precision
 # leaves ample headroom at dimension 4.

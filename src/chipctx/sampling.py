@@ -18,7 +18,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .analysis import CONTEXTS, PROB_SUM_TOL
+from .analysis import (
+    PROB_SUM_TOL, InequalityReport, build_report, check_context, epsilon_value, in_context_order,
+    s_value, sign_sum,
+)
 
 COUNTS_CSV_COLUMNS = ("phi", "context", "n1", "n2", "n3", "n4", "N", "seed")
 
@@ -35,16 +38,19 @@ class CountRecord:
     seed: int
 
     def __post_init__(self):
-        if self.context not in CONTEXTS:
-            raise ValueError(f"unknown context {self.context!r}")
-        counts = tuple(int(n) for n in self.counts)
+        check_context(self.context)
+        counts, total, seed = tuple(int(n) for n in self.counts), int(self.total), int(self.seed)
         if len(counts) != 4 or any(n < 0 for n in counts):
             raise ValueError(f"counts must be four non-negative integers, got {self.counts!r}")
-        if sum(counts) != int(self.total):
-            raise ValueError(f"counts sum {sum(counts)} != total {self.total}")
+        if sum(counts) != total:
+            raise ValueError(f"counts sum {sum(counts)} != total {total}")
+        if total >= 2**63:  # the estimators count in int64
+            raise ValueError(f"total must be below 2**63, got {total}")
+        if not 0 <= seed < 2**64:
+            raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "total", int(self.total))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "seed", seed)
 
     def fractions(self) -> np.ndarray:
         return np.asarray(self.counts, dtype=float) / float(self.total)
@@ -91,29 +97,35 @@ def sample_counts(
                        total=int(n_events), seed=int(seed))
 
 
-def estimate_expectation(record: CountRecord) -> EstimatedExpectation:
-    """Estimate (n1 - n2 - n3 + n4)/N and its multinomial standard error.
+def expectation_estimates(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """E = (n1 - n2 - n3 + n4)/N over the last axis of counts, and its standard error.
 
     The observable takes values +-1, so Var = (1 - E^2)/N exactly.
     """
-    if record.total < 1:
+    total = counts.sum(axis=-1)
+    if (total < 1).any():
         raise ValueError("record holds no events")
-    n = record.counts
-    value = (n[0] - n[1] - n[2] + n[3]) / record.total
-    sigma = math.sqrt(max(1.0 - value * value, 0.0) / record.total)
-    return EstimatedExpectation(value=value, sigma=sigma)
+    e = sign_sum(counts) / total
+    return e, np.sqrt(np.maximum(1.0 - e * e, 0.0) / total)
 
 
-def _records_by_context(records: Iterable[CountRecord]) -> dict[str, CountRecord]:
-    seen: dict[str, CountRecord] = {}
-    for rec in records:
-        if rec.context in seen:
-            raise ValueError(f"duplicate record for context {rec.context}")
-        seen[rec.context] = rec
-    missing = [c for c in CONTEXTS if c not in seen]
-    if missing:
-        raise ValueError(f"missing record for context(s) {missing}")
-    return seen
+def propagated_sigma_s(sigma: np.ndarray) -> np.ndarray:
+    """sigma_S = sqrt(sum sigma_i^2) over the last (context) axis."""
+    # np.float_power squares with the C pow, as the pinned outputs were computed;
+    # np.square can differ from it in the last ulp
+    return np.sqrt(np.float_power(sigma, 2.0).sum(axis=-1))
+
+
+def _count_array(records: Iterable[CountRecord]) -> tuple[list[CountRecord], np.ndarray]:
+    """The records in context order and their counts shaped (context, detector)."""
+    ordered = in_context_order(records, "record")
+    return ordered, np.array([rec.counts for rec in ordered], dtype=np.int64)
+
+
+def estimate_expectation(record: CountRecord) -> EstimatedExpectation:
+    """Estimate (n1 - n2 - n3 + n4)/N and its multinomial standard error."""
+    value, sigma = expectation_estimates(np.array(record.counts, dtype=np.int64))
+    return EstimatedExpectation(value=float(value), sigma=float(sigma))
 
 
 def estimate_s(
@@ -131,25 +143,34 @@ def estimate_s(
     replicate stream is seeded from the records' own seeds unless
     ``bootstrap_seed`` is given.
     """
-    by_ctx = _records_by_context(records)
-    est = {c: estimate_expectation(by_ctx[c]) for c in CONTEXTS}
-    s = est["XX"].value + est["XZ"].value + est["ZX"].value - est["ZZ"].value
+    ordered, counts = _count_array(records)
+    e, sigma = expectation_estimates(counts)
+    return float(s_value(e)), _sigma_s(ordered, sigma, bootstrap, bootstrap_seed)
+
+
+def _sigma_s(ordered: list[CountRecord], sigma: np.ndarray, bootstrap: int | None,
+             bootstrap_seed: int | None) -> float:
+    """Propagated sigma_S, or the bootstrap one when ``bootstrap`` is given."""
     if bootstrap is None:
-        sigma = math.sqrt(sum(e.sigma**2 for e in est.values()))
-        return s, sigma
+        return float(propagated_sigma_s(sigma))
     if bootstrap < 2:
         raise ValueError(f"bootstrap needs at least 2 replicates, got {bootstrap}")
     if bootstrap_seed is None:
-        bootstrap_seed = derive_seed(by_ctx["XX"].seed, by_ctx["XZ"].seed,
-                                     by_ctx["ZX"].seed, by_ctx["ZZ"].seed)
+        bootstrap_seed = derive_seed(*(rec.seed for rec in ordered))
     rng = np.random.default_rng(int(bootstrap_seed))
-    replicated = np.zeros(bootstrap)
-    for sign, ctx in zip((1.0, 1.0, 1.0, -1.0), CONTEXTS):
-        rec = by_ctx[ctx]
-        draws = rng.multinomial(rec.total, rec.fractions(), size=bootstrap)
-        values = (draws[:, 0] - draws[:, 1] - draws[:, 2] + draws[:, 3]) / rec.total
-        replicated += sign * values
-    return s, float(np.std(replicated, ddof=1))
+    replicated = np.stack([sign_sum(rng.multinomial(rec.total, rec.fractions(), size=bootstrap))
+                           / rec.total for rec in ordered], axis=-1)
+    return float(np.std(s_value(replicated), ddof=1))
+
+
+def report_from_counts(
+    records: Iterable[CountRecord], bootstrap: int | None = None
+) -> InequalityReport:
+    """The inequality report of one count record per context; sigma_S as in estimate_s."""
+    ordered, counts = _count_array(records)
+    e, sigma = expectation_estimates(counts)
+    eps = epsilon_value(counts / counts.sum(axis=-1, keepdims=True))
+    return build_report(e, eps, _sigma_s(ordered, sigma, bootstrap, None))
 
 
 # --- CSV serialization -------------------------------------------------------

@@ -2,15 +2,14 @@
 
 The grid is evaluated in blocks of ``_BLOCK`` phases.  For each block the
 prepared states are built as one array, pushed through the four context
-circuits with one stacked matrix product, and reduced to E, S, epsilon and
-the bound with array expressions.  Analytic mode reports the exact
-probabilities; sampled mode draws one multinomial record per (phase,
-context) from its own derived seed and reports estimates with
-uncertainties.  Results fill preallocated per-grid columns in grid order.
-
-Every value equals the one the scalar path (:func:`prepare_state_circuit`,
-:func:`outcome_probabilities`, :func:`report_from_probabilities`,
-:func:`sample_counts`, :func:`estimate_s`) gives at that phase, bit for bit.
+circuits with one stacked matrix product, and reduced to E, S, epsilon, the
+bound and the significance by the statistics core of :mod:`chipctx.analysis`
+and the count estimators of :mod:`chipctx.sampling`.  Analytic mode reports
+the exact probabilities; sampled mode draws one multinomial record per
+(phase, context) from its own derived seed and reports estimates with
+uncertainties.  Results fill preallocated per-grid columns in grid order;
+every value equals the one the scalar path (:func:`report_from_probabilities`,
+:func:`report_from_counts`) gives at that phase, bit for bit.
 """
 
 from __future__ import annotations
@@ -23,12 +22,16 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from . import analysis
-from .analysis import PROB_SUM_TOL, ContextProbabilities, InequalityReport
-from .chips import CONTEXTS, DeviceConfig, context_unitaries, prepare_states
+from .analysis import (
+    CONTEXTS, PROB_SUM_TOL, InequalityReport, build_report, corrected_bound, epsilon_value,
+    s_value, sign_sum, significance,
+)
+from .chips import DeviceConfig, context_unitaries, prepare_states
 from .errors import ConsistencyError
 from .optics import TransferMatrix, is_unitary
-from .sampling import CountRecord, derive_seed, estimate_expectation, estimate_s
+from .sampling import (
+    CountRecord, derive_seed, estimate_s, expectation_estimates, propagated_sigma_s,
+)
 
 SWEEP_CSV_COLUMNS = (
     "phi", "E_XX", "E_XZ", "E_ZX", "E_ZZ", "S", "epsilon", "bound", "sigma_S", "significance",
@@ -39,8 +42,6 @@ FIGURE3_CSV_COLUMNS = ("phi", "S_ideal", "S_device", "epsilon_device", "bound_de
 # Phases evaluated at a time: bounds the engine's temporaries to a few hundred
 # kB whatever the grid size.
 _BLOCK = 1024
-
-_XX, _XZ, _ZX, _ZZ = range(4)  # context axis, in CONTEXTS order
 
 
 @dataclass(frozen=True)
@@ -127,12 +128,7 @@ class SweepTable:
                            seed=int(self.seeds[i, c]))
 
     def __getitem__(self, i: int) -> SweepRow:
-        sig = float(self.significance[i])
-        report = InequalityReport(
-            expectations=dict(zip(CONTEXTS, self.expectations[i].tolist())),
-            s=float(self.s[i]), epsilon=float(self.epsilon[i]), bound=float(self.bound[i]),
-            sigma_s=float(self.sigma_s[i]), significance=None if math.isnan(sig) else sig,
-        )
+        report = build_report(self.expectations[i], self.epsilon[i], self.sigma_s[i])
         counts = None
         if self.counts is not None:
             counts = tuple(self.record(i, c) for c in range(len(CONTEXTS)))
@@ -160,26 +156,8 @@ def _context_probabilities(unitaries: np.ndarray, states: np.ndarray) -> np.ndar
     return p
 
 
-def _epsilon(p: np.ndarray) -> np.ndarray:
-    """:func:`analysis.epsilon` over a (phase, context, detector) array."""
-    letter = (p[..., 0] + p[..., 1]) - (p[..., 2] + p[..., 3])
-    digit = (p[..., 0] + p[..., 2]) - (p[..., 1] + p[..., 3])
-    return (
-        np.abs(digit[:, _XX] - digit[:, _XZ])
-        + np.abs(digit[:, _ZX] - digit[:, _ZZ])
-        + np.abs(letter[:, _XX] - letter[:, _ZX])
-        + np.abs(letter[:, _XZ] - letter[:, _ZZ])
-    )
-
-
-def _fill_analytic(table: SweepTable, block: slice, p: np.ndarray) -> None:
-    e = p[..., 0] - p[..., 1] - p[..., 2] + p[..., 3]
-    table.expectations[block] = e
-    table.s[block] = e[:, _XX] + e[:, _XZ] + e[:, _ZX] - e[:, _ZZ]
-    table.epsilon[block] = _epsilon(p)
-
-
-def _fill_sampled(table: SweepTable, block: slice, p: np.ndarray, spec: SweepSpec) -> None:
+def _draw_counts(table: SweepTable, block: slice, p: np.ndarray, spec: SweepSpec) -> np.ndarray:
+    """One multinomial record per (phase, context), each on its own derived seed."""
     # the renormalization sample_counts applies to each record
     p = np.clip(p, 0.0, None)
     p = p / p.sum(axis=-1, keepdims=True)
@@ -189,22 +167,7 @@ def _fill_sampled(table: SweepTable, block: slice, p: np.ndarray, spec: SweepSpe
             seed = derive_seed(spec.master_seed, point, c)
             counts[i, c] = np.random.default_rng(seed).multinomial(spec.shots, p[i, c])
             seeds[i, c] = seed
-
-    # estimate_expectation and the propagated sigma of estimate_s
-    e = (counts[..., 0] - counts[..., 1] - counts[..., 2] + counts[..., 3]) / spec.shots
-    sigma = np.sqrt(np.maximum(1.0 - e * e, 0.0) / spec.shots)
-    # estimate_s squares with Python's float **, which calls the C library
-    # pow; np.float_power does too, while np.square (and ** on an array) can
-    # differ from pow in the last ulp
-    var = np.float_power(sigma, 2.0)
-    table.expectations[block] = e
-    table.s[block] = e[:, _XX] + e[:, _XZ] + e[:, _ZX] - e[:, _ZZ]
-    table.sigma_s[block] = np.sqrt(var[:, _XX] + var[:, _XZ] + var[:, _ZX] + var[:, _ZZ])
-    table.epsilon[block] = _epsilon(counts / float(spec.shots))
-    if spec.bootstrap is not None:
-        for i in range(block.start, block.stop):
-            records = [table.record(i, c) for c in range(len(CONTEXTS))]
-            table.sigma_s[i] = estimate_s(records, bootstrap=spec.bootstrap)[1]
+    return counts
 
 
 def run_sweep(spec: SweepSpec) -> SweepTable:
@@ -218,30 +181,25 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
         states = prepare_states(spec.device.preparation, table.phi[block])
         p = _context_probabilities(stacked, states)
         if sampled:
-            _fill_sampled(table, block, p, spec)
+            counts = _draw_counts(table, block, p, spec)
+            e, sigma = expectation_estimates(counts)
+            table.sigma_s[block] = propagated_sigma_s(sigma)
+            if spec.bootstrap is not None:
+                for i in range(block.start, block.stop):
+                    records = [table.record(i, c) for c in range(len(CONTEXTS))]
+                    table.sigma_s[i] = estimate_s(records, bootstrap=spec.bootstrap)[1]
+            p = counts / float(spec.shots)
         else:
-            _fill_analytic(table, block, p)
-    table.bound[:] = 2.0 + table.epsilon
+            e = sign_sum(p)
+        table.expectations[block] = e
+        table.s[block] = s_value(e)
+        table.epsilon[block] = epsilon_value(p)
+    table.bound[:] = corrected_bound(table.epsilon)
     positive = table.sigma_s > 0.0
-    table.significance[positive] = (
-        table.s[positive] - table.bound[positive]
-    ) / table.sigma_s[positive]
-    return table
-
-
-def report_from_counts(
-    records: Sequence[CountRecord], bootstrap: int | None = None
-) -> InequalityReport:
-    """Estimate the inequality report from one count record per context."""
-    s, sigma_s = estimate_s(records, bootstrap=bootstrap)
-    cps = [ContextProbabilities(rec.context, tuple(rec.fractions())) for rec in records]
-    eps = analysis.epsilon(cps)
-    expectations = {rec.context: estimate_expectation(rec).value for rec in records}
-    sig = analysis.significance(s, eps, sigma_s) if sigma_s > 0.0 else None
-    return InequalityReport(
-        expectations=expectations, s=s, epsilon=eps, bound=2.0 + eps,
-        sigma_s=sigma_s, significance=sig,
+    table.significance[positive] = significance(
+        table.s[positive], table.epsilon[positive], table.sigma_s[positive]
     )
+    return table
 
 
 def _fmt(x: float) -> str:

@@ -11,6 +11,7 @@ import numpy as np
 
 from chipctx import cli
 from chipctx.analysis import (
+    CONTEXTS,
     ContextProbabilities,
     assignment_values,
     classical_bound_enumeration,
@@ -18,7 +19,6 @@ from chipctx.analysis import (
     significance,
 )
 from chipctx.chips import (
-    CONTEXTS,
     MEASUREMENT_COUPLER_SLOTS,
     DeviceConfig,
     MeasurementConfig,

@@ -8,7 +8,6 @@ from chipctx.analysis import (
     ContextProbabilities,
     InequalityReport,
     assignment_values,
-    chsh_s,
     classical_bound_enumeration,
     epsilon,
     expectation,
@@ -90,27 +89,27 @@ class TestMarginals:
 
 class TestChshS:
     def test_phi_zero_reaches_quantum_maximum(self):
-        assert abs(chsh_s(ideal_probabilities(0.0)) - 2.0 * SQRT2) < 1e-12
+        assert abs(report_from_probabilities(ideal_probabilities(0.0)).s - 2.0 * SQRT2) < 1e-12
 
     def test_phi_pi_vanishes(self):
-        assert abs(chsh_s(ideal_probabilities(np.pi))) < 1e-12
+        assert abs(report_from_probabilities(ideal_probabilities(np.pi)).s) < 1e-12
 
     def test_uniform_probabilities_give_zero(self):
         cps = [ContextProbabilities(c, (0.25,) * 4) for c in CONTEXTS]
-        assert chsh_s(cps) == 0.0
+        assert report_from_probabilities(cps).s == 0.0
 
     def test_closed_form_matches_matrix_simulation(self):
         for phi in np.linspace(0.0, 2.0 * np.pi, 200):
-            assert abs(chsh_s(ideal_probabilities(phi)) - oracle_s(phi)) < 1e-9
+            assert abs(report_from_probabilities(ideal_probabilities(phi)).s - oracle_s(phi)) < 1e-9
 
     def test_duplicate_context_rejected(self):
         cps = ideal_probabilities(0.0)
         with pytest.raises(ValueError):
-            chsh_s(cps + [cps[0]])
+            report_from_probabilities(cps + [cps[0]])
 
     def test_missing_context_rejected(self):
         with pytest.raises(ValueError):
-            chsh_s(ideal_probabilities(0.0)[:3])
+            report_from_probabilities(ideal_probabilities(0.0)[:3])
 
     def test_quantum_inputs_respect_tsirelson_cap(self):
         for state in random_states(1000, seed=31):
@@ -118,7 +117,7 @@ class TestChshS:
                 ContextProbabilities(ctx, tuple(np.abs(u @ state) ** 2))
                 for ctx, u in ORACLE_CONTEXT_UNITARIES.items()
             ]
-            assert chsh_s(cps) <= 2.0 * SQRT2 + 1e-9
+            assert report_from_probabilities(cps).s <= 2.0 * SQRT2 + 1e-9
 
 
 class TestEpsilon:

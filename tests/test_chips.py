@@ -5,8 +5,8 @@ import json
 import numpy as np
 import pytest
 
+from chipctx.analysis import CONTEXTS
 from chipctx.chips import (
-    CONTEXTS,
     DEFAULT_MEASUREMENT_PHASES,
     DEFAULT_PREPARATION_TS,
     DeviceConfig,

@@ -128,6 +128,25 @@ class TestSweepCommand:
         assert run_cli("sweep", "--device", "imperfect", "--config", broken,
                        "--out", tmp_path / "s.csv") == 2
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--bootstrap", "5"),
+        ("--counts-out", "c.csv"),
+        ("--config", "nonexistent.json"),
+    ], ids=["bootstrap-in-analytic-mode", "counts-out-in-analytic-mode", "config-with-ideal-device"])
+    def test_ignored_flag_is_a_usage_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "s.csv"
+        assert run_cli("sweep", "--steps", 3, flag, value, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} applies only to ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "s.csv"
+        assert run_cli("sweep", "--seed", -1, "--mode", "sampled", "--out", out) == 1
+        assert "argument --seed: must be non-negative, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_usage_error_exits_one(self):
         assert run_cli("sweep", "--mode", "bogus") == 1
         assert run_cli("bogus-command") == 1
@@ -198,6 +217,12 @@ class TestHvCommand:
             prep = rng.dirichlet(np.ones(4))
             assert run_cli("hv", "--prep", *prep, "--shots", 2000, "--seed", seed) == 0
             assert "verdict: no violation" in capsys.readouterr().out
+
+    def test_negative_seed_is_a_usage_error(self, capsys):
+        assert run_cli("hv", "--prep", 0, 1, 0, 0, "--seed", -1) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --seed: must be non-negative, got -1" in captured.err
 
     def test_rejects_bad_distribution(self, capsys):
         assert run_cli("hv", "--prep", 0.6, 0.6, 0, 0) == 2
@@ -299,6 +324,17 @@ class TestAnalyzeCommand:
         assert run_cli("analyze", counts) == 2
         err = capsys.readouterr().err
         assert err == f"error: {counts}:2: phi must be finite, got 'nan'\n"
+
+    def test_negative_record_seed_is_a_data_error(self, tmp_path, capsys):
+        counts = tmp_path / "counts.csv"
+        write_counts_csv(counts, [(0.0, CountRecord(ctx, (60, 20, 10, 10), 100, seed=i))
+                                  for i, ctx in enumerate(("XX", "XZ", "ZX", "ZZ"))])
+        lines = counts.read_text(encoding="utf-8").splitlines()
+        lines[3] = lines[3][: lines[3].rindex(",")] + ",-5"
+        counts.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run_cli("analyze", counts, "--bootstrap", 20) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {counts}:4: seed must lie in [0, 2**64), got -5\n"
 
     def test_malformed_csv_is_a_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -57,6 +57,12 @@ class TestSampleCounts:
             CountRecord("ZZ", (1, 2, 3, 4), total=11, seed=0)
         with pytest.raises(ValueError):
             CountRecord("ZZ", (-1, 2, 3, 4), total=8, seed=0)
+        with pytest.raises(ValueError, match="total must be below"):
+            CountRecord("ZZ", (2**63, 0, 0, 0), total=2**63, seed=0)
+        for seed in (-1, 2**64):
+            with pytest.raises(ValueError, match="seed must lie in"):
+                CountRecord("ZZ", (1, 0, 0, 0), total=1, seed=seed)
+        assert CountRecord("ZZ", (1, 0, 0, 0), total=1, seed=2**64 - 1).seed == 2**64 - 1
 
 
 class TestEstimateExpectation:

@@ -12,9 +12,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from chipctx.analysis import ContextProbabilities, report_from_probabilities
+from chipctx.analysis import CONTEXTS, ContextProbabilities, report_from_probabilities
 from chipctx.chips import (
-    CONTEXTS,
     MEASUREMENT_COUPLER_SLOTS,
     DeviceConfig,
     MeasurementConfig,
@@ -24,8 +23,8 @@ from chipctx.chips import (
     prepare_state_circuit,
     prepare_state_direct,
 )
-from chipctx.sampling import derive_seed, sample_counts
-from chipctx.sweep import _BLOCK, SweepSpec, report_from_counts, run_sweep
+from chipctx.sampling import derive_seed, report_from_counts, sample_counts
+from chipctx.sweep import _BLOCK, SweepSpec, run_sweep
 
 
 def random_device(seed):
