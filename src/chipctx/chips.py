@@ -397,15 +397,29 @@ class PhaseSkeleton:
     seed_phases: tuple[float, ...] | None = None
 
 
+def _phase_factors(phases: Sequence[float], n_phases: int) -> np.ndarray:
+    """exp(i*phase) per free phase, after checking the vector's length."""
+    phases = np.asarray(phases, dtype=float)
+    if phases.shape != (n_phases,):
+        raise ValueError(f"expected {n_phases} phases, got shape {phases.shape}")
+    return np.exp(1j * phases)
+
+
 def preparation_skeleton(
     coupler_ts: Sequence[float] = DEFAULT_PREPARATION_TS, phi: float = 0.0
 ) -> PhaseSkeleton:
-    """Preparation chip with the three trim phases R2..R4 left free."""
-    ts = tuple(float(t) for t in coupler_ts)
+    """Preparation chip with the three trim phases R2..R4 left free.
+
+    C1, R1(phi), C2 and C3 do not depend on the trims, so their product is
+    formed once; ``build`` scales its mode-2..4 rows by the trim phases.
+    """
+    config = PreparationConfig(phi=phi, coupler_ts=tuple(coupler_ts))
+    fixed = compose(_preparation_sections(config)[:-1])
 
     def build(phases: Sequence[float]) -> TransferMatrix:
-        cfg = PreparationConfig(phi=phi, coupler_ts=ts, calibration_phases=tuple(phases))
-        return preparation_unitary(cfg)
+        u = fixed.copy()
+        u[1:] *= _phase_factors(phases, 3)[:, None]
+        return u
 
     return PhaseSkeleton(n_phases=3, build=build, seed_phases=DEFAULT_PREPARATION_PHASES)
 
@@ -413,38 +427,22 @@ def preparation_skeleton(
 def measurement_skeleton(
     context: str, coupler_ts: Mapping[str, float] | None = None
 ) -> PhaseSkeleton:
-    """Physical measurement circuit with the four input phases left free."""
-    check_context(context)
-    ts = dict(coupler_ts or {})
+    """Physical measurement circuit with the four input phases left free.
+
+    The couplers and crossings are composed once, with zero input phases;
+    ``build`` scales the columns of that product by the input phases.
+    """
+    fixed = measurement_unitary(MeasurementConfig(
+        context=context, mode="physical", coupler_ts=dict(coupler_ts or {}),
+        calibration_phases=(0.0, 0.0, 0.0, 0.0),
+    ))
 
     def build(phases: Sequence[float]) -> TransferMatrix:
-        cfg = MeasurementConfig(
-            context=context, mode="physical", coupler_ts=ts,
-            calibration_phases=tuple(phases),
-        )
-        return measurement_unitary(cfg)
+        return fixed * _phase_factors(phases, 4)
 
     return PhaseSkeleton(
         n_phases=4, build=build, seed_phases=DEFAULT_MEASUREMENT_PHASES[context]
     )
-
-
-def two_mode_skeleton(transmissivity: float = 0.5) -> PhaseSkeleton:
-    """A single (1, 2) coupler with pre and post phases on both modes.
-
-    Small helper used to check diagonal equivalence of a coupler against a
-    2x2 target embedded in modes (1, 2).
-    """
-
-    def build(phases: Sequence[float]) -> TransferMatrix:
-        pre1, pre2, post1, post2 = phases
-        return compose([
-            np.diag(np.exp(1j * np.array([pre1, pre2, 0.0, 0.0]))),
-            coupler(CouplerSpec((1, 2), transmissivity)),
-            np.diag(np.exp(1j * np.array([post1, post2, 0.0, 0.0]))),
-        ])
-
-    return PhaseSkeleton(n_phases=4, build=build)
 
 
 def _probe_states(n_probe: int, seed: int) -> np.ndarray:
@@ -453,15 +451,43 @@ def _probe_states(n_probe: int, seed: int) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def _probability_residual(u: TransferMatrix, target: TransferMatrix, probes: np.ndarray) -> np.ndarray:
-    out = np.abs(probes @ u.T) ** 2 - np.abs(probes @ np.asarray(target).T) ** 2
-    return out.ravel()
+def _residual_function(
+    target: np.ndarray, skeleton: PhaseSkeleton, n_probe: int, probe_seed: int, input_mode: int
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Phases -> deviation of the skeleton's circuit from ``target``.
+
+    Probability deviations on the probe states for a 4x4 target, amplitude
+    deviations (real and imaginary parts, up to a global phase) for a
+    length-4 state.  Everything that depends only on the target is computed
+    here, once.
+    """
+    target = np.asarray(target, dtype=np.complex128)
+    if target.shape == (4, 4):
+        probes = _probe_states(n_probe, probe_seed)
+        target_probabilities = np.abs(probes @ target.T) ** 2
+
+        def residual(phases: np.ndarray) -> np.ndarray:
+            return (np.abs(probes @ skeleton.build(phases).T) ** 2 - target_probabilities).ravel()
+
+    elif target.shape == (4,):
+        injected = basis_state(input_mode)
+
+        def residual(phases: np.ndarray) -> np.ndarray:
+            diff = align_global_phase(skeleton.build(phases) @ injected, target) - target
+            return np.concatenate([diff.real, diff.imag])
+
+    else:
+        raise ValueError(f"target must be a 4x4 matrix or a length-4 state, got shape {target.shape}")
+    return residual
 
 
-def _state_residual(u: TransferMatrix, target: ModeVector, input_mode: int) -> np.ndarray:
-    produced = align_global_phase(u @ basis_state(input_mode), target)
-    diff = produced - np.asarray(target, dtype=np.complex128)
-    return np.concatenate([diff.real, diff.imag])
+def _start_phases(phases: Sequence[float], n_phases: int, name: str) -> np.ndarray:
+    start = np.array(phases, dtype=float)
+    if start.shape != (n_phases,):
+        raise ValueError(f"{name} has shape {start.shape}, the skeleton expects {n_phases} phases")
+    if not np.all(np.isfinite(start)):
+        raise ValueError(f"{name} must be finite, got {start.tolist()}")
+    return start
 
 
 def calibrate_phases(
@@ -482,10 +508,12 @@ def calibrate_phases(
     phases and a global phase).  For a length-4 ``target`` the circuit output
     from ``input_mode`` must match the state up to a global phase.
 
-    Least-squares minimization over the free phases, seeded from
-    ``seed_phases``, then the skeleton's analytic seed, then zeros; restarts
-    from deterministic pseudo-random points if the residual stays above
-    ``tol``.
+    Starts are tried in turn: ``seed_phases``, then the skeleton's analytic
+    seed, then zeros, then deterministic pseudo-random points.  A start whose
+    residual already meets ``tol`` is returned as it is; otherwise MINPACK's
+    Levenberg-Marquardt (``scipy.optimize.leastsq``, forward-difference
+    Jacobian) minimizes the residual from it.  A start or fit with a
+    non-finite residual is never accepted.
 
     Args:
         target: 4x4 unitary or length-4 state vector.
@@ -502,50 +530,36 @@ def calibrate_phases(
         Array of calibrated phases, one per free parameter.
 
     Raises:
+        ValueError: If the target has the wrong shape, or a seed has the
+            wrong length or a non-finite phase.
         CalibrationError: If no start reaches the tolerance; carries the best
             residual achieved.
     """
-    from scipy.optimize import least_squares
+    from scipy.optimize import leastsq
 
-    target = np.asarray(target, dtype=np.complex128)
-    if target.shape == (4, 4):
-        probes = _probe_states(n_probe, probe_seed)
-
-        def residual(phases: np.ndarray) -> np.ndarray:
-            return _probability_residual(skeleton.build(phases), target, probes)
-
-    elif target.shape == (4,):
-
-        def residual(phases: np.ndarray) -> np.ndarray:
-            return _state_residual(skeleton.build(phases), target, input_mode)
-
-    else:
-        raise ValueError(f"target must be a 4x4 matrix or a length-4 state, got shape {target.shape}")
-
+    residual = _residual_function(target, skeleton, n_probe, probe_seed, input_mode)
+    n = skeleton.n_phases
     starts: list[np.ndarray] = []
     if seed_phases is not None:
-        starts.append(np.asarray(seed_phases, dtype=float))
+        starts.append(_start_phases(seed_phases, n, "seed_phases"))
     if skeleton.seed_phases is not None:
-        starts.append(np.asarray(skeleton.seed_phases, dtype=float))
-    starts.append(np.zeros(skeleton.n_phases))
+        starts.append(_start_phases(skeleton.seed_phases, n, "skeleton seed_phases"))
+    starts.append(np.zeros(n))
     restart_rng = np.random.default_rng(probe_seed + 1)
     for _ in range(max_restarts):
-        starts.append(restart_rng.uniform(-math.pi, math.pi, size=skeleton.n_phases))
+        starts.append(restart_rng.uniform(-math.pi, math.pi, size=n))
 
-    best_phases: np.ndarray | None = None
     best_residual = math.inf
     for start in starts:
-        if len(start) != skeleton.n_phases:
-            raise ValueError(
-                f"seed has {len(start)} phases, skeleton expects {skeleton.n_phases}"
-            )
-        fit = least_squares(residual, start, method="lm", xtol=1e-15, ftol=1e-15, gtol=1e-15)
-        achieved = float(np.max(np.abs(residual(fit.x))))
+        if float(np.max(np.abs(residual(start)))) <= tol:
+            return start
+        fitted, _, info, _, _ = leastsq(residual, start, xtol=1e-15, ftol=1e-15, gtol=1e-15,
+                                        full_output=True)
+        achieved = float(np.max(np.abs(info["fvec"])))  # MINPACK's residual at ``fitted``
+        if achieved <= tol:
+            return fitted
         if achieved < best_residual:
             best_residual = achieved
-            best_phases = fit.x
-        if achieved <= tol:
-            return fit.x
     raise CalibrationError("calibration did not reach tolerance", best_residual)
 
 
@@ -559,12 +573,8 @@ def calibration_residual(
     input_mode: int = 1,
 ) -> float:
     """Maximum deviation of a calibrated skeleton from its target."""
-    target = np.asarray(target, dtype=np.complex128)
-    u = skeleton.build(np.asarray(phases, dtype=float))
-    if target.shape == (4, 4):
-        probes = _probe_states(n_probe, probe_seed)
-        return float(np.max(np.abs(_probability_residual(u, target, probes))))
-    return float(np.max(np.abs(_state_residual(u, target, input_mode))))
+    residual = _residual_function(target, skeleton, n_probe, probe_seed, input_mode)
+    return float(np.max(np.abs(residual(np.asarray(phases, dtype=float)))))
 
 
 def ideal_context_unitary(context: str) -> TransferMatrix:
@@ -600,5 +610,4 @@ __all__ = [
     "prepare_state_circuit",
     "prepare_state_direct",
     "prepare_states",
-    "two_mode_skeleton",
 ]

@@ -11,7 +11,7 @@ import json
 import math
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .analysis import significance
 from .chips import DeviceConfig, load_device_config
@@ -42,12 +42,18 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def non_negative_int(text: str) -> int:
-    """argparse type of a seed: numpy seeds must be non-negative."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
-    return value
+def int_at_least(minimum: int) -> Callable[[str], int]:
+    """argparse type of an integer flag with a lower limit, e.g. a seed or a count."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            limit = "non-negative" if minimum == 0 else f"at least {minimum}"
+            raise argparse.ArgumentTypeError(f"must be {limit}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its "invalid ... value" message
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,19 +63,21 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="evaluate the pipeline over a phase grid")
     sweep.add_argument("--phi-start", type=float, default=0.0)
     sweep.add_argument("--phi-end", type=float, default=2.0 * math.pi)
-    sweep.add_argument("--steps", type=int, default=201)
+    sweep.add_argument("--steps", type=int_at_least(2), default=201)
     sweep.add_argument("--mode", choices=("analytic", "sampled"), default="analytic")
-    sweep.add_argument("--shots", type=int, default=100_000,
-                       help="events per (phase, context) in sampled mode")
-    sweep.add_argument("--seed", type=non_negative_int, default=0,
-                       help="master seed for sampled mode")
+    sweep.add_argument("--shots", type=int_at_least(1), default=None,
+                       help="events per (phase, context) in sampled mode "
+                            f"(default {SweepSpec.shots})")
+    sweep.add_argument("--seed", type=int_at_least(0), default=None,
+                       help=f"master seed for sampled mode (default {SweepSpec.master_seed})")
     sweep.add_argument("--device", choices=("ideal", "imperfect"), default="ideal")
     sweep.add_argument("--config", type=Path, default=None,
                        help="device config JSON (required for --device imperfect)")
     sweep.add_argument("--out", type=Path, default=Path("sweep.csv"))
     sweep.add_argument("--counts-out", type=Path, default=None,
                        help="counts CSV path in sampled mode (default: <out>_counts.csv)")
-    sweep.add_argument("--bootstrap", type=int, nargs="?", const=DEFAULT_BOOTSTRAP_REPLICATES,
+    sweep.add_argument("--bootstrap", type=int_at_least(2), nargs="?",
+                       const=DEFAULT_BOOTSTRAP_REPLICATES,
                        default=None,
                        help="bootstrap replicates for sigma_S instead of propagation "
                             f"(default {DEFAULT_BOOTSTRAP_REPLICATES} when given bare)")
@@ -81,8 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     hv.add_argument("--prep", type=float, nargs=4, required=True,
                     metavar=("P1", "P2", "P3", "P4"),
                     help="channel probability distribution")
-    hv.add_argument("--shots", type=int, default=1_000_000)
-    hv.add_argument("--seed", type=non_negative_int, default=0)
+    hv.add_argument("--shots", type=int_at_least(1), default=1_000_000)
+    hv.add_argument("--seed", type=int_at_least(0), default=0)
     hv.add_argument("--flip-prob", type=float, default=0.5,
                     help="bit-flip probability of an X section")
     hv.add_argument("--exact", action="store_true", help="exact probabilities, no sampling")
@@ -91,7 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser("analyze", help="evaluate the inequality from a counts CSV")
     analyze.add_argument("counts_csv", type=Path)
     analyze.add_argument("--out", type=Path, default=None, help="write the report as JSON")
-    analyze.add_argument("--bootstrap", type=int, nargs="?", const=DEFAULT_BOOTSTRAP_REPLICATES,
+    analyze.add_argument("--bootstrap", type=int_at_least(2), nargs="?",
+                         const=DEFAULT_BOOTSTRAP_REPLICATES,
                          default=None)
     analyze.add_argument("--summary", type=float, nargs=3, default=None,
                          metavar=("S", "BOUND", "SIGMA"),
@@ -108,7 +117,11 @@ def _sweep_usage_error(args) -> str | None:
         return "--config is required for --device imperfect and --emit-figure3"
     if not needs_config and args.config is not None:
         return "--config applies only to --device imperfect and --emit-figure3"
-    for flag, value in (("--bootstrap", args.bootstrap), ("--counts-out", args.counts_out)):
+    if args.emit_figure3 and args.mode == "sampled":
+        return "--emit-figure3 applies only to --mode analytic"
+    sampled_flags = (("--shots", args.shots), ("--seed", args.seed),
+                     ("--bootstrap", args.bootstrap), ("--counts-out", args.counts_out))
+    for flag, value in sampled_flags:
         if args.mode == "analytic" and value is not None:
             return f"{flag} applies only to --mode sampled"
     return None
@@ -123,11 +136,12 @@ def cmd_sweep(args) -> int:
     if args.config is not None:
         device = load_device_config(args.config)
 
+    sampling = {name: value for name, value in (("shots", args.shots), ("master_seed", args.seed))
+                if value is not None}
     spec = SweepSpec(
-        phi_start=args.phi_start, phi_end=args.phi_end, steps=args.steps,
-        mode=args.mode, shots=args.shots, master_seed=args.seed,
+        phi_start=args.phi_start, phi_end=args.phi_end, steps=args.steps, mode=args.mode,
         device=device if args.device == "imperfect" else DeviceConfig.ideal(),
-        bootstrap=args.bootstrap,
+        bootstrap=args.bootstrap, **sampling,
     )
 
     if args.emit_figure3:

@@ -4,8 +4,12 @@ The oracle functions here are written from first principles with raw numpy
 so they stay independent of the package implementation they check.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+
+from chipctx.chips import PhaseSkeleton
 
 SQRT2 = np.sqrt(2.0)
 K = 1.0 + SQRT2                 # amplitude ratio of the target state
@@ -48,6 +52,32 @@ def random_states(n: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     v = rng.normal(size=(n, 4)) + 1j * rng.normal(size=(n, 4))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def two_mode_skeleton(transmissivity: float = 0.5) -> PhaseSkeleton:
+    """A (1, 2) coupler between pre and post phases on modes 1 and 2."""
+    t, r = np.sqrt(transmissivity), 1j * np.sqrt(1.0 - transmissivity)
+    coupler = np.eye(4, dtype=complex)
+    coupler[:2, :2] = [[t, r], [r, t]]
+
+    def build(phases):
+        pre1, pre2, post1, post2 = phases
+        pre = np.exp(1j * np.array([pre1, pre2, 0.0, 0.0]))
+        post = np.exp(1j * np.array([post1, post2, 0.0, 0.0]))
+        return post[:, None] * coupler * pre[None, :]
+
+    return PhaseSkeleton(n_phases=4, build=build)
+
+
+def counting(skeleton: PhaseSkeleton) -> tuple[PhaseSkeleton, list]:
+    """The skeleton with a build that also appends a copy of its phases to the returned list."""
+    calls = []
+
+    def build(phases):
+        calls.append(np.array(phases))
+        return skeleton.build(phases)
+
+    return replace(skeleton, build=build), calls
 
 
 @pytest.fixture

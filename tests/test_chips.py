@@ -1,6 +1,8 @@
 """Preparation and measurement circuits, calibration, config IO."""
 
 import json
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,7 +25,6 @@ from chipctx.chips import (
     preparation_skeleton,
     prepare_state_circuit,
     prepare_state_direct,
-    two_mode_skeleton,
 )
 from chipctx.errors import CalibrationError
 
@@ -32,8 +33,10 @@ from conftest import (
     K,
     ORACLE_CONTEXT_UNITARIES,
     SQRT2,
+    counting,
     oracle_state,
     random_states,
+    two_mode_skeleton,
 )
 
 # exact squared magnitudes of the target state (phi-independent)
@@ -198,6 +201,40 @@ class TestCalibration:
         with pytest.raises(CalibrationError) as err:
             calibrate_phases(target, skel, max_restarts=2)
         assert err.value.residual > 1e-3
+
+    @pytest.mark.parametrize("seed,message", [
+        ((0.0, 0.0, 0.0), r"seed_phases has shape \(3,\), the skeleton expects 4 phases"),
+        ((0.0, math.nan, 0.0, 0.0), "seed_phases must be finite"),
+        ((0.0, 0.0, math.inf, 0.0), "seed_phases must be finite"),
+    ], ids=["wrong-length", "nan", "inf"])
+    def test_bad_seed_is_rejected_before_any_fit(self, seed, message):
+        counted, calls = counting(measurement_skeleton("XZ"))
+        with pytest.raises(ValueError, match=message):
+            calibrate_phases(ideal_context_unitary("XZ"), counted, seed_phases=seed)
+        assert calls == []
+
+    def test_build_rejects_a_phase_vector_of_the_wrong_length(self):
+        # a single phase would otherwise broadcast over every mode
+        with pytest.raises(ValueError, match=r"expected 4 phases, got shape \(1,\)"):
+            measurement_skeleton("XX").build([0.0])
+        with pytest.raises(ValueError, match=r"expected 3 phases, got shape \(1,\)"):
+            preparation_skeleton().build([0.0])
+
+    def test_non_finite_residual_is_never_accepted(self):
+        target = ideal_context_unitary("XX")
+        skel = measurement_skeleton("XX")
+        seed = DEFAULT_MEASUREMENT_PHASES["XX"]
+
+        def nan_at_seed(phases):
+            u = skel.build(phases)
+            return u * math.nan if tuple(phases) == seed else u
+
+        phases = calibrate_phases(target, replace(skel, build=nan_at_seed))
+        assert calibration_residual(phases, target, skel) < 1e-9
+        always_nan = replace(skel, build=lambda phases: math.nan * skel.build(phases))
+        with pytest.raises(CalibrationError) as err:
+            calibrate_phases(target, always_nan, max_restarts=1)
+        assert err.value.residual == math.inf
 
 
 class TestConfigIO:

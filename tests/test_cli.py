@@ -132,13 +132,50 @@ class TestSweepCommand:
         ("--bootstrap", "5"),
         ("--counts-out", "c.csv"),
         ("--config", "nonexistent.json"),
-    ], ids=["bootstrap-in-analytic-mode", "counts-out-in-analytic-mode", "config-with-ideal-device"])
+        ("--shots", "5"),
+        ("--seed", "5"),
+    ], ids=["bootstrap-in-analytic-mode", "counts-out-in-analytic-mode", "config-with-ideal-device",
+            "shots-in-analytic-mode", "seed-in-analytic-mode"])
     def test_ignored_flag_is_a_usage_error(self, tmp_path, capsys, flag, value):
         out = tmp_path / "s.csv"
         assert run_cli("sweep", "--steps", 3, flag, value, "--out", out) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flag} applies only to ")
         assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra", [
+        (),
+        ("--shots", "5"),
+        ("--seed", "5"),
+        ("--bootstrap", "5"),
+        ("--counts-out", "c.csv"),
+    ], ids=["bare", "shots", "seed", "bootstrap", "counts-out"])
+    def test_sampled_mode_with_emit_figure3_is_a_usage_error(self, tmp_path, capsys, extra):
+        cfg = write_device_config(tmp_path / "dev.json")
+        out = tmp_path / "fig3.csv"
+        assert run_cli("sweep", "--steps", 3, "--emit-figure3", "--config", cfg,
+                       "--mode", "sampled", *extra, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err == "error: --emit-figure3 applies only to --mode analytic\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv,message", [
+        (("sweep", "--steps", "1"), "argument --steps: must be at least 2, got 1"),
+        (("sweep", "--mode", "sampled", "--bootstrap", "1"),
+         "argument --bootstrap: must be at least 2, got 1"),
+        (("sweep", "--mode", "sampled", "--shots", "0"),
+         "argument --shots: must be at least 1, got 0"),
+        (("analyze", "counts.csv", "--bootstrap", "1"),
+         "argument --bootstrap: must be at least 2, got 1"),
+        (("hv", "--prep", "0", "1", "0", "0", "--shots", "0"),
+         "argument --shots: must be at least 1, got 0"),
+    ], ids=["sweep-steps", "sweep-bootstrap", "sweep-shots", "analyze-bootstrap", "hv-shots"])
+    def test_count_below_its_minimum_is_a_usage_error(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "s.csv"
+        extra = ("--out", out) if argv[0] == "sweep" else ()
+        assert run_cli(*argv, *extra) == 1
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_negative_seed_is_a_usage_error(self, tmp_path, capsys):

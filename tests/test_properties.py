@@ -1,9 +1,10 @@
-"""Properties of the statistics core over generated inputs (hypothesis).
+"""Properties of the statistics core and the circuits over generated inputs (hypothesis).
 
 The examples are derandomized so that the suite gives the same verdict on
 every run.
 """
 
+import math
 import tempfile
 from pathlib import Path
 
@@ -22,8 +23,24 @@ from chipctx.analysis import (
     sign_sum,
     significance,
 )
+from chipctx.chips import (
+    MEASUREMENT_COUPLER_SLOTS,
+    DeviceConfig,
+    MeasurementConfig,
+    PreparationConfig,
+    calibrate_phases,
+    context_unitaries,
+    measurement_skeleton,
+    measurement_unitary,
+    preparation_skeleton,
+    preparation_unitary,
+)
 from chipctx.galton import galton_s_exact
+from chipctx.optics import is_unitary
 from chipctx.sampling import CountRecord, read_counts_csv, write_counts_csv
+from chipctx.sweep import SweepSpec, run_sweep
+
+from conftest import counting
 
 PROPERTY = settings(deadline=None, derandomize=True, database=None)
 
@@ -53,6 +70,39 @@ def probability_stacks(draw):
 def preparations(draw):
     raw = draw(hnp.arrays(np.float64, 4, elements=st.floats(0.0, 1.0, allow_subnormal=False)))
     return tuple(normalized(raw).tolist())
+
+
+phases = st.floats(-2.0 * math.pi, 2.0 * math.pi)
+transmissivities = st.floats(0.0, 1.0)
+
+
+@st.composite
+def measurement_configs(draw, context=None):
+    """A physical context with drawn transmissivities on some slots and drawn input phases."""
+    context = context or draw(st.sampled_from(CONTEXTS))
+    slots = draw(st.lists(st.sampled_from(MEASUREMENT_COUPLER_SLOTS[context]), unique=True)
+                 if MEASUREMENT_COUPLER_SLOTS[context] else st.just([]))
+    return MeasurementConfig(context, "physical", {slot: draw(transmissivities) for slot in slots},
+                             tuple(draw(st.lists(phases, min_size=4, max_size=4))))
+
+
+preparation_configs = st.builds(
+    lambda phi, ts, trims: PreparationConfig(phi, tuple(ts), tuple(trims)),
+    phases,
+    st.lists(transmissivities, min_size=3, max_size=3),
+    st.lists(phases, min_size=3, max_size=3),
+)
+
+
+@st.composite
+def device_configs(draw):
+    return DeviceConfig(
+        preparation=draw(st.one_of(st.none(), preparation_configs)),
+        measurements={
+            ctx: draw(st.one_of(st.just(MeasurementConfig(ctx)), measurement_configs(ctx)))
+            for ctx in CONTEXTS
+        },
+    )
 
 
 count_records = st.builds(
@@ -116,3 +166,48 @@ def test_counts_csv_round_trips(rows):
         path = Path(tmp) / "counts.csv"
         write_counts_csv(path, rows)
         assert read_counts_csv(path) == rows
+
+
+@PROPERTY
+@given(measurement_configs())
+def test_folded_measurement_build_equals_the_composed_circuit(config):
+    built = measurement_skeleton(config.context, config.coupler_ts).build(config.calibration_phases)
+    np.testing.assert_allclose(built, measurement_unitary(config), rtol=0.0, atol=1e-12)
+
+
+@PROPERTY
+@given(preparation_configs)
+def test_folded_preparation_build_equals_the_composed_circuit(config):
+    built = preparation_skeleton(config.coupler_ts, config.phi).build(config.calibration_phases)
+    np.testing.assert_allclose(built, preparation_unitary(config), rtol=0.0, atol=1e-12)
+
+
+@PROPERTY
+@given(device_configs())
+def test_any_device_has_unitary_contexts_and_non_negative_epsilon(device):
+    assert all(is_unitary(u) for u in context_unitaries(device).values())
+    table = run_sweep(SweepSpec(0.0, 2.0 * math.pi, 9, device=device))
+    assert np.all(table.epsilon >= 0.0)
+    assert np.array_equal(table.bound, 2.0 + table.epsilon)
+
+
+@PROPERTY
+@given(measurement_configs())
+def test_converged_measurement_start_is_returned_without_a_fit(config):
+    skeleton = measurement_skeleton(config.context, config.coupler_ts)
+    counted, calls = counting(skeleton)
+    start = config.calibration_phases
+    phases = calibrate_phases(skeleton.build(start), counted, seed_phases=start)
+    assert len(calls) <= 2
+    assert phases.tolist() == list(start)
+
+
+@PROPERTY
+@given(preparation_configs)
+def test_converged_preparation_start_is_returned_without_a_fit(config):
+    skeleton = preparation_skeleton(config.coupler_ts, config.phi)
+    counted, calls = counting(skeleton)
+    start = config.calibration_phases
+    phases = calibrate_phases(skeleton.build(start)[:, 0], counted, seed_phases=start)
+    assert len(calls) <= 2
+    assert phases.tolist() == list(start)
