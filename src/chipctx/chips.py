@@ -73,7 +73,10 @@ _EYE2 = np.eye(2, dtype=np.complex128)
 def _json_number(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must lie in the float range, got a larger integer") from None
 
 
 def _json_numbers(value, name: str) -> tuple[float, ...]:
@@ -220,6 +223,8 @@ class DeviceConfig:
 
     def __post_init__(self):
         meas = dict(self.measurements)
+        for ctx in meas:
+            check_context(ctx)  # a misspelled entry would leave its context ideal
         for ctx in CONTEXTS:
             cfg = meas.get(ctx, MeasurementConfig(context=ctx))
             if cfg.context != ctx:
@@ -563,25 +568,6 @@ def calibrate_phases(
     raise CalibrationError("calibration did not reach tolerance", best_residual)
 
 
-def calibration_residual(
-    phases: Sequence[float],
-    target: np.ndarray,
-    skeleton: PhaseSkeleton,
-    *,
-    n_probe: int = 100,
-    probe_seed: int = 20260101,
-    input_mode: int = 1,
-) -> float:
-    """Maximum deviation of a calibrated skeleton from its target."""
-    residual = _residual_function(target, skeleton, n_probe, probe_seed, input_mode)
-    return float(np.max(np.abs(residual(np.asarray(phases, dtype=float)))))
-
-
-def ideal_context_unitary(context: str) -> TransferMatrix:
-    """Ideal (tensor-product) unitary for one context tag."""
-    return _ideal_unitary(check_context(context))
-
-
 def outcome_probabilities(state: ModeVector, unitary: TransferMatrix) -> np.ndarray:
     """Detector-click probabilities after a circuit section."""
     return probabilities(np.asarray(unitary) @ np.asarray(state))
@@ -598,9 +584,7 @@ __all__ = [
     "PreparationConfig",
     "align_global_phase",
     "calibrate_phases",
-    "calibration_residual",
     "context_unitaries",
-    "ideal_context_unitary",
     "load_device_config",
     "measurement_skeleton",
     "measurement_unitary",

@@ -13,15 +13,17 @@ import sys
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .analysis import significance
+import numpy as np
+
+from .analysis import CONTEXTS, significance
 from .chips import DeviceConfig, load_device_config
 from .errors import CalibrationError, ConsistencyError
 from .galton import galton_s, galton_s_exact
 from .sampling import (
-    DEFAULT_BOOTSTRAP_REPLICATES, read_counts_csv, report_from_counts, write_counts_csv,
+    DEFAULT_BOOTSTRAP_REPLICATES, read_counts_csv, report_from_counts, write_counts_columns,
 )
 from .sweep import (
-    SweepSpec, counts_rows, run_sweep, write_figure_curves_csv, write_sweep_csv,
+    SweepSpec, run_sweep, write_figure_curves_csv, write_sweep_csv,
 )
 
 # z-score above which a printed verdict reads "violation"
@@ -56,13 +58,27 @@ def int_at_least(minimum: int) -> Callable[[str], int]:
     return parse
 
 
+def float_within(low: float = -math.inf, high: float = math.inf) -> Callable[[str], float]:
+    """argparse type of a finite float flag in [low, high], e.g. a phase limit or a probability."""
+
+    def parse(text: str) -> float:
+        value = float(text)
+        if not (math.isfinite(value) and low <= value <= high):
+            limit = "finite" if (low, high) == (-math.inf, math.inf) else f"in [{low:g}, {high:g}]"
+            raise argparse.ArgumentTypeError(f"must be {limit}, got {text}")
+        return value
+
+    parse.__name__ = "float"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="chipctx", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     sweep = sub.add_parser("sweep", help="evaluate the pipeline over a phase grid")
-    sweep.add_argument("--phi-start", type=float, default=0.0)
-    sweep.add_argument("--phi-end", type=float, default=2.0 * math.pi)
+    sweep.add_argument("--phi-start", type=float_within(), default=0.0)
+    sweep.add_argument("--phi-end", type=float_within(), default=2.0 * math.pi)
     sweep.add_argument("--steps", type=int_at_least(2), default=201)
     sweep.add_argument("--mode", choices=("analytic", "sampled"), default="analytic")
     sweep.add_argument("--shots", type=int_at_least(1), default=None,
@@ -91,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="channel probability distribution")
     hv.add_argument("--shots", type=int_at_least(1), default=1_000_000)
     hv.add_argument("--seed", type=int_at_least(0), default=0)
-    hv.add_argument("--flip-prob", type=float, default=0.5,
+    hv.add_argument("--flip-prob", type=float_within(0.0, 1.0), default=0.5,
                     help="bit-flip probability of an X section")
     hv.add_argument("--exact", action="store_true", help="exact probabilities, no sampling")
     hv.set_defaults(func=cmd_hv)
@@ -111,7 +127,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _sweep_usage_error(args) -> str | None:
-    """Why this flag combination is unusable: a missing or an ignored flag."""
+    """Why this flag combination is unusable: an empty grid, a missing or an ignored flag."""
+    if not args.phi_start < args.phi_end:
+        return f"--phi-start must be below --phi-end, got {args.phi_start!r} >= {args.phi_end!r}"
     needs_config = args.device == "imperfect" or args.emit_figure3
     if needs_config and args.config is None:
         return "--config is required for --device imperfect and --emit-figure3"
@@ -156,7 +174,9 @@ def cmd_sweep(args) -> int:
         counts_path = args.counts_out
         if counts_path is None:
             counts_path = args.out.with_name(args.out.stem + "_counts.csv")
-        write_counts_csv(counts_path, counts_rows(table))
+        write_counts_columns(counts_path, np.repeat(table.phi, len(CONTEXTS)),
+                             CONTEXTS * len(table), table.counts.reshape(-1, 4),
+                             table.seeds.ravel())
         print(f"wrote {4 * len(table)} count records to {counts_path}")
     best = int(table.s.argmax())
     print(f"max S = {table.s[best]:.6f} at phi = {table.phi[best]:.6f}")

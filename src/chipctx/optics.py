@@ -81,10 +81,6 @@ def probabilities(state: ModeVector) -> NDArray[np.float64]:
     return np.abs(np.asarray(state, dtype=np.complex128)) ** 2
 
 
-def is_normalized(state: ModeVector, atol: float = ATOL) -> bool:
-    return abs(float(np.sum(probabilities(state))) - 1.0) <= atol
-
-
 def is_unitary(matrix: TransferMatrix, atol: float = ATOL) -> bool:
     m = np.asarray(matrix, dtype=np.complex128)
     if m.shape != (N_MODES, N_MODES):

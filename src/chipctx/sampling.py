@@ -6,6 +6,13 @@ Substreams for a (sweep point, context) pair are derived by seeding a
 collapsing it to a 64-bit child seed, so the drawn counts never depend on
 evaluation order or on how a sweep is split into blocks.  The child seed is
 stored in each record, which makes any record reproducible in isolation.
+
+That seed contract is what :func:`derive_seed` and :func:`sample_counts`
+compute one record at a time.  The sweep computes the same values a block at
+a time: :func:`seed_sequence_state` runs numpy's ``SeedSequence`` hash over
+many keys at once, once for a block's child seeds (:func:`derive_seeds`) and
+once for the PCG64 state words that ``default_rng`` would derive from each of
+them (:func:`seeded_generators`).
 """
 
 from __future__ import annotations
@@ -14,9 +21,10 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .analysis import (
     PROB_SUM_TOL, InequalityReport, build_report, check_context, epsilon_value, in_context_order,
@@ -26,6 +34,9 @@ from .analysis import (
 COUNTS_CSV_COLUMNS = ("phi", "context", "n1", "n2", "n3", "n4", "N", "seed")
 
 DEFAULT_BOOTSTRAP_REPLICATES = 1000
+
+# Rows formatted at a time when a counts CSV is written.
+_CSV_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -52,9 +63,6 @@ class CountRecord:
         object.__setattr__(self, "total", total)
         object.__setattr__(self, "seed", seed)
 
-    def fractions(self) -> np.ndarray:
-        return np.asarray(self.counts, dtype=float) / float(self.total)
-
 
 @dataclass(frozen=True)
 class EstimatedExpectation:
@@ -68,6 +76,129 @@ def derive_seed(master_seed: int, *key: int) -> int:
     """Collapse (master_seed, *key) to a reproducible 64-bit child seed."""
     ss = np.random.SeedSequence((int(master_seed),) + tuple(int(k) for k in key))
     return int(ss.generate_state(1, np.uint64)[0])
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of four
+# uint32 words mixed from the entropy words, then hashed into the state words.
+POOL_SIZE = 4
+INIT_A = 0x43B0D7E5
+MULT_A = 0x931E8875
+INIT_B = 0x8B51F9DD
+MULT_B = 0x58F38DED
+MIX_MULT_L = 0xCA01F9DD
+MIX_MULT_R = 0x4973F715
+XSHIFT = 16
+_MASK32 = 0xFFFFFFFF
+
+
+def seed_sequence_state(entropy: np.ndarray, n_words: int) -> np.ndarray:
+    """``SeedSequence(entropy[:, k]).generate_state(n_words, np.uint64)`` for every column k.
+
+    ``entropy`` is a (words, K) uint32 matrix whose columns are the entropy
+    words ``SeedSequence`` makes of each key; the result is shaped
+    (K, n_words).  All arithmetic is uint32, modulo 2**32, as in numpy.
+    """
+    entropy = np.asarray(entropy, dtype=np.uint32)
+    if len(entropy) < POOL_SIZE:  # a short entropy is padded with zero words
+        padding = np.zeros((POOL_SIZE - len(entropy), entropy.shape[1]), dtype=np.uint32)
+        entropy = np.concatenate([entropy, padding])
+    hash_const = INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> XSHIFT)
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = np.uint32(MIX_MULT_L) * x - np.uint32(MIX_MULT_R) * y
+        return result ^ (result >> XSHIFT)
+
+    pool = [hashmix(entropy[i]) for i in range(POOL_SIZE)]
+    for i_src in range(POOL_SIZE):
+        for i_dst in range(POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for i_src in range(POOL_SIZE, len(entropy)):  # entropy longer than the pool
+        for i_dst in range(POOL_SIZE):
+            pool[i_dst] = mix(pool[i_dst], hashmix(entropy[i_src]))
+
+    hash_const = INIT_B
+    state = np.empty((entropy.shape[1], 2 * n_words), dtype=np.uint32)
+    for i_dst in range(2 * n_words):
+        value = pool[i_dst % POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = hash_const * MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        state[:, i_dst] = value ^ (value >> XSHIFT)
+    # each uint64 word is a pair of uint32 words, low word first, as numpy reads them
+    return state.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+def _int_words(n: int) -> list[int]:
+    """The uint32 words SeedSequence makes of a non-negative int, low word first."""
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _key_state(key: Sequence[int | np.ndarray], n_words: int) -> np.ndarray:
+    """``SeedSequence(key).generate_state(n_words, np.uint64)`` for every column of ``key``.
+
+    Each part of ``key`` is a non-negative int, shared by every column, or an
+    array of values in [0, 2**64), one per column; at least one part is an
+    array.  ``SeedSequence`` makes one word of a value below 2**32 and two of
+    any other, so the columns are hashed in groups that share one word
+    layout.  Returns shape (K, n_words).
+    """
+    size = len(next(part for part in key if not isinstance(part, int)))
+    rows, high_words = [], []  # entropy words; (row, columns that have it) of each high word
+    for part in key:
+        if isinstance(part, int):
+            rows += [np.full(size, word, dtype=np.uint32) for word in _int_words(part)]
+        else:
+            part = np.asarray(part, dtype=np.uint64)
+            high = part >> np.uint64(32)
+            high_words.append((len(rows) + 1, high != 0))
+            rows += [(part & np.uint64(_MASK32)).astype(np.uint32), high.astype(np.uint32)]
+    entropy = np.array(rows)
+    layout = np.zeros(size, dtype=np.int64)  # bit b: the b-th high word is present
+    for bit, (_, has_word) in enumerate(high_words):
+        layout |= has_word.astype(np.int64) << bit
+    state = np.empty((size, n_words), dtype=np.uint64)
+    for code in set(layout.tolist()):  # not np.unique, which imports numpy.ma (about 1.5 MB)
+        columns = layout == code
+        dropped = [row for bit, (row, _) in enumerate(high_words) if not code >> bit & 1]
+        state[columns] = seed_sequence_state(np.delete(entropy[:, columns], dropped, axis=0),
+                                             n_words)
+    return state
+
+
+def derive_seeds(*key: int | np.ndarray) -> np.ndarray:
+    """``derive_seed(*column)`` for every column of ``key``, as a uint64 array.
+
+    A part of ``key`` is an int shared by every column, of any size, or an
+    array of values in [0, 2**64), one per column.
+    """
+    return _key_state(key, 1)[:, 0]
+
+
+class _PresetState(ISeedSequence):
+    """Seed sequence that hands PCG64 state words computed in advance."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def seeded_generators(seeds: np.ndarray) -> Iterator[np.random.Generator]:
+    """``np.random.default_rng(seed)`` for every seed of a uint64 array, in order."""
+    words = _key_state([seeds], 4)  # the four uint64 words PCG64 asks of SeedSequence(seed)
+    return (np.random.Generator(np.random.PCG64(_PresetState(w))) for w in words)
 
 
 def _check_probabilities(probabilities: Sequence[float]) -> np.ndarray:
@@ -145,21 +276,30 @@ def estimate_s(
     """
     ordered, counts = _count_array(records)
     e, sigma = expectation_estimates(counts)
-    return float(s_value(e)), _sigma_s(ordered, sigma, bootstrap, bootstrap_seed)
+    return float(s_value(e)), _sigma_s(ordered, counts, sigma, bootstrap, bootstrap_seed)
 
 
-def _sigma_s(ordered: list[CountRecord], sigma: np.ndarray, bootstrap: int | None,
-             bootstrap_seed: int | None) -> float:
+def _sigma_s(ordered: list[CountRecord], counts: np.ndarray, sigma: np.ndarray,
+             bootstrap: int | None, bootstrap_seed: int | None) -> float:
     """Propagated sigma_S, or the bootstrap one when ``bootstrap`` is given."""
     if bootstrap is None:
         return float(propagated_sigma_s(sigma))
-    if bootstrap < 2:
-        raise ValueError(f"bootstrap needs at least 2 replicates, got {bootstrap}")
     if bootstrap_seed is None:
         bootstrap_seed = derive_seed(*(rec.seed for rec in ordered))
-    rng = np.random.default_rng(int(bootstrap_seed))
-    replicated = np.stack([sign_sum(rng.multinomial(rec.total, rec.fractions(), size=bootstrap))
-                           / rec.total for rec in ordered], axis=-1)
+    return bootstrap_sigma_s(counts, np.random.default_rng(int(bootstrap_seed)), bootstrap)
+
+
+def bootstrap_sigma_s(counts: np.ndarray, rng: np.random.Generator, bootstrap: int) -> float:
+    """Standard deviation of S over ``bootstrap`` replicates of (context, detector) counts.
+
+    Each context is redrawn from its empirical fractions, in context order,
+    from the one generator ``rng``.
+    """
+    if bootstrap < 2:
+        raise ValueError(f"bootstrap needs at least 2 replicates, got {bootstrap}")
+    replicated = np.stack([sign_sum(rng.multinomial(total, row / float(total), size=bootstrap))
+                           / total for row, total in zip(counts, counts.sum(axis=-1).tolist())],
+                          axis=-1)
     return float(np.std(s_value(replicated), ddof=1))
 
 
@@ -170,7 +310,7 @@ def report_from_counts(
     ordered, counts = _count_array(records)
     e, sigma = expectation_estimates(counts)
     eps = epsilon_value(counts / counts.sum(axis=-1, keepdims=True))
-    return build_report(e, eps, _sigma_s(ordered, sigma, bootstrap, None))
+    return build_report(e, eps, _sigma_s(ordered, counts, sigma, bootstrap, None))
 
 
 # --- CSV serialization -------------------------------------------------------
@@ -178,37 +318,76 @@ def report_from_counts(
 
 def write_counts_csv(path: str | Path, rows: Iterable[tuple[float, CountRecord]]) -> None:
     """Write (phi, record) rows in the fixed column layout, LF line endings."""
+    rows = list(rows)
+    write_counts_columns(
+        path,
+        np.array([phi for phi, _ in rows], dtype=float),
+        [rec.context for _, rec in rows],
+        np.array([rec.counts for _, rec in rows], dtype=np.int64).reshape(-1, 4),
+        np.array([rec.seed for _, rec in rows], dtype=np.uint64),
+    )
+
+
+def write_counts_columns(path: str | Path, phi: np.ndarray, contexts: Sequence[str],
+                         counts: np.ndarray, seeds: np.ndarray) -> None:
+    """Write the counts CSV from columns; row r holds phi[r], contexts[r], counts[r] and seeds[r].
+
+    ``counts`` is shaped (rows, detector) and N is each row's sum.  Every row
+    meets the conditions of :class:`CountRecord`, checked once per array.
+    """
+    counts, seeds = np.asarray(counts, dtype=np.int64), np.asarray(seeds)
+    if not len(phi) == len(contexts) == len(counts) == len(seeds) or counts.shape[1:] != (4,):
+        raise ValueError("counts columns differ in length or shape")
+    for context in set(contexts):
+        check_context(context)
+    partial = np.cumsum(counts, axis=-1)  # a sum past 2**63 - 1 wraps negative
+    if (counts < 0).any() or (partial < 0).any():
+        raise ValueError("counts must be non-negative integers whose total is below 2**63")
+    if not ((seeds >= 0) & (seeds < 2**64)).all():
+        raise ValueError("seeds must lie in [0, 2**64)")
+    phi, totals = np.asarray(phi, dtype=float), partial[:, -1]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(COUNTS_CSV_COLUMNS)
-        for phi, rec in rows:
-            writer.writerow([repr(float(phi)), rec.context, *rec.counts, rec.total, rec.seed])
+        for start in range(0, len(counts), _CSV_BLOCK):  # bounds the Python objects alive at once
+            block = slice(start, start + _CSV_BLOCK)
+            writer.writerows(
+                [repr(x), context, *n, total, seed] for x, context, n, total, seed
+                in zip(phi[block].tolist(), contexts[block], counts[block].tolist(),
+                       totals[block].tolist(), seeds[block].tolist()))
 
 
 def read_counts_csv(path: str | Path) -> list[tuple[float, CountRecord]]:
     """Read count records written by :func:`write_counts_csv`."""
-    rows: list[tuple[float, CountRecord]] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(h.strip() for h in header) != COUNTS_CSV_COLUMNS:
-            raise ValueError(f"{path}: expected header {','.join(COUNTS_CSV_COLUMNS)}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(COUNTS_CSV_COLUMNS):
-                raise ValueError(f"{path}:{lineno}: expected {len(COUNTS_CSV_COLUMNS)} fields")
-            try:
-                phi = float(row[0])
-                if not math.isfinite(phi):
-                    raise ValueError(f"phi must be finite, got {row[0].strip()!r}")
-                rec = CountRecord(
-                    context=row[1].strip(),
-                    counts=tuple(int(x) for x in row[2:6]),
-                    total=int(row[6]),
-                    seed=int(row[7]),
-                )
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
-            rows.append((phi, rec))
+        try:
+            return _read_counts_rows(path, reader)
+        except csv.Error as exc:  # e.g. a field longer than the csv module allows
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
+
+
+def _read_counts_rows(path: str | Path, reader) -> list[tuple[float, CountRecord]]:
+    rows: list[tuple[float, CountRecord]] = []
+    header = next(reader, None)
+    if header is None or tuple(h.strip() for h in header) != COUNTS_CSV_COLUMNS:
+        raise ValueError(f"{path}: expected header {','.join(COUNTS_CSV_COLUMNS)}")
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(COUNTS_CSV_COLUMNS):
+            raise ValueError(f"{path}:{lineno}: expected {len(COUNTS_CSV_COLUMNS)} fields")
+        try:
+            phi = float(row[0])
+            if not math.isfinite(phi):
+                raise ValueError(f"phi must be finite, got {row[0].strip()!r}")
+            rec = CountRecord(
+                context=row[1].strip(),
+                counts=tuple(int(x) for x in row[2:6]),
+                total=int(row[6]),
+                seed=int(row[7]),
+            )
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+        rows.append((phi, rec))
     return rows

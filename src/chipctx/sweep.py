@@ -30,7 +30,8 @@ from .chips import DeviceConfig, context_unitaries, prepare_states
 from .errors import ConsistencyError
 from .optics import TransferMatrix, is_unitary
 from .sampling import (
-    CountRecord, derive_seed, estimate_s, expectation_estimates, propagated_sigma_s,
+    CountRecord, bootstrap_sigma_s, derive_seeds, expectation_estimates, propagated_sigma_s,
+    seeded_generators,
 )
 
 SWEEP_CSV_COLUMNS = (
@@ -157,16 +158,24 @@ def _context_probabilities(unitaries: np.ndarray, states: np.ndarray) -> np.ndar
 
 
 def _draw_counts(table: SweepTable, block: slice, p: np.ndarray, spec: SweepSpec) -> np.ndarray:
-    """One multinomial record per (phase, context), each on its own derived seed."""
+    """One multinomial record per (phase, context), each on its own derived seed.
+
+    The seeds are ``derive_seed(master_seed, point, context)`` and each
+    record's generator is ``default_rng(seed)``; the seeds and the
+    generators' state words are computed for the whole block at once.
+    """
     # the renormalization sample_counts applies to each record
     p = np.clip(p, 0.0, None)
     p = p / p.sum(axis=-1, keepdims=True)
     counts, seeds = table.counts[block], table.seeds[block]
-    for i, point in enumerate(range(block.start, block.stop)):
-        for c in range(len(CONTEXTS)):
-            seed = derive_seed(spec.master_seed, point, c)
-            counts[i, c] = np.random.default_rng(seed).multinomial(spec.shots, p[i, c])
-            seeds[i, c] = seed
+    n_contexts = len(CONTEXTS)
+    points = np.arange(block.start, block.stop, dtype=np.uint64)
+    seeds[:] = derive_seeds(spec.master_seed, np.repeat(points, n_contexts),
+                            np.tile(np.arange(n_contexts, dtype=np.uint64), len(points)),
+                            ).reshape(seeds.shape)
+    for rng, probabilities, out in zip(seeded_generators(seeds.ravel()), p.reshape(-1, 4),
+                                       counts.reshape(-1, 4)):
+        out[:] = rng.multinomial(spec.shots, probabilities)
     return counts
 
 
@@ -185,9 +194,10 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
             e, sigma = expectation_estimates(counts)
             table.sigma_s[block] = propagated_sigma_s(sigma)
             if spec.bootstrap is not None:
-                for i in range(block.start, block.stop):
-                    records = [table.record(i, c) for c in range(len(CONTEXTS))]
-                    table.sigma_s[i] = estimate_s(records, bootstrap=spec.bootstrap)[1]
+                # each point's replicate stream is seeded as estimate_s seeds it
+                rngs = seeded_generators(derive_seeds(*table.seeds[block].T))
+                for i, rng in zip(range(block.start, block.stop), rngs):
+                    table.sigma_s[i] = bootstrap_sigma_s(table.counts[i], rng, spec.bootstrap)
             p = counts / float(spec.shots)
         else:
             e = sign_sum(p)
@@ -222,14 +232,6 @@ def write_sweep_csv(path: str | Path, table: SweepTable) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(SWEEP_CSV_COLUMNS)
         writer.writerows(_csv_rows(columns))
-
-
-def counts_rows(table: SweepTable) -> list[tuple[float, CountRecord]]:
-    """Flatten a sampled sweep into (phi, record) pairs for the counts CSV."""
-    if table.counts is None:
-        return []
-    return [(phi, table.record(i, c))
-            for i, phi in enumerate(table.phi.tolist()) for c in range(len(CONTEXTS))]
 
 
 def write_figure_curves_csv(

@@ -54,6 +54,33 @@ def random_states(n: int, seed: int) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
+def ideal_context_unitary(context: str) -> np.ndarray:
+    """Ideal unitary of one context tag, (letter op) kron (digit op)."""
+    return ORACLE_CONTEXT_UNITARIES[context]
+
+
+def is_normalized(state: np.ndarray, atol: float = 1e-12) -> bool:
+    return abs(float(np.sum(np.abs(state) ** 2)) - 1.0) <= atol
+
+
+def calibration_residual(phases, target, skeleton: PhaseSkeleton, n_probe: int = 100) -> float:
+    """Largest deviation of the skeleton's circuit at ``phases`` from ``target``.
+
+    For a 4x4 target: outcome probabilities on random probe states.  For a
+    state target: the real and imaginary parts of the circuit's output for an
+    injection into mode 1, up to a global phase.
+    """
+    u = skeleton.build(np.asarray(phases, dtype=float))
+    target = np.asarray(target, dtype=complex)
+    if target.shape == (4, 4):
+        probes = random_states(n_probe, seed=20260101)
+        return float(np.max(np.abs(np.abs(probes @ u.T) ** 2 - np.abs(probes @ target.T) ** 2)))
+    out = u[:, 0]
+    k = int(np.argmax(np.abs(target)))
+    diff = out * np.exp(1j * (np.angle(target[k]) - np.angle(out[k]))) - target
+    return float(np.max(np.abs(np.concatenate([diff.real, diff.imag]))))
+
+
 def two_mode_skeleton(transmissivity: float = 0.5) -> PhaseSkeleton:
     """A (1, 2) coupler between pre and post phases on modes 1 and 2."""
     t, r = np.sqrt(transmissivity), 1j * np.sqrt(1.0 - transmissivity)

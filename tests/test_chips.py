@@ -16,8 +16,6 @@ from chipctx.chips import (
     PreparationConfig,
     align_global_phase,
     calibrate_phases,
-    calibration_residual,
-    ideal_context_unitary,
     load_device_config,
     measurement_skeleton,
     measurement_unitary,
@@ -33,7 +31,9 @@ from conftest import (
     K,
     ORACLE_CONTEXT_UNITARIES,
     SQRT2,
+    calibration_residual,
     counting,
+    ideal_context_unitary,
     oracle_state,
     random_states,
     two_mode_skeleton,

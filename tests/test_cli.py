@@ -178,6 +178,24 @@ class TestSweepCommand:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv,message", [
+        (("sweep", "--phi-start", "nan"), "chipctx sweep: error: argument --phi-start: "
+                                          "must be finite, got nan\n"),
+        (("sweep", "--phi-start", "1", "--phi-end", "0"),
+         "error: --phi-start must be below --phi-end, got 1.0 >= 0.0\n"),
+        (("hv", "--prep", "0", "1", "0", "0", "--flip-prob", "2"),
+         "chipctx hv: error: argument --flip-prob: must be in [0, 1], got 2\n"),
+    ], ids=["non-finite-phase-limit", "empty-phase-range", "flip-prob-above-one"])
+    def test_flag_out_of_range_is_a_usage_error(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "s.csv"
+        extra = ("--steps", "3", "--out", out) if argv[0] == "sweep" else ()
+        assert run_cli(*argv, *extra) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(message)
+        assert captured.err.count("error:") == 1
+        assert not out.exists()
+
     def test_negative_seed_is_a_usage_error(self, tmp_path, capsys):
         out = tmp_path / "s.csv"
         assert run_cli("sweep", "--seed", -1, "--mode", "sampled", "--out", out) == 1
@@ -216,7 +234,10 @@ class TestSweepCommand:
         {"preparation": {"coupler_Ts": 5}},
         {"measurements": {"XZ": {"mode": "physical", "coupler_Ts": {"digit_12": "0.4"}}}},
         {"measurements": []},
-    ], ids=["scalar-coupler-ts", "string-transmissivity", "measurements-list"])
+        {"preparation": {"phi": 10**400}},
+        {"measurements": {"QQ": {"context": "ZZ", "mode": "physical"}}},
+    ], ids=["scalar-coupler-ts", "string-transmissivity", "measurements-list",
+            "integer-beyond-float-range", "unknown-measurement-entry"])
     def test_mistyped_config_is_a_one_line_data_error(self, tmp_path, capsys, doc):
         cfg = tmp_path / "dev.json"
         cfg.write_text(json.dumps(doc), encoding="utf-8")
@@ -372,6 +393,16 @@ class TestAnalyzeCommand:
         assert run_cli("analyze", counts, "--bootstrap", 20) == 2
         err = capsys.readouterr().err
         assert err == f"error: {counts}:4: seed must lie in [0, 2**64), got -5\n"
+
+    def test_field_beyond_the_csv_limit_is_a_data_error(self, tmp_path, capsys):
+        counts = tmp_path / "counts.csv"
+        write_counts_csv(counts, [(0.0, CountRecord("XX", (60, 20, 10, 10), 100, seed=1))])
+        counts.write_text(counts.read_text(encoding="utf-8").replace("XX", "X" * 200_000),
+                          encoding="utf-8")
+        assert run_cli("analyze", counts) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {counts}:2: field larger than field limit")
+        assert err.count("\n") == 1
 
     def test_malformed_csv_is_a_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -1,0 +1,159 @@
+"""Fuzzing of the CLI's file inputs (hypothesis, derandomized).
+
+Random mutations of a valid device-config JSON and of a valid counts CSV go
+through ``cli.main``.  Whatever the mutation, the CLI must not raise, must
+exit 0 (the input still reads), 1 or 2, and must print at most one
+``error:`` line on stderr.
+"""
+
+import io
+import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from chipctx import cli
+from chipctx.sampling import CountRecord, write_counts_csv
+
+FUZZ = settings(deadline=None, derandomize=True, database=None, max_examples=150)
+
+DEVICE_CONFIG = json.loads(
+    (Path(__file__).resolve().parents[1] / "configs" / "device.sample.json").read_text("utf-8"))
+
+COUNTS_ROWS = [
+    (phi, CountRecord(ctx, counts, sum(counts), seed))
+    for phi in (0.0, 1.5)
+    for seed, (ctx, counts) in enumerate([("XX", (40, 10, 8, 42)), ("XZ", (41, 9, 10, 40)),
+                                          ("ZX", (39, 11, 9, 41)), ("ZZ", (8, 42, 40, 10))])
+]
+
+json_scalars = (st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.floats()
+                | st.text(max_size=8) | st.sampled_from([10**400, -10**400, -1, 0, 2, 0.5]))
+json_values = json_scalars | st.recursive(
+    json_scalars,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=8), children, max_size=4),
+    max_leaves=8,
+)
+
+
+def node_paths(node, prefix=()):
+    """Key paths of every value under ``node``, containers and leaves."""
+    if isinstance(node, dict):
+        children = node.items()
+    else:
+        children = enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield prefix + (key,)
+        yield from node_paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated_documents(draw, document):
+    """The JSON document with a few of its values replaced or deleted, or a value added."""
+    doc = json.loads(json.dumps(document))
+    for _ in range(draw(st.integers(1, 3))):
+        paths = list(node_paths(doc))
+        if not paths:
+            break
+        *parents, key = draw(st.sampled_from(paths))
+        parent = doc
+        for step in parents:
+            parent = parent[step]
+        action = draw(st.sampled_from(["replace", "delete", "add"]))
+        if action == "replace":
+            parent[key] = draw(json_values)
+        elif action == "delete":
+            del parent[key]
+        elif isinstance(parent, dict):
+            parent[draw(st.text(max_size=8))] = draw(json_values)
+        else:
+            parent.append(draw(json_values))
+    return doc
+
+
+@st.composite
+def mutated_text(draw, text):
+    """The text with a few slices deleted, replaced or duplicated.
+
+    A replacement may be repeated past the csv module's field limit.
+    """
+    pieces = st.text(alphabet=st.sampled_from(list('0123456789.,-+eE:"{}[] \nXZnaif\x00'))
+                     | st.characters(), max_size=6)
+    for _ in range(draw(st.integers(1, 4))):
+        start = draw(st.integers(0, len(text)))
+        stop = draw(st.integers(start, min(len(text), start + 12)))
+        action = draw(st.sampled_from(["delete", "replace", "duplicate"]))
+        if action == "delete":
+            text = text[:start] + text[stop:]
+        elif action == "replace":
+            text = text[:start] + draw(pieces) * draw(st.sampled_from([1, 40_000])) + text[stop:]
+        else:
+            text = text[:stop] + text[start:stop] + text[stop:]
+    return text
+
+
+def run_cli(argv):
+    """Exit code and stderr of ``cli.main``; any exception fails the test."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main([str(a) for a in argv])
+    return code, err.getvalue()
+
+
+def assert_clean_exit(code, err):
+    assert code in (0, 1, 2), err
+    assert err.count("error:") <= 1, err
+    if code != 0:
+        assert err.count("error:") == 1, err
+
+
+def run_sweep_on_config(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "device.json"
+        config.write_text(text, encoding="utf-8", errors="surrogatepass")
+        return run_cli(["sweep", "--device", "imperfect", "--config", config, "--steps", 3,
+                        "--out", Path(tmp) / "sweep.csv"])
+
+
+def run_analyze_on_counts(text, *extra):
+    with tempfile.TemporaryDirectory() as tmp:
+        counts = Path(tmp) / "counts.csv"
+        counts.write_text(text, encoding="utf-8", errors="surrogatepass")
+        return run_cli(["analyze", counts, *extra])
+
+
+def valid_counts_text():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "counts.csv"
+        write_counts_csv(path, COUNTS_ROWS)
+        return path.read_text(encoding="utf-8")
+
+
+COUNTS_TEXT = valid_counts_text()
+
+
+def test_unmutated_inputs_are_accepted():
+    assert run_sweep_on_config(json.dumps(DEVICE_CONFIG)) == (0, "")
+    assert run_analyze_on_counts(COUNTS_TEXT) == (0, "")
+
+
+@FUZZ
+@given(mutated_documents(DEVICE_CONFIG))
+def test_mutated_device_config_exits_cleanly(doc):
+    assert_clean_exit(*run_sweep_on_config(json.dumps(doc)))
+
+
+@FUZZ
+@given(mutated_text(json.dumps(DEVICE_CONFIG, indent=2)))
+def test_mutated_device_config_text_exits_cleanly(text):
+    assert_clean_exit(*run_sweep_on_config(text))
+
+
+@FUZZ
+@given(mutated_text(COUNTS_TEXT), st.sampled_from([(), ("--bootstrap", "2")]))
+def test_mutated_counts_csv_exits_cleanly(text, extra):
+    assert_clean_exit(*run_analyze_on_counts(text, *extra))

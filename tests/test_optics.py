@@ -10,13 +10,12 @@ from chipctx.optics import (
     compose,
     coupler,
     crossing,
-    is_normalized,
     is_unitary,
     phase_shifter,
     probabilities,
 )
 
-from conftest import oracle_state
+from conftest import is_normalized, oracle_state
 
 
 def test_balanced_coupler_splits_fifty_fifty():

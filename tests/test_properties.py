@@ -37,7 +37,14 @@ from chipctx.chips import (
 )
 from chipctx.galton import galton_s_exact
 from chipctx.optics import is_unitary
-from chipctx.sampling import CountRecord, read_counts_csv, write_counts_csv
+from chipctx.sampling import (
+    CountRecord,
+    derive_seeds,
+    read_counts_csv,
+    seed_sequence_state,
+    seeded_generators,
+    write_counts_csv,
+)
 from chipctx.sweep import SweepSpec, run_sweep
 
 from conftest import counting
@@ -211,3 +218,53 @@ def test_converged_preparation_start_is_returned_without_a_fit(config):
     phases = calibrate_phases(skeleton.build(start)[:, 0], counted, seed_phases=start)
     assert len(calls) <= 2
     assert phases.tolist() == list(start)
+
+
+MASTER_SEEDS = st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1, 2**64]) | st.integers(0, 2**80 - 1)
+# child seeds of one word (below 2**32) and of two
+CHILD_SEEDS = (st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1]) | st.integers(0, 2**32 - 1)
+               | st.integers(0, 2**64 - 1))
+
+
+def seed_words(n):
+    """The uint32 words SeedSequence makes of a non-negative int, low word first."""
+    words = [n & 0xFFFFFFFF]
+    while n > 0xFFFFFFFF:
+        n >>= 32
+        words.append(n & 0xFFFFFFFF)
+    return words
+
+
+@PROPERTY
+@given(MASTER_SEEDS, st.lists(st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 3)),
+                              min_size=1, max_size=8), st.sampled_from([1, 2, 4]))
+def test_seed_kernel_equals_seed_sequence_on_sweep_keys(master, keys, n_words):
+    entropy = np.array([seed_words(master) + [point, c] for point, c in keys], dtype=np.uint32).T
+    expected = [np.random.SeedSequence((master, point, c)).generate_state(n_words, np.uint64)
+                for point, c in keys]
+    assert seed_sequence_state(entropy, n_words).tolist() == [e.tolist() for e in expected]
+    points, contexts = (np.array(column, dtype=np.uint64) for column in zip(*keys))
+    assert derive_seeds(master, points, contexts).tolist() == [e[0] for e in expected]
+
+
+@PROPERTY
+@given(CHILD_SEEDS)
+def test_seed_kernel_equals_seed_sequence_on_child_seeds(seed):
+    state = seed_sequence_state(np.array(seed_words(seed), dtype=np.uint32)[:, None], 4)
+    assert state[0].tolist() == np.random.SeedSequence(seed).generate_state(4, np.uint64).tolist()
+
+
+@PROPERTY
+@given(st.lists(CHILD_SEEDS, min_size=1, max_size=8))
+def test_seeded_generators_equal_default_rng(seeds):
+    generators = list(seeded_generators(np.array(seeds, dtype=np.uint64)))
+    assert [g.bit_generator.state for g in generators] == [
+        np.random.default_rng(seed).bit_generator.state for seed in seeds]
+
+
+@PROPERTY
+@given(st.lists(st.lists(CHILD_SEEDS, min_size=4, max_size=4), min_size=1, max_size=8))
+def test_derive_seeds_of_mixed_word_counts(keys):
+    columns = [np.array(column, dtype=np.uint64) for column in zip(*keys)]
+    assert derive_seeds(*columns).tolist() == [
+        np.random.SeedSequence(tuple(key)).generate_state(1, np.uint64)[0] for key in keys]

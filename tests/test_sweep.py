@@ -99,3 +99,24 @@ def test_sampled_records_follow_the_seed_contract(device, steps, bootstrap):
     # the batched estimates equal the scalar estimators on every row
     for row in table:
         assert row.report == report_from_counts(row.counts, bootstrap=bootstrap)
+
+
+@pytest.mark.parametrize("bootstrap", [None, 30])
+@pytest.mark.parametrize("master_seed", [2**32 + 5, 2**64 + 3])
+def test_large_master_seeds_follow_the_seed_contract(master_seed, bootstrap):
+    device = RANDOM_DEVICES[0]
+    spec = SweepSpec(phi_start=0.3, phi_end=5.9, steps=_BLOCK + 3, mode="sampled", shots=3000,
+                     master_seed=master_seed, device=device, bootstrap=bootstrap)
+    table = run_sweep(spec)
+    assert table.seeds.tolist() == [[derive_seed(master_seed, i, c) for c in range(len(CONTEXTS))]
+                                    for i in range(spec.steps)]
+    for i in checked_indices(spec.steps):
+        row = table[i]
+        probs = scalar_probabilities(device, row.phi)
+        records = tuple(
+            sample_counts(probs[ctx], spec.shots, derive_seed(master_seed, i, c), context=ctx)
+            for c, ctx in enumerate(CONTEXTS)
+        )
+        assert row.counts == records
+    for row in table:
+        assert row.report == report_from_counts(row.counts, bootstrap=bootstrap)
