@@ -19,11 +19,12 @@ letter section; for exact tensor-product circuits the order is irrelevant.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -495,6 +496,95 @@ def _start_phases(phases: Sequence[float], n_phases: int, name: str) -> np.ndarr
     return start
 
 
+def _random_starts(n_phases: int, seed: int, count: int) -> Iterator[np.ndarray]:
+    """Seeded uniform starts in [-pi, pi), drawn only as a calibration needs them."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        yield rng.uniform(-math.pi, math.pi, size=n_phases)
+
+
+# Relative level at which a fit counts as stalled: the step against the
+# point, or the cost reduction against the cost.  A fit stops there, not as
+# soon as it meets ``tol``, so that the calibrated circuit matches its target
+# to rounding on any probe state, not only just under ``tol`` on its own.
+_STALL = 1e-15
+_EPS = float(np.finfo(float).eps)
+_FD_STEP = math.sqrt(_EPS)
+# Residual entries are differences of probabilities or amplitudes, numbers no
+# larger than 1.  Once their root mean square is within 8 ulps of 1 they are
+# rounding, which the stall tests would only chase for a few more Jacobians.
+_ROUNDING = 8.0 * _EPS
+
+
+def _levenberg_marquardt(
+    residual: Callable[[np.ndarray], np.ndarray], x: np.ndarray, f: np.ndarray, budget: int
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Levenberg-Marquardt minimization of ``|residual|^2`` from ``x``.
+
+    ``f`` is the finite residual at ``x``, so the start is not evaluated
+    again.  Each iteration forms a forward-difference Jacobian J, one
+    evaluation per phase, and solves ``(J^T J + lam diag(d^2)) step = -J^T f``
+    with d the running maximum of J's column norms (More, 1978).  A trial
+    point is accepted only if its cost is lower, which a non-finite residual
+    never is; then lam falls tenfold, otherwise it rises tenfold and the step
+    is solved again.  The fit stops when the accepted cost reduction falls to
+    ``_STALL`` of the cost, or the scaled step to ``_STALL`` of the scaled
+    point (taking phases below 1 as 1); when the residual is at rounding
+    level; when J is not finite or the damped system singular; or after
+    ``budget`` evaluations.
+
+    Trial points are wrapped into [-pi, pi): a direction the residual cannot
+    see, such as the global phase of a measurement circuit, shows in J only
+    as forward-difference noise, and steps along it can be thousands of
+    radians, at which exp(i phase) and the difference quotients lose digits.
+
+    Returns the final point, its residual and the number of evaluations made.
+    """
+    n = len(x)
+    cost = float(f @ f)
+    rounding_cost = len(f) * _ROUNDING**2
+    scale = np.zeros(n)  # the running maximum of J's column norms
+    damping = 1e-3
+    evaluations = 0
+    while cost > rounding_cost and evaluations < budget:
+        size = np.maximum(np.abs(x), 1.0)
+        steps = _FD_STEP * size
+        shifted = np.array([residual(point) for point in x + np.diag(steps)])
+        evaluations += n
+        jacobian = (shifted - f) / steps[:, None]  # one row per phase
+        normal = jacobian @ jacobian.T
+        if not math.isfinite(normal.trace()):  # the sum of J's squared entries
+            break
+        descent = -(jacobian @ f)
+        scale = np.maximum(scale, np.sqrt(normal.diagonal()))
+        # a column below the forward differences' accuracy relative to the
+        # largest (zero, say, for a phase without effect) is damped as that size
+        d = np.maximum(scale, _FD_STEP * scale.max())
+        least_step = _STALL * (d * size).max()
+        while evaluations < budget:
+            damped = normal.copy()
+            damped.flat[::n + 1] += damping * d**2
+            try:
+                step = np.linalg.solve(damped, descent)
+            except np.linalg.LinAlgError:  # singular to working precision: no step left
+                return x, f, evaluations
+            trial = np.remainder(x + step + math.pi, 2.0 * math.pi) - math.pi
+            f_trial = residual(trial)
+            evaluations += 1
+            cost_trial = float(f_trial @ f_trial)
+            stalled = np.abs(d * step).max() <= least_step
+            if cost_trial < cost:  # False for a NaN or infinite cost
+                if stalled or cost - cost_trial <= _STALL * cost:
+                    return trial, f_trial, evaluations
+                x, f, cost = trial, f_trial, cost_trial
+                damping = max(damping / 10.0, _EPS)  # smaller would hardly damp
+                break
+            if stalled:
+                return x, f, evaluations
+            damping *= 10.0
+    return x, f, evaluations
+
+
 def calibrate_phases(
     target: np.ndarray,
     skeleton: PhaseSkeleton,
@@ -514,11 +604,14 @@ def calibrate_phases(
     from ``input_mode`` must match the state up to a global phase.
 
     Starts are tried in turn: ``seed_phases``, then the skeleton's analytic
-    seed, then zeros, then deterministic pseudo-random points.  A start whose
-    residual already meets ``tol`` is returned as it is; otherwise MINPACK's
-    Levenberg-Marquardt (``scipy.optimize.leastsq``, forward-difference
-    Jacobian) minimizes the residual from it.  A start or fit with a
-    non-finite residual is never accepted.
+    seed, then zeros, then deterministic pseudo-random points.  Each start is
+    evaluated once.  A start whose residual already meets ``tol`` is returned
+    as it is; a start with a non-finite residual is skipped; otherwise a
+    numpy Levenberg-Marquardt fit with a forward-difference Jacobian runs
+    from it to convergence, not just to ``tol``: until its step or its cost
+    reduction stalls at the relative level 1e-15 or its residual is at
+    rounding level (or after 200 evaluations per free phase plus one).  Its
+    end point is returned if its residual meets ``tol``.
 
     Args:
         target: 4x4 unitary or length-4 state vector.
@@ -538,10 +631,8 @@ def calibrate_phases(
         ValueError: If the target has the wrong shape, or a seed has the
             wrong length or a non-finite phase.
         CalibrationError: If no start reaches the tolerance; carries the best
-            residual achieved.
+            residual achieved, the starts tried and the residual evaluations.
     """
-    from scipy.optimize import leastsq
-
     residual = _residual_function(target, skeleton, n_probe, probe_seed, input_mode)
     n = skeleton.n_phases
     starts: list[np.ndarray] = []
@@ -550,22 +641,26 @@ def calibrate_phases(
     if skeleton.seed_phases is not None:
         starts.append(_start_phases(skeleton.seed_phases, n, "skeleton seed_phases"))
     starts.append(np.zeros(n))
-    restart_rng = np.random.default_rng(probe_seed + 1)
-    for _ in range(max_restarts):
-        starts.append(restart_rng.uniform(-math.pi, math.pi, size=n))
 
     best_residual = math.inf
-    for start in starts:
-        if float(np.max(np.abs(residual(start)))) <= tol:
+    evaluations = 0
+    all_starts = itertools.chain(starts, _random_starts(n, probe_seed + 1, max_restarts))
+    for tried, start in enumerate(all_starts, 1):
+        f = residual(start)
+        evaluations += 1
+        achieved = float(np.max(np.abs(f)))
+        if achieved <= tol:
             return start
-        fitted, _, info, _, _ = leastsq(residual, start, xtol=1e-15, ftol=1e-15, gtol=1e-15,
-                                        full_output=True)
-        achieved = float(np.max(np.abs(info["fvec"])))  # MINPACK's residual at ``fitted``
+        if not math.isfinite(achieved):
+            continue
+        fitted, f, fit_evaluations = _levenberg_marquardt(residual, start, f, 200 * (n + 1))
+        evaluations += fit_evaluations
+        achieved = float(np.max(np.abs(f)))
         if achieved <= tol:
             return fitted
-        if achieved < best_residual:
-            best_residual = achieved
-    raise CalibrationError("calibration did not reach tolerance", best_residual)
+        best_residual = min(best_residual, achieved)
+    raise CalibrationError("calibration did not reach tolerance", best_residual,
+                           starts=tried, evaluations=evaluations)
 
 
 def outcome_probabilities(state: ModeVector, unitary: TransferMatrix) -> np.ndarray:

@@ -60,11 +60,12 @@ def int_at_least(minimum: int) -> Callable[[str], int]:
 
 def float_within(low: float = -math.inf, high: float = math.inf) -> Callable[[str], float]:
     """argparse type of a finite float flag in [low, high], e.g. a phase limit or a probability."""
+    limit = {(-math.inf, math.inf): "finite", (0.0, math.inf): "finite and non-negative"}.get(
+        (low, high), f"in [{low:g}, {high:g}]")
 
     def parse(text: str) -> float:
         value = float(text)
         if not (math.isfinite(value) and low <= value <= high):
-            limit = "finite" if (low, high) == (-math.inf, math.inf) else f"in [{low:g}, {high:g}]"
             raise argparse.ArgumentTypeError(f"must be {limit}, got {text}")
         return value
 
@@ -102,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.set_defaults(func=cmd_sweep)
 
     hv = sub.add_parser("hv", help="run the classical stochastic-board baseline")
-    hv.add_argument("--prep", type=float, nargs=4, required=True,
+    hv.add_argument("--prep", type=float_within(0.0), nargs=4, required=True,
                     metavar=("P1", "P2", "P3", "P4"),
                     help="channel probability distribution")
     hv.add_argument("--shots", type=int_at_least(1), default=1_000_000)

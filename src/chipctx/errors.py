@@ -6,11 +6,16 @@ class CalibrationError(RuntimeError):
 
     Attributes:
         residual: Best residual achieved before giving up.
+        starts: Number of starting points tried.
+        evaluations: Number of residual evaluations made.
     """
 
-    def __init__(self, message: str, residual: float):
-        super().__init__(f"{message} (residual={residual:.3e})")
+    def __init__(self, message: str, residual: float, *, starts: int, evaluations: int):
+        super().__init__(f"{message} (residual={residual:.3e}) "
+                         f"after {starts} starts and {evaluations} evaluations")
         self.residual = float(residual)
+        self.starts = starts
+        self.evaluations = evaluations
 
 
 class ConsistencyError(RuntimeError):

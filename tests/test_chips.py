@@ -2,11 +2,17 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import chipctx
 from chipctx.analysis import CONTEXTS
 from chipctx.chips import (
     DEFAULT_MEASUREMENT_PHASES,
@@ -201,6 +207,45 @@ class TestCalibration:
         with pytest.raises(CalibrationError) as err:
             calibrate_phases(target, skel, max_restarts=2)
         assert err.value.residual > 1e-3
+
+    def test_unreachable_target_reports_starts_and_evaluations(self):
+        skel = measurement_skeleton("XZ", coupler_ts={"digit_12": 0.1, "digit_34": 0.1})
+        counted, calls = counting(skel)
+        with pytest.raises(CalibrationError) as err:
+            calibrate_phases(ideal_context_unitary("XZ"), counted, max_restarts=2)
+        # the skeleton's seed, zeros and two random restarts
+        assert err.value.starts == 4
+        assert err.value.evaluations == len(calls)
+        assert str(err.value).startswith("calibration did not reach tolerance (residual=")
+        assert str(err.value).endswith(f"after 4 starts and {len(calls)} evaluations")
+
+    def test_each_start_is_evaluated_once(self):
+        skel = measurement_skeleton("XZ")
+        counted, calls = counting(replace(skel, seed_phases=None))
+        start = np.array([0.3, -1.2, 2.0, 0.7])
+        phases = calibrate_phases(ideal_context_unitary("XZ"), counted, seed_phases=start)
+        assert calibration_residual(phases, ideal_context_unitary("XZ"), skel) < 1e-9
+        assert np.array_equal(calls[0], start)
+        assert sum(np.array_equal(call, start) for call in calls) == 1
+
+    def test_cold_calibration_does_not_import_scipy(self):
+        script = textwrap.dedent("""
+            import sys
+            from dataclasses import replace
+            import chipctx.cli
+            from chipctx import chips
+            target = chips.measurement_unitary(chips.MeasurementConfig("XZ"))
+            cold = replace(chips.measurement_skeleton("XZ"), seed_phases=None)
+            chips.calibrate_phases(target, cold)
+            cold = replace(chips.preparation_skeleton(), seed_phases=None)
+            chips.calibrate_phases(chips.prepare_state_direct(0.0), cold)
+            assert "scipy" not in sys.modules, "scipy was imported"
+        """)
+        src = str(Path(chipctx.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.parametrize("seed,message", [
         ((0.0, 0.0, 0.0), r"seed_phases has shape \(3,\), the skeleton expects 4 phases"),

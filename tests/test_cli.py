@@ -285,15 +285,17 @@ class TestHvCommand:
     def test_rejects_bad_distribution(self, capsys):
         assert run_cli("hv", "--prep", 0.6, 0.6, 0, 0) == 2
 
-    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-0.5"])
     @pytest.mark.parametrize("exact", [True, False])
     def test_rejects_non_finite_preparation(self, capsys, bad, exact):
+        # --prep is a flag, so a weight that is not a finite non-negative number is a usage error
         argv = ["hv", "--prep", bad, 1, 0, 0, "--shots", 100]
-        assert run_cli(*argv, *(["--exact"] if exact else [])) == 2
+        assert run_cli(*argv, *(["--exact"] if exact else [])) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: preparation must be")
-        assert captured.err.count("\n") == 1
+        assert captured.err.endswith("chipctx hv: error: argument --prep: "
+                                     f"must be finite and non-negative, got {bad}\n")
+        assert captured.err.count("error:") == 1
 
 
 class TestAnalyzeCommand:

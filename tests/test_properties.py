@@ -6,6 +6,7 @@ every run.
 
 import math
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +48,7 @@ from chipctx.sampling import (
 )
 from chipctx.sweep import SweepSpec, run_sweep
 
-from conftest import counting
+from conftest import calibration_residual, counting
 
 PROPERTY = settings(deadline=None, derandomize=True, database=None)
 
@@ -205,7 +206,7 @@ def test_converged_measurement_start_is_returned_without_a_fit(config):
     counted, calls = counting(skeleton)
     start = config.calibration_phases
     phases = calibrate_phases(skeleton.build(start), counted, seed_phases=start)
-    assert len(calls) <= 2
+    assert len(calls) == 1
     assert phases.tolist() == list(start)
 
 
@@ -216,8 +217,25 @@ def test_converged_preparation_start_is_returned_without_a_fit(config):
     counted, calls = counting(skeleton)
     start = config.calibration_phases
     phases = calibrate_phases(skeleton.build(start)[:, 0], counted, seed_phases=start)
-    assert len(calls) <= 2
+    assert len(calls) == 1
     assert phases.tolist() == list(start)
+
+
+@PROPERTY
+@given(measurement_configs())
+def test_measurement_circuit_calibrates_from_a_cold_start(config):
+    # the drawn input phases make the target reachable; no seed points at them
+    skeleton = replace(measurement_skeleton(config.context, config.coupler_ts), seed_phases=None)
+    target = skeleton.build(config.calibration_phases)
+    assert calibration_residual(calibrate_phases(target, skeleton), target, skeleton) < 1e-9
+
+
+@PROPERTY
+@given(preparation_configs)
+def test_preparation_calibrates_from_a_cold_start(config):
+    skeleton = replace(preparation_skeleton(config.coupler_ts, config.phi), seed_phases=None)
+    target = skeleton.build(config.calibration_phases)[:, 0]
+    assert calibration_residual(calibrate_phases(target, skeleton), target, skeleton) < 1e-9
 
 
 MASTER_SEEDS = st.sampled_from([0, 2**32 - 1, 2**32, 2**64 - 1, 2**64]) | st.integers(0, 2**80 - 1)
