@@ -34,8 +34,6 @@ from .galton import GaltonConfig, galton_run, galton_s, galton_s_exact
 from .optics import CouplerSpec, compose, coupler, crossing, phase_shifter
 from .sampling import (
     CountRecord,
-    EstimatedExpectation,
-    estimate_expectation,
     estimate_s,
     sample_counts,
 )
@@ -51,7 +49,6 @@ __all__ = [
     "CountRecord",
     "CouplerSpec",
     "DeviceConfig",
-    "EstimatedExpectation",
     "GaltonConfig",
     "InequalityReport",
     "MeasurementConfig",
@@ -64,7 +61,6 @@ __all__ = [
     "coupler",
     "crossing",
     "epsilon",
-    "estimate_expectation",
     "estimate_s",
     "expectation",
     "galton_run",

@@ -376,15 +376,6 @@ def context_unitaries(device: DeviceConfig) -> dict[str, TransferMatrix]:
     return {ctx: measurement_unitary(device.measurements[ctx]) for ctx in CONTEXTS}
 
 
-def align_global_phase(state: ModeVector, reference: ModeVector) -> ModeVector:
-    """Rotate ``state`` so its largest-|reference| component is phase-aligned."""
-    ref = np.asarray(reference, dtype=np.complex128)
-    k = int(np.argmax(np.abs(ref)))
-    target_arg = np.angle(ref[k])
-    current_arg = np.angle(np.asarray(state, dtype=np.complex128)[k])
-    return np.asarray(state, dtype=np.complex128) * np.exp(1j * (target_arg - current_arg))
-
-
 # --- phase calibration ------------------------------------------------------
 
 
@@ -477,9 +468,12 @@ def _residual_function(
 
     elif target.shape == (4,):
         injected = basis_state(input_mode)
+        k = int(np.argmax(np.abs(target)))  # the output is phase-aligned on this component
+        target_arg = np.angle(target[k])
 
         def residual(phases: np.ndarray) -> np.ndarray:
-            diff = align_global_phase(skeleton.build(phases) @ injected, target) - target
+            out = skeleton.build(phases) @ injected
+            diff = out * np.exp(1j * (target_arg - np.angle(out[k]))) - target
             return np.concatenate([diff.real, diff.imag])
 
     else:
@@ -677,7 +671,6 @@ __all__ = [
     "MeasurementConfig",
     "PhaseSkeleton",
     "PreparationConfig",
-    "align_global_phase",
     "calibrate_phases",
     "context_unitaries",
     "load_device_config",

@@ -15,12 +15,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .analysis import CONTEXTS, significance
+from .analysis import CONTEXTS, build_report, significance
 from .chips import DeviceConfig, load_device_config
 from .errors import CalibrationError, ConsistencyError
 from .galton import galton_s, galton_s_exact
 from .sampling import (
-    DEFAULT_BOOTSTRAP_REPLICATES, read_counts_csv, report_from_counts, write_counts_columns,
+    DEFAULT_BOOTSTRAP_REPLICATES, count_arrays, count_statistics, read_counts_csv,
+    write_counts_columns,
 )
 from .sweep import (
     SweepSpec, run_sweep, write_figure_curves_csv, write_sweep_csv,
@@ -216,13 +217,15 @@ def cmd_analyze(args) -> int:
         print(f"error: {args.counts_csv} holds no count records", file=sys.stderr)
         return 2
 
-    groups: dict[float, list] = {}
+    groups: dict[float, list] = {}  # phi -> records, in the order each phi first appears
     for phi, rec in rows:
         groups.setdefault(phi, []).append(rec)
+    counts, seeds = count_arrays(groups.values())
+    e, eps, sigma_s = count_statistics(counts, seeds, args.bootstrap)
 
     payload: dict = {"groups": []}
-    for phi, records in groups.items():
-        report = report_from_counts(records, bootstrap=args.bootstrap)
+    for g, phi in enumerate(groups):
+        report = build_report(e[g], eps[g], sigma_s[g])
         sig = report.significance
         sig_text = f"{sig:.3f}" if sig is not None else "n/a"
         print(

@@ -13,6 +13,12 @@ a time: :func:`seed_sequence_state` runs numpy's ``SeedSequence`` hash over
 many keys at once, once for a block's child seeds (:func:`derive_seeds`) and
 once for the PCG64 state words that ``default_rng`` would derive from each of
 them (:func:`seeded_generators`).
+
+Counts become statistics in one place, :func:`count_statistics`: E, epsilon
+and sigma_S (propagated, or bootstrapped on each group's seeds) of any stack
+of (context, detector) count arrays.  The sampled sweep calls it once per
+block, ``chipctx analyze`` once per counts CSV, and :func:`estimate_s` once
+per record group.
 """
 
 from __future__ import annotations
@@ -27,8 +33,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .analysis import (
-    PROB_SUM_TOL, InequalityReport, build_report, check_context, epsilon_value, in_context_order,
-    s_value, sign_sum,
+    CONTEXTS, PROB_SUM_TOL, check_context, epsilon_value, in_context_order, s_value, sign_sum,
 )
 
 COUNTS_CSV_COLUMNS = ("phi", "context", "n1", "n2", "n3", "n4", "N", "seed")
@@ -62,14 +67,6 @@ class CountRecord:
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "total", total)
         object.__setattr__(self, "seed", seed)
-
-
-@dataclass(frozen=True)
-class EstimatedExpectation:
-    """Point estimate of a +-1 observable with its standard error."""
-
-    value: float
-    sigma: float
 
 
 def derive_seed(master_seed: int, *key: int) -> int:
@@ -247,46 +244,50 @@ def propagated_sigma_s(sigma: np.ndarray) -> np.ndarray:
     return np.sqrt(np.float_power(sigma, 2.0).sum(axis=-1))
 
 
-def _count_array(records: Iterable[CountRecord]) -> tuple[list[CountRecord], np.ndarray]:
-    """The records in context order and their counts shaped (context, detector)."""
-    ordered = in_context_order(records, "record")
-    return ordered, np.array([rec.counts for rec in ordered], dtype=np.int64)
+def count_arrays(groups: Iterable[Iterable[CountRecord]]) -> tuple[np.ndarray, np.ndarray]:
+    """Counts shaped (group, context, detector) and seeds (group, context) of record groups.
+
+    Each group holds one record per context; every group is checked, and put
+    in CONTEXTS order, by :func:`in_context_order`.
+    """
+    ordered = [in_context_order(records, "record") for records in groups]
+    counts = np.array([[rec.counts for rec in recs] for recs in ordered], dtype=np.int64)
+    seeds = np.array([[rec.seed for rec in recs] for recs in ordered], dtype=np.uint64)
+    return counts.reshape(-1, len(CONTEXTS), 4), seeds.reshape(-1, len(CONTEXTS))
 
 
-def estimate_expectation(record: CountRecord) -> EstimatedExpectation:
-    """Estimate (n1 - n2 - n3 + n4)/N and its multinomial standard error."""
-    value, sigma = expectation_estimates(np.array(record.counts, dtype=np.int64))
-    return EstimatedExpectation(value=float(value), sigma=float(sigma))
+def count_statistics(
+    counts: np.ndarray, seeds: np.ndarray, bootstrap: int | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """E (..., context), epsilon (...) and sigma_S (...) of (..., context, detector) counts.
+
+    The default sigma_S is analytic propagation over independent contexts,
+    sqrt(sum sigma_i^2).  With ``bootstrap=B`` it is instead the standard
+    deviation of S over B replicates of each group, drawn from
+    ``default_rng(derive_seed(*seeds of the group))``; ``seeds`` is shaped
+    (..., context) and only read for the bootstrap.
+    """
+    e, sigma = expectation_estimates(counts)
+    eps = epsilon_value(counts / counts.sum(axis=-1, keepdims=True))
+    if bootstrap is None:
+        return e, eps, propagated_sigma_s(sigma)
+    groups = counts.reshape(-1, *counts.shape[-2:])
+    rngs = seeded_generators(derive_seeds(*seeds.reshape(-1, seeds.shape[-1]).T))
+    sigma_s = [bootstrap_sigma_s(group, rng, bootstrap) for group, rng in zip(groups, rngs)]
+    return e, eps, np.array(sigma_s, dtype=float).reshape(counts.shape[:-2])
 
 
 def estimate_s(
-    records: Iterable[CountRecord],
-    *,
-    bootstrap: int | None = None,
-    bootstrap_seed: int | None = None,
+    records: Iterable[CountRecord], *, bootstrap: int | None = None
 ) -> tuple[float, float]:
     """Estimate S and sigma_S from one count record per context.
 
-    The default uncertainty is analytic propagation over independent
-    contexts, sigma_S = sqrt(sum sigma_i^2).  With ``bootstrap=B`` each
-    context is resampled B times from its empirical fractions and the
-    standard deviation of the replicated S is reported instead; the
-    replicate stream is seeded from the records' own seeds unless
-    ``bootstrap_seed`` is given.
+    sigma_S is propagated, or with ``bootstrap=B`` drawn from the records'
+    own seeds, as in :func:`count_statistics`.
     """
-    ordered, counts = _count_array(records)
-    e, sigma = expectation_estimates(counts)
-    return float(s_value(e)), _sigma_s(ordered, counts, sigma, bootstrap, bootstrap_seed)
-
-
-def _sigma_s(ordered: list[CountRecord], counts: np.ndarray, sigma: np.ndarray,
-             bootstrap: int | None, bootstrap_seed: int | None) -> float:
-    """Propagated sigma_S, or the bootstrap one when ``bootstrap`` is given."""
-    if bootstrap is None:
-        return float(propagated_sigma_s(sigma))
-    if bootstrap_seed is None:
-        bootstrap_seed = derive_seed(*(rec.seed for rec in ordered))
-    return bootstrap_sigma_s(counts, np.random.default_rng(int(bootstrap_seed)), bootstrap)
+    counts, seeds = count_arrays([records])
+    e, _, sigma_s = count_statistics(counts[0], seeds[0], bootstrap)
+    return float(s_value(e)), float(sigma_s)
 
 
 def bootstrap_sigma_s(counts: np.ndarray, rng: np.random.Generator, bootstrap: int) -> float:
@@ -301,16 +302,6 @@ def bootstrap_sigma_s(counts: np.ndarray, rng: np.random.Generator, bootstrap: i
                            / total for row, total in zip(counts, counts.sum(axis=-1).tolist())],
                           axis=-1)
     return float(np.std(s_value(replicated), ddof=1))
-
-
-def report_from_counts(
-    records: Iterable[CountRecord], bootstrap: int | None = None
-) -> InequalityReport:
-    """The inequality report of one count record per context; sigma_S as in estimate_s."""
-    ordered, counts = _count_array(records)
-    e, sigma = expectation_estimates(counts)
-    eps = epsilon_value(counts / counts.sum(axis=-1, keepdims=True))
-    return build_report(e, eps, _sigma_s(ordered, counts, sigma, bootstrap, None))
 
 
 # --- CSV serialization -------------------------------------------------------

@@ -3,13 +3,13 @@
 The grid is evaluated in blocks of ``_BLOCK`` phases.  For each block the
 prepared states are built as one array, pushed through the four context
 circuits with one stacked matrix product, and reduced to E, S, epsilon, the
-bound and the significance by the statistics core of :mod:`chipctx.analysis`
-and the count estimators of :mod:`chipctx.sampling`.  Analytic mode reports
-the exact probabilities; sampled mode draws one multinomial record per
-(phase, context) from its own derived seed and reports estimates with
-uncertainties.  Results fill preallocated per-grid columns in grid order;
-every value equals the one the scalar path (:func:`report_from_probabilities`,
-:func:`report_from_counts`) gives at that phase, bit for bit.
+bound and the significance by the statistics core of :mod:`chipctx.analysis`.
+Analytic mode reports the exact probabilities; sampled mode draws one
+multinomial record per (phase, context) from its own derived seed and reduces
+the block's counts with :func:`chipctx.sampling.count_statistics`, the one
+count reduction ``chipctx analyze`` also uses.  Results fill preallocated
+per-grid columns in grid order; every analytic value equals the one
+:func:`report_from_probabilities` gives at that phase, bit for bit.
 """
 
 from __future__ import annotations
@@ -23,16 +23,12 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .analysis import (
-    CONTEXTS, PROB_SUM_TOL, InequalityReport, build_report, corrected_bound, epsilon_value,
-    s_value, sign_sum, significance,
+    CONTEXTS, PROB_SUM_TOL, corrected_bound, epsilon_value, s_value, sign_sum, significance,
 )
 from .chips import DeviceConfig, context_unitaries, prepare_states
 from .errors import ConsistencyError
 from .optics import TransferMatrix, is_unitary
-from .sampling import (
-    CountRecord, bootstrap_sigma_s, derive_seeds, expectation_estimates, propagated_sigma_s,
-    seeded_generators,
-)
+from .sampling import count_statistics, derive_seeds, seeded_generators
 
 SWEEP_CSV_COLUMNS = (
     "phi", "E_XX", "E_XZ", "E_ZX", "E_ZZ", "S", "epsilon", "bound", "sigma_S", "significance",
@@ -74,15 +70,6 @@ class SweepSpec:
         return np.linspace(self.phi_start, self.phi_end, self.steps)
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One evaluated sweep point, with the sampled counts when present."""
-
-    phi: float
-    report: InequalityReport
-    counts: tuple[CountRecord, ...] | None = None
-
-
 @dataclass(frozen=True, eq=False)
 class SweepTable:
     """Columnar result of a sweep, one array per output column in grid order.
@@ -90,8 +77,7 @@ class SweepTable:
     ``expectations`` has one column per context in CONTEXTS order and
     ``significance`` is NaN where it is undefined (sigma_S = 0).  A sampled
     sweep also carries its counts, shaped (steps, context, detector), and the
-    seed of every record.  Indexing and iterating yield :class:`SweepRow`
-    objects, built on demand.
+    seed of every record.
     """
 
     phi: np.ndarray
@@ -118,22 +104,6 @@ class SweepTable:
 
     def __len__(self) -> int:
         return len(self.phi)
-
-    def __iter__(self) -> Iterator[SweepRow]:
-        return (self[i] for i in range(len(self)))
-
-    def record(self, i: int, c: int) -> CountRecord:
-        """Count record of grid point ``i`` and context index ``c``."""
-        counts = self.counts[i, c].tolist()
-        return CountRecord(context=CONTEXTS[c], counts=tuple(counts), total=sum(counts),
-                           seed=int(self.seeds[i, c]))
-
-    def __getitem__(self, i: int) -> SweepRow:
-        report = build_report(self.expectations[i], self.epsilon[i], self.sigma_s[i])
-        counts = None
-        if self.counts is not None:
-            counts = tuple(self.record(i, c) for c in range(len(CONTEXTS)))
-        return SweepRow(phi=float(self.phi[i]), report=report, counts=counts)
 
 
 def _checked_unitaries(device: DeviceConfig) -> dict[str, TransferMatrix]:
@@ -190,20 +160,13 @@ def run_sweep(spec: SweepSpec) -> SweepTable:
         states = prepare_states(spec.device.preparation, table.phi[block])
         p = _context_probabilities(stacked, states)
         if sampled:
-            counts = _draw_counts(table, block, p, spec)
-            e, sigma = expectation_estimates(counts)
-            table.sigma_s[block] = propagated_sigma_s(sigma)
-            if spec.bootstrap is not None:
-                # each point's replicate stream is seeded as estimate_s seeds it
-                rngs = seeded_generators(derive_seeds(*table.seeds[block].T))
-                for i, rng in zip(range(block.start, block.stop), rngs):
-                    table.sigma_s[i] = bootstrap_sigma_s(table.counts[i], rng, spec.bootstrap)
-            p = counts / float(spec.shots)
+            e, eps, table.sigma_s[block] = count_statistics(
+                _draw_counts(table, block, p, spec), table.seeds[block], spec.bootstrap)
         else:
-            e = sign_sum(p)
+            e, eps = sign_sum(p), epsilon_value(p)
         table.expectations[block] = e
         table.s[block] = s_value(e)
-        table.epsilon[block] = epsilon_value(p)
+        table.epsilon[block] = eps
     table.bound[:] = corrected_bound(table.epsilon)
     positive = table.sigma_s > 0.0
     table.significance[positive] = significance(

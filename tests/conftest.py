@@ -63,6 +63,13 @@ def is_normalized(state: np.ndarray, atol: float = 1e-12) -> bool:
     return abs(float(np.sum(np.abs(state) ** 2)) - 1.0) <= atol
 
 
+def align_global_phase(state: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """``state`` rotated so that its largest-|reference| component has the reference's phase."""
+    state, reference = np.asarray(state, dtype=complex), np.asarray(reference, dtype=complex)
+    k = int(np.argmax(np.abs(reference)))
+    return state * np.exp(1j * (np.angle(reference[k]) - np.angle(state[k])))
+
+
 def calibration_residual(phases, target, skeleton: PhaseSkeleton, n_probe: int = 100) -> float:
     """Largest deviation of the skeleton's circuit at ``phases`` from ``target``.
 
@@ -75,9 +82,7 @@ def calibration_residual(phases, target, skeleton: PhaseSkeleton, n_probe: int =
     if target.shape == (4, 4):
         probes = random_states(n_probe, seed=20260101)
         return float(np.max(np.abs(np.abs(probes @ u.T) ** 2 - np.abs(probes @ target.T) ** 2)))
-    out = u[:, 0]
-    k = int(np.argmax(np.abs(target)))
-    diff = out * np.exp(1j * (np.angle(target[k]) - np.angle(out[k]))) - target
+    diff = align_global_phase(u[:, 0], target) - target
     return float(np.max(np.abs(np.concatenate([diff.real, diff.imag]))))
 
 

@@ -23,7 +23,6 @@ from chipctx.chips import (
     DeviceConfig,
     MeasurementConfig,
     PreparationConfig,
-    align_global_phase,
     calibrate_phases,
     measurement_skeleton,
     measurement_unitary,
@@ -36,7 +35,7 @@ from chipctx.galton import galton_s_exact, zz_expectation
 from chipctx.sampling import derive_seed, estimate_s, sample_counts, write_counts_csv
 from chipctx.sweep import SweepSpec, run_sweep
 
-from conftest import SQRT2, oracle_s, random_states
+from conftest import SQRT2, align_global_phase, oracle_s, random_states
 
 
 @contextmanager
@@ -60,15 +59,15 @@ def ideal_context_probabilities(phi):
 def test_criterion_1_ideal_curve_oracle():
     with criterion(1, "ideal curve matches the closed form at 201 points"):
         start = time.perf_counter()
-        rows = run_sweep(SweepSpec(phi_start=0.0, phi_end=2.0 * np.pi, steps=201))
+        table = run_sweep(SweepSpec(phi_start=0.0, phi_end=2.0 * np.pi, steps=201))
         elapsed = time.perf_counter() - start
-        assert len(rows) == 201
+        assert len(table) == 201
         # two independent code paths: package matrix pipeline vs closed form
-        for row in rows:
-            assert abs(row.report.s - oracle_s(row.phi)) < 1e-9
-        best = max(rows, key=lambda r: r.report.s)
-        assert best.phi == 0.0
-        assert abs(best.report.s - 2.0 * SQRT2) < 1e-9
+        for phi, s in zip(table.phi.tolist(), table.s.tolist()):
+            assert abs(s - oracle_s(phi)) < 1e-9
+        best = int(table.s.argmax())
+        assert table.phi[best] == 0.0
+        assert abs(table.s[best] - 2.0 * SQRT2) < 1e-9
         assert elapsed < 1.0, f"sweep took {elapsed:.2f}s, budget 1s"
 
 
@@ -102,9 +101,9 @@ def test_criterion_3_violation_region_boundary():
         assert pipeline_s(2.0 * np.pi - boundary + 1e-9) > 2.0
         # grid consistency across a full sweep (no grid point sits within
         # 1e-9 of the boundary)
-        for row in run_sweep(SweepSpec(phi_start=0.0, phi_end=2.0 * np.pi, steps=201)):
-            inside = row.phi < boundary or row.phi > 2.0 * np.pi - boundary
-            assert (row.report.s > 2.0) == inside
+        table = run_sweep(SweepSpec(phi_start=0.0, phi_end=2.0 * np.pi, steps=201))
+        inside = (table.phi < boundary) | (table.phi > 2.0 * np.pi - boundary)
+        assert np.array_equal(table.s > 2.0, inside)
 
 
 def test_criterion_4_classical_bounds_exhaustive():

@@ -20,7 +20,6 @@ from chipctx.chips import (
     DeviceConfig,
     MeasurementConfig,
     PreparationConfig,
-    align_global_phase,
     calibrate_phases,
     load_device_config,
     measurement_skeleton,
@@ -33,6 +32,7 @@ from chipctx.chips import (
 from chipctx.errors import CalibrationError
 
 from conftest import (
+    align_global_phase,
     HADAMARD,
     K,
     ORACLE_CONTEXT_UNITARIES,

@@ -374,6 +374,20 @@ class TestAnalyzeCommand:
         group = json.loads(report.read_text(encoding="utf-8"))["groups"][0]
         assert group["significance"] is None
 
+    def test_malformed_group_after_a_good_one_prints_nothing(self, tmp_path, capsys):
+        rows = [(0.0, CountRecord(ctx, (60, 20, 10, 10), 100, seed=i))
+                for i, ctx in enumerate(("XX", "XZ", "ZX", "ZZ"))]
+        rows += [(1.0, CountRecord(ctx, (50, 30, 10, 10), 100, seed=10 + i))
+                 for i, ctx in enumerate(("XX", "XZ", "XX", "ZX", "ZZ"))]
+        counts = tmp_path / "counts.csv"
+        write_counts_csv(counts, rows)
+        report = tmp_path / "report.json"
+        assert run_cli("analyze", counts, "--out", report) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: duplicate record for context XX\n"
+        assert not report.exists()
+
     def test_non_finite_phi_is_a_data_error(self, tmp_path, capsys):
         counts = tmp_path / "counts.csv"
         cfg = GaltonConfig((1.0, 0.0, 0.0, 0.0), shots=100)

@@ -199,6 +199,27 @@ def test_any_device_has_unitary_contexts_and_non_negative_epsilon(device):
     assert np.array_equal(table.bound, 2.0 + table.epsilon)
 
 
+def harmonic_design(phi):
+    """Rows (1, cos phi, sin phi) of the fit S(phi) = alpha + beta cos phi + gamma sin phi."""
+    return np.stack([np.ones_like(phi), np.cos(phi), np.sin(phi)], axis=-1)
+
+
+def e_and_s_columns(table):
+    return np.column_stack([table.expectations, table.s])
+
+
+@PROPERTY
+@given(device_configs())
+def test_every_row_is_the_harmonic_fixed_by_three_phases(device):
+    # phi enters only one amplitude, so each outcome probability, hence each
+    # E column and S, is alpha + beta cos phi + gamma sin phi on any device
+    anchors = run_sweep(SweepSpec(0.0, 4.0 * math.pi / 3.0, 3, device=device))
+    coefficients = np.linalg.solve(harmonic_design(anchors.phi), e_and_s_columns(anchors))
+    table = run_sweep(SweepSpec(-math.pi, 3.0 * math.pi, 2001, device=device))
+    np.testing.assert_allclose(e_and_s_columns(table), harmonic_design(table.phi) @ coefficients,
+                               rtol=0.0, atol=1e-12)
+
+
 @PROPERTY
 @given(measurement_configs())
 def test_converged_measurement_start_is_returned_without_a_fit(config):

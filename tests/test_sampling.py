@@ -6,9 +6,12 @@ import pytest
 from chipctx.analysis import CONTEXTS
 from chipctx.sampling import (
     CountRecord,
+    bootstrap_sigma_s,
+    count_arrays,
+    count_statistics,
     derive_seed,
-    estimate_expectation,
     estimate_s,
+    expectation_estimates,
     read_counts_csv,
     sample_counts,
     write_counts_csv,
@@ -67,25 +70,22 @@ class TestSampleCounts:
 
 class TestEstimateExpectation:
     def test_extremal_counts(self):
-        est = estimate_expectation(CountRecord("ZZ", (1000, 0, 0, 0), 1000, 0))
-        assert est.value == 1.0 and est.sigma == 0.0
+        value, sigma = expectation_estimates(np.array([1000, 0, 0, 0]))
+        assert value == 1.0 and sigma == 0.0
 
     def test_uniform_counts(self):
-        est = estimate_expectation(CountRecord("ZZ", (250, 250, 250, 250), 1000, 0))
-        assert est.value == 0.0
-        assert abs(est.sigma - 1.0 / np.sqrt(1000)) < 1e-12
+        value, sigma = expectation_estimates(np.array([250, 250, 250, 250]))
+        assert value == 0.0
+        assert abs(sigma - 1.0 / np.sqrt(1000)) < 1e-12
 
     def test_repetition_std_matches_reported_sigma(self):
         # ZZ context at phi=0: scatter across reruns should match the
         # analytic standard error within 10%
         p = ideal_context_probs(0.0)["ZZ"]
         n = 10**5
-        values, sigmas = [], []
-        for rep in range(500):
-            rec = sample_counts(p, n, derive_seed(606, rep), context="ZZ")
-            est = estimate_expectation(rec)
-            values.append(est.value)
-            sigmas.append(est.sigma)
+        counts = np.array([sample_counts(p, n, derive_seed(606, rep), context="ZZ").counts
+                           for rep in range(500)])
+        values, sigmas = expectation_estimates(counts)
         empirical = np.std(values, ddof=1)
         assert abs(empirical - np.mean(sigmas)) / np.mean(sigmas) < 0.10
 
@@ -153,6 +153,45 @@ class TestEstimateS:
             estimate_s(records + [records[0]])
         with pytest.raises(ValueError):
             estimate_s(records[:3])
+
+
+class TestCountStatistics:
+    def groups(self):
+        return [sample_all_contexts(phi, 2000, master_seed=40 + g)
+                for g, phi in enumerate((0.0, 0.7, 2.5))]
+
+    def test_stack_equals_each_group_alone(self):
+        counts, seeds = count_arrays(self.groups())
+        assert counts.shape == (3, 4, 4) and seeds.shape == (3, 4)
+        for bootstrap in (None, 50):
+            stacked = count_statistics(counts, seeds, bootstrap)
+            for g in range(3):
+                alone = count_statistics(counts[g], seeds[g], bootstrap)
+                for column, value in zip(stacked, alone):
+                    assert np.array_equal(column[g], value)
+
+    def test_bootstrap_draws_from_the_group_seeds(self):
+        counts, seeds = count_arrays(self.groups())
+        _, _, sigma_s = count_statistics(counts, seeds, bootstrap=50)
+        for n, seed, sigma in zip(counts, seeds.tolist(), sigma_s.tolist()):
+            assert sigma == bootstrap_sigma_s(n, np.random.default_rng(derive_seed(*seed)), 50)
+
+    def test_groups_are_put_in_context_order(self):
+        groups = self.groups()
+        counts, seeds = count_arrays([list(reversed(group)) for group in groups])
+        assert counts.tolist() == [[list(rec.counts) for rec in group] for group in groups]
+        assert seeds.tolist() == [[rec.seed for rec in group] for group in groups]
+
+    def test_zero_event_record_fails_before_any_division(self):
+        counts, seeds = count_arrays(self.groups())
+        counts[1, 2] = 0
+        with np.errstate(all="raise"), pytest.raises(ValueError, match="record holds no events"):
+            count_statistics(counts, seeds)
+
+    def test_no_groups_give_empty_columns(self):
+        counts, seeds = count_arrays([])
+        e, eps, sigma_s = count_statistics(counts, seeds, bootstrap=20)
+        assert (e.shape, eps.shape, sigma_s.shape) == ((0, 4), (0,), (0,))
 
 
 class TestCountsCsv:

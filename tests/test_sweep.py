@@ -1,10 +1,10 @@
 """The batched sweep engine against the scalar pipeline, bit for bit.
 
-Every check here is exact equality.  The scalar reference is the per-phase
-path: prepare one state, one matrix-vector product per context, one report;
-in sampled mode one ``sample_counts`` per record on the seed
-``derive_seed(master_seed, point_index, context_index)``.  These tests pin
-that per-record seed contract.
+Every check here is exact equality.  The analytic reference is the per-phase
+path: prepare one state, one matrix-vector product per context, one report.
+The sampled reference is one ``sample_counts`` per record on the seed
+``derive_seed(master_seed, point_index, context_index)``, which these tests
+pin, and estimates computed from those counts with raw numpy.
 """
 
 from dataclasses import replace
@@ -23,7 +23,7 @@ from chipctx.chips import (
     prepare_state_circuit,
     prepare_state_direct,
 )
-from chipctx.sampling import derive_seed, report_from_counts, sample_counts
+from chipctx.sampling import bootstrap_sigma_s, derive_seed, sample_counts
 from chipctx.sweep import _BLOCK, SweepSpec, run_sweep
 
 
@@ -63,6 +63,59 @@ def checked_indices(steps):
     return sorted({0, steps // 2, steps - 1} | ({_BLOCK - 1, _BLOCK} & set(range(steps))))
 
 
+def assert_row_equals_report(table, i, report):
+    assert table.expectations[i].tolist() == [report.expectations[ctx] for ctx in CONTEXTS]
+    assert table.s[i] == report.s
+    assert table.epsilon[i] == report.epsilon
+    assert table.bound[i] == report.bound
+    assert table.sigma_s[i] == report.sigma_s
+    if report.significance is None:
+        assert np.isnan(table.significance[i])
+    else:
+        assert table.significance[i] == report.significance
+
+
+def count_reference(counts, seeds, bootstrap):
+    """E, S, epsilon and sigma_S of (point, context, detector) counts, with raw numpy."""
+    total = counts.sum(axis=-1)
+    e = (counts[..., 0] - counts[..., 1] - counts[..., 2] + counts[..., 3]) / total
+    s = e[:, 0] + e[:, 1] + e[:, 2] - e[:, 3]
+    p = counts / total[..., None]
+    letter = (p[..., 0] + p[..., 1]) - (p[..., 2] + p[..., 3])
+    digit = (p[..., 0] + p[..., 2]) - (p[..., 1] + p[..., 3])
+    eps = (np.abs(digit[:, 0] - digit[:, 1]) + np.abs(digit[:, 2] - digit[:, 3])
+           + np.abs(letter[:, 0] - letter[:, 2]) + np.abs(letter[:, 1] - letter[:, 3]))
+    if bootstrap is None:
+        sigma_s = np.sqrt(np.float_power(np.sqrt((1.0 - e * e) / total), 2.0).sum(axis=-1))
+    else:
+        sigma_s = np.array([
+            bootstrap_sigma_s(n, np.random.default_rng(derive_seed(*seed)), bootstrap)
+            for n, seed in zip(counts, seeds.tolist())])
+    return e, s, eps, sigma_s
+
+
+def assert_sampled_rows_follow_the_seed_contract(table, spec):
+    for i in checked_indices(spec.steps):
+        probs = scalar_probabilities(spec.device, table.phi[i])
+        records = [
+            sample_counts(probs[ctx], spec.shots, derive_seed(spec.master_seed, i, c), context=ctx)
+            for c, ctx in enumerate(CONTEXTS)
+        ]
+        assert table.counts[i].tolist() == [list(rec.counts) for rec in records]
+        assert table.seeds[i].tolist() == [rec.seed for rec in records]
+    # the batched estimates equal the reference on every row
+    e, s, eps, sigma_s = count_reference(table.counts, table.seeds, spec.bootstrap)
+    assert np.array_equal(table.expectations, e)
+    assert np.array_equal(table.s, s)
+    assert np.array_equal(table.epsilon, eps)
+    assert np.array_equal(table.bound, 2.0 + eps)
+    assert np.array_equal(table.sigma_s, sigma_s)
+    positive = sigma_s > 0.0
+    assert np.array_equal(table.significance[positive],
+                          (s[positive] - (2.0 + eps[positive])) / sigma_s[positive])
+    assert np.isnan(table.significance[~positive]).all()
+
+
 @pytest.mark.parametrize("device", RANDOM_DEVICES + [DeviceConfig.ideal()],
                          ids=DEVICE_IDS + ["ideal"])
 @pytest.mark.parametrize("steps", [2, _BLOCK + 7])
@@ -70,15 +123,14 @@ def test_analytic_rows_equal_scalar_pipeline(device, steps):
     spec = SweepSpec(phi_start=-3.1, phi_end=9.7, steps=steps, device=device)
     table = run_sweep(spec)
     assert len(table) == steps
-    assert [row.phi for row in table] == spec.phis().tolist()
+    assert table.phi.tolist() == spec.phis().tolist()
+    assert table.counts is None and table.seeds is None
     for i in checked_indices(steps):
-        row = table[i]
-        probs = scalar_probabilities(device, row.phi)
+        probs = scalar_probabilities(device, table.phi[i])
         expected = report_from_probabilities(
             [ContextProbabilities(ctx, tuple(probs[ctx])) for ctx in CONTEXTS]
         )
-        assert row.report == expected
-        assert row.counts is None
+        assert_row_equals_report(table, i, expected)
 
 
 @pytest.mark.parametrize("device", RANDOM_DEVICES, ids=DEVICE_IDS)
@@ -88,35 +140,15 @@ def test_sampled_records_follow_the_seed_contract(device, steps, bootstrap):
                      master_seed=77, device=device, bootstrap=bootstrap)
     table = run_sweep(spec)
     assert len(table) == steps
-    for i in checked_indices(steps):
-        row = table[i]
-        probs = scalar_probabilities(device, row.phi)
-        records = tuple(
-            sample_counts(probs[ctx], spec.shots, derive_seed(spec.master_seed, i, c), context=ctx)
-            for c, ctx in enumerate(CONTEXTS)
-        )
-        assert row.counts == records
-    # the batched estimates equal the scalar estimators on every row
-    for row in table:
-        assert row.report == report_from_counts(row.counts, bootstrap=bootstrap)
+    assert_sampled_rows_follow_the_seed_contract(table, spec)
 
 
 @pytest.mark.parametrize("bootstrap", [None, 30])
 @pytest.mark.parametrize("master_seed", [2**32 + 5, 2**64 + 3])
 def test_large_master_seeds_follow_the_seed_contract(master_seed, bootstrap):
-    device = RANDOM_DEVICES[0]
     spec = SweepSpec(phi_start=0.3, phi_end=5.9, steps=_BLOCK + 3, mode="sampled", shots=3000,
-                     master_seed=master_seed, device=device, bootstrap=bootstrap)
+                     master_seed=master_seed, device=RANDOM_DEVICES[0], bootstrap=bootstrap)
     table = run_sweep(spec)
     assert table.seeds.tolist() == [[derive_seed(master_seed, i, c) for c in range(len(CONTEXTS))]
                                     for i in range(spec.steps)]
-    for i in checked_indices(spec.steps):
-        row = table[i]
-        probs = scalar_probabilities(device, row.phi)
-        records = tuple(
-            sample_counts(probs[ctx], spec.shots, derive_seed(master_seed, i, c), context=ctx)
-            for c, ctx in enumerate(CONTEXTS)
-        )
-        assert row.counts == records
-    for row in table:
-        assert row.report == report_from_counts(row.counts, bootstrap=bootstrap)
+    assert_sampled_rows_follow_the_seed_contract(table, spec)
