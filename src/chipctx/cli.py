@@ -30,6 +30,12 @@ from .sweep import (
 # z-score above which a printed verdict reads "violation"
 VERDICT_SIGMAS = 5.0
 
+# counts are int64, so a record's total must stay below 2**63
+SHOTS_LIMIT = 2**63
+# a float64 grid of 2**60 phases would pass numpy's 2**63-byte array limit, and
+# np.linspace fails with an IndexError just below 2**63 points
+STEPS_LIMIT = 2**60
+
 _SUMMARY_NOTE = (
     "note: summary inputs are typically already rounded for publication; "
     "the sigma count computed from them can differ from one computed on the "
@@ -45,14 +51,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def int_at_least(minimum: int) -> Callable[[str], int]:
-    """argparse type of an integer flag with a lower limit, e.g. a seed or a count."""
+def int_at_least(minimum: int, below: int | None = None) -> Callable[[str], int]:
+    """argparse type of an integer flag in [minimum, below), e.g. a seed or a count."""
 
     def parse(text: str) -> int:
         value = int(text)
         if value < minimum:
             limit = "non-negative" if minimum == 0 else f"at least {minimum}"
             raise argparse.ArgumentTypeError(f"must be {limit}, got {value}")
+        if below is not None and value >= below:
+            raise argparse.ArgumentTypeError(f"must be below {below}, got {value}")
         return value
 
     parse.__name__ = "int"  # argparse names the type in its "invalid ... value" message
@@ -81,9 +89,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="evaluate the pipeline over a phase grid")
     sweep.add_argument("--phi-start", type=float_within(), default=0.0)
     sweep.add_argument("--phi-end", type=float_within(), default=2.0 * math.pi)
-    sweep.add_argument("--steps", type=int_at_least(2), default=201)
+    sweep.add_argument("--steps", type=int_at_least(2, STEPS_LIMIT), default=201)
     sweep.add_argument("--mode", choices=("analytic", "sampled"), default="analytic")
-    sweep.add_argument("--shots", type=int_at_least(1), default=None,
+    sweep.add_argument("--shots", type=int_at_least(1, SHOTS_LIMIT), default=None,
                        help="events per (phase, context) in sampled mode "
                             f"(default {SweepSpec.shots})")
     sweep.add_argument("--seed", type=int_at_least(0), default=None,
@@ -107,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     hv.add_argument("--prep", type=float_within(0.0), nargs=4, required=True,
                     metavar=("P1", "P2", "P3", "P4"),
                     help="channel probability distribution")
-    hv.add_argument("--shots", type=int_at_least(1), default=1_000_000)
+    hv.add_argument("--shots", type=int_at_least(1, SHOTS_LIMIT), default=1_000_000)
     hv.add_argument("--seed", type=int_at_least(0), default=0)
     hv.add_argument("--flip-prob", type=float_within(0.0, 1.0), default=0.5,
                     help="bit-flip probability of an X section")
@@ -120,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--bootstrap", type=int_at_least(2), nargs="?",
                          const=DEFAULT_BOOTSTRAP_REPLICATES,
                          default=None)
-    analyze.add_argument("--summary", type=float, nargs=3, default=None,
+    analyze.add_argument("--summary", type=float_within(), nargs=3, default=None,
                          metavar=("S", "BOUND", "SIGMA"),
                          help="also evaluate a pre-computed (S, bound, sigma_S) summary")
     analyze.set_defaults(func=cmd_analyze)
@@ -262,7 +270,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError, CalibrationError) as exc:
+    except (ValueError, OSError, MemoryError, CalibrationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -21,11 +21,6 @@ from .sampling import CountRecord, derive_seed, estimate_s
 
 MEASUREMENTS = ("Z", "X")
 
-# Channel index decomposition: digit bit flips swap (1,2) and (3,4); letter
-# bit flips swap (1,3) and (2,4).
-_DIGIT_FLIP = np.array([1, 0, 3, 2])
-_LETTER_FLIP = np.array([2, 3, 0, 1])
-
 
 def _check_preparation(preparation: Sequence[float]) -> tuple[float, ...]:
     """Four finite non-negative weights summing to 1, as floats."""
@@ -67,40 +62,32 @@ class GaltonConfig:
         return self.m12 + self.nab
 
 
-def exact_probabilities(config: GaltonConfig) -> np.ndarray:
-    """Channel distribution after both sections, computed exactly.
-
-    An X section mixes each channel with its bit-flipped partner, so the
-    flipped pairs share identical expressions and the later sign sums cancel
-    exactly in floating point.
-    """
-    p = np.asarray(config.preparation, dtype=float)
-    f = config.x_flip_probability
-    if config.m12 == "X":
-        p = (1.0 - f) * p + f * p[_DIGIT_FLIP]
-    if config.nab == "X":
-        p = (1.0 - f) * p + f * p[_LETTER_FLIP]
-    return p
-
-
 def galton_run(config: GaltonConfig, seed: int) -> CountRecord:
-    """Sample one counting run of the board.
+    """Sample one counting run of the board, ball by ball.
 
-    Channels are drawn from the preparation, then each X section flips its
-    bit per ball with the configured probability.  Deterministic per seed.
+    One uniform per ball picks its channel index ``2*letter_bit + digit_bit``
+    from the preparation, then each X section (digit, then letter) draws one
+    uniform per ball and flips its bit where that falls below the flip
+    probability.  The stream is read exactly as by
+    ``rng.choice(4, size=shots, p=preparation)`` followed by one
+    ``rng.random(shots) < f`` per X section, so the counts equal those of
+    that draw.  Deterministic per seed.
     """
     rng = np.random.default_rng(int(seed))
-    channels = rng.choice(4, size=config.shots, p=np.asarray(config.preparation))
-    f = config.x_flip_probability
-    if config.m12 == "X":
-        flips = rng.random(config.shots) < f
-        channels = np.where(flips, _DIGIT_FLIP[channels], channels)
-    if config.nab == "X":
-        flips = rng.random(config.shots) < f
-        channels = np.where(flips, _LETTER_FLIP[channels], channels)
-    counts = np.bincount(channels, minlength=4)
-    return CountRecord(context=config.context, counts=tuple(int(c) for c in counts),
-                       total=config.shots, seed=int(seed))
+    cdf = np.cumsum(config.preparation)
+    cdf /= cdf[-1]  # as Generator.choice normalizes it
+    # Generator.choice returns cdf.searchsorted(u, side="right"), which for a
+    # non-decreasing cdf is the number of cdf entries at or below u.
+    u = rng.random(config.shots)
+    channels = (u >= cdf[0]).view(np.uint8)
+    channels += u >= cdf[1]
+    channels += u >= cdf[2]
+    for section, bit in ((config.m12, 1), (config.nab, 2)):
+        if section == "X":
+            flips = rng.random(out=u) < config.x_flip_probability
+            channels ^= flips.view(np.uint8) * np.uint8(bit)
+    counts = tuple(int(np.count_nonzero(channels == k)) for k in range(4))
+    return CountRecord(context=config.context, counts=counts, total=config.shots, seed=int(seed))
 
 
 def galton_s(
@@ -150,7 +137,6 @@ def zz_expectation(preparation: Sequence[float]) -> float:
 __all__ = [
     "GaltonConfig",
     "MEASUREMENTS",
-    "exact_probabilities",
     "galton_run",
     "galton_s",
     "galton_s_exact",

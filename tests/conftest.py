@@ -70,6 +70,43 @@ def align_global_phase(state: np.ndarray, reference: np.ndarray) -> np.ndarray:
     return state * np.exp(1j * (np.angle(reference[k]) - np.angle(state[k])))
 
 
+# Board channel index 2*letter_bit + digit_bit: a digit flip swaps channels
+# (0, 1) and (2, 3), a letter flip swaps (0, 2) and (1, 3).
+DIGIT_FLIP = np.array([1, 0, 3, 2])
+LETTER_FLIP = np.array([2, 3, 0, 1])
+
+
+def board_exact_probabilities(preparation, m12, nab, flip=0.5) -> np.ndarray:
+    """Channel distribution of the board after both sections, computed exactly.
+
+    An X section mixes each channel with its bit-flipped partner, so the
+    flipped pairs share identical expressions and later sign sums cancel
+    exactly in floating point.
+    """
+    p = np.asarray(preparation, dtype=float)
+    if m12 == "X":
+        p = (1.0 - flip) * p + flip * p[DIGIT_FLIP]
+    if nab == "X":
+        p = (1.0 - flip) * p + flip * p[LETTER_FLIP]
+    return p
+
+
+def board_counts(preparation, m12, nab, shots, flip, seed) -> tuple[int, ...]:
+    """Counts of one board run, drawn ball by ball with ``Generator.choice``.
+
+    The channel of each ball comes from ``rng.choice`` on the preparation,
+    then each X section (digit, then letter) remaps the balls whose uniform
+    falls below ``flip`` through its flip table.
+    """
+    rng = np.random.default_rng(seed)
+    channels = rng.choice(4, size=shots, p=np.asarray(preparation, dtype=float))
+    for section, table in ((m12, DIGIT_FLIP), (nab, LETTER_FLIP)):
+        if section == "X":
+            flips = rng.random(shots) < flip
+            channels = np.where(flips, table[channels], channels)
+    return tuple(int(c) for c in np.bincount(channels, minlength=4))
+
+
 def calibration_residual(phases, target, skeleton: PhaseSkeleton, n_probe: int = 100) -> float:
     """Largest deviation of the skeleton's circuit at ``phases`` from ``target``.
 

@@ -185,11 +185,21 @@ class TestSweepCommand:
          "error: --phi-start must be below --phi-end, got 1.0 >= 0.0\n"),
         (("hv", "--prep", "0", "1", "0", "0", "--flip-prob", "2"),
          "chipctx hv: error: argument --flip-prob: must be in [0, 1], got 2\n"),
-    ], ids=["non-finite-phase-limit", "empty-phase-range", "flip-prob-above-one"])
+        (("hv", "--prep", "0", "1", "0", "0", "--shots", str(10**21)),
+         f"chipctx hv: error: argument --shots: must be below {2**63}, got {10**21}\n"),
+        (("sweep", "--mode", "sampled", "--shots", str(2**63)),
+         f"chipctx sweep: error: argument --shots: must be below {2**63}, got {2**63}\n"),
+        (("sweep", "--steps", str(2**63)),
+         f"chipctx sweep: error: argument --steps: must be below {2**60}, got {2**63}\n"),
+        (("analyze", "counts.csv", "--summary", "2.5", "nan", "1"),
+         "chipctx analyze: error: argument --summary: must be finite, got nan\n"),
+    ], ids=["non-finite-phase-limit", "empty-phase-range", "flip-prob-above-one",
+            "hv-shots-past-int64", "sweep-shots-past-int64", "sweep-steps-past-array-limit",
+            "non-finite-summary"])
     def test_flag_out_of_range_is_a_usage_error(self, tmp_path, capsys, argv, message):
         out = tmp_path / "s.csv"
         extra = ("--steps", "3", "--out", out) if argv[0] == "sweep" else ()
-        assert run_cli(*argv, *extra) == 1
+        assert run_cli(argv[0], *extra, *argv[1:]) == 1  # the case's own --steps comes last
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.endswith(message)
@@ -200,6 +210,22 @@ class TestSweepCommand:
         out = tmp_path / "s.csv"
         assert run_cli("sweep", "--seed", -1, "--mode", "sampled", "--out", out) == 1
         assert "argument --seed: must be non-negative, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("hv", "--prep", "0", "1", "0", "0", "--shots", str(10**15)),
+        ("sweep", "--steps", str(10**15)),
+        ("sweep", "--mode", "sampled", "--steps", "2", "--bootstrap", str(10**15)),
+    ], ids=["hv-shots", "sweep-steps", "sweep-bootstrap"])
+    def test_unallocatable_request_is_a_one_line_data_error(self, tmp_path, capsys, argv):
+        # 10**15 float64 values need 7 PiB, so the allocation fails at once
+        out = tmp_path / "s.csv"
+        extra = ("--out", out) if argv[0] == "sweep" else ()
+        assert run_cli(*argv, *extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: Unable to allocate ")
+        assert captured.err.count("\n") == 1
         assert not out.exists()
 
     def test_usage_error_exits_one(self):
@@ -262,6 +288,15 @@ class TestHvCommand:
         s = float(out.split("S = ")[1].split(" ")[0])
         assert abs(s) < 0.01
         assert "no violation" in out
+
+    def test_seeded_stdout_is_pinned(self, capsys):
+        # exact output of a seeded run: any change to the board's random stream shows here
+        assert run_cli("hv", "--prep", 0.1, 0.2, 0.3, 0.4, "--shots", 100000, "--seed", 3) == 0
+        assert capsys.readouterr().out == (
+            "S = -0.003200 +- 0.006325 (100000 shots per context)\n"
+            "classical bound: 2; (S - 2)/sigma_S = -316.735\n"
+            "verdict: no violation\n"
+        )
 
     def test_exact_mode(self, capsys):
         assert run_cli("hv", "--prep", 0, 1, 0, 0, "--exact") == 0

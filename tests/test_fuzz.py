@@ -1,13 +1,14 @@
-"""Fuzzing of the CLI's file inputs (hypothesis, derandomized).
+"""Fuzzing of the CLI's inputs (hypothesis, derandomized).
 
-Random mutations of a valid device-config JSON and of a valid counts CSV go
-through ``cli.main``.  Whatever the mutation, the CLI must not raise, must
-exit 0 (the input still reads), 1 or 2, and must print at most one
-``error:`` line on stderr.
+Random mutations of a valid device-config JSON, of a valid counts CSV and of
+valid argument lists go through ``cli.main``.  Whatever the mutation, the CLI
+must not raise, must exit 0 (the input still reads), 1 or 2, and must print
+at most one ``error:`` line on stderr.
 """
 
 import io
 import json
+import os
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -157,3 +158,56 @@ def test_mutated_device_config_text_exits_cleanly(text):
 @given(mutated_text(COUNTS_TEXT), st.sampled_from([(), ("--bootstrap", "2")]))
 def test_mutated_counts_csv_exits_cleanly(text, extra):
     assert_clean_exit(*run_analyze_on_counts(text, *extra))
+
+
+# Valid argument lists, each with the flags that take one value.  analyze
+# reads counts.csv, a copy of COUNTS_TEXT in the working directory.
+ARGVS = [
+    (["sweep", "--steps", "3", "--out", "s.csv"], ["--steps", "--phi-start", "--phi-end"]),
+    (["sweep", "--mode", "sampled", "--steps", "3", "--shots", "50", "--seed", "1",
+      "--out", "s.csv"], ["--steps", "--shots", "--seed", "--bootstrap"]),
+    (["hv", "--prep", "0.1", "0.2", "0.3", "0.4", "--shots", "50", "--seed", "3"],
+     ["--shots", "--seed", "--flip-prob"]),
+    (["hv", "--prep", "0", "1", "0", "0", "--exact"], ["--flip-prob"]),
+    (["analyze", "counts.csv", "--summary", "2.69", "2.53", "0.012"], ["--bootstrap"]),
+]
+
+# Integer sizes are either tiny or so large (10**15 and up) that no allocation
+# of that many elements can succeed; anything in between could really be
+# allocated and exhaust the machine's memory.
+ARG_VALUES = ["nan", "inf", "-0", "1e400", "", "-1", "2", "0.5", str(2**63), str(10**15),
+              str(10**400)]
+
+
+@st.composite
+def mutated_argvs(draw):
+    """A valid argv with a few flags set again (the last one counts) or tokens changed."""
+    argv, flags = draw(st.sampled_from(ARGVS))
+    argv = list(argv)
+    for _ in range(draw(st.integers(1, 3))):
+        action = draw(st.sampled_from(["set", "set", "replace", "delete", "insert"]))
+        i = draw(st.integers(1, len(argv) - 1))
+        if action == "set":
+            argv += [draw(st.sampled_from(flags)), draw(st.sampled_from(ARG_VALUES))]
+        elif action == "replace":
+            argv[i] = draw(st.sampled_from(ARG_VALUES))
+        elif action == "delete" and len(argv) > 2:
+            del argv[i]
+        else:
+            argv.insert(i, draw(st.sampled_from(ARG_VALUES)))
+    return argv
+
+
+@settings(FUZZ, max_examples=1000)
+@given(mutated_argvs())
+def test_mutated_argv_exits_cleanly(argv):
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)  # a mutated --out may name any relative path
+        try:
+            Path("counts.csv").write_text(COUNTS_TEXT, encoding="utf-8")
+            code, err = run_cli(argv)
+        finally:
+            os.chdir(cwd)
+    assert "Traceback" not in err, err
+    assert_clean_exit(code, err)

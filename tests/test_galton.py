@@ -2,16 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chipctx.galton import (
-    GaltonConfig,
-    exact_probabilities,
-    galton_run,
-    galton_s,
-    galton_s_exact,
-    zz_expectation,
-)
+from chipctx.galton import GaltonConfig, galton_run, galton_s, galton_s_exact, zz_expectation
 from chipctx.sampling import derive_seed
+
+from conftest import board_counts, board_exact_probabilities
 
 
 def random_preparations(n, seed):
@@ -37,19 +34,19 @@ class TestExactProbabilities:
         for prep in random_preparations(50, seed=41):
             for m12 in "ZX":
                 for nab in "ZX":
-                    cfg = GaltonConfig(tuple(prep), m12=m12, nab=nab, shots=1)
                     expected = brute_force_probabilities(prep, m12, nab)
-                    assert np.allclose(exact_probabilities(cfg), expected, atol=1e-14)
+                    assert np.allclose(board_exact_probabilities(prep, m12, nab), expected,
+                                       atol=1e-14)
 
     def test_marginals_are_never_disturbed(self):
         # letter marginal identical whatever the digit section does, exactly
         for prep in random_preparations(100, seed=43):
-            base = exact_probabilities(GaltonConfig(tuple(prep), m12="Z", nab="Z", shots=1))
-            mixed = exact_probabilities(GaltonConfig(tuple(prep), m12="X", nab="Z", shots=1))
+            base = board_exact_probabilities(prep, "Z", "Z")
+            mixed = board_exact_probabilities(prep, "X", "Z")
             assert base[0] + base[1] == mixed[0] + mixed[1]
             assert base[2] + base[3] == mixed[2] + mixed[3]
-            base_d = exact_probabilities(GaltonConfig(tuple(prep), m12="Z", nab="Z", shots=1))
-            mixed_d = exact_probabilities(GaltonConfig(tuple(prep), m12="Z", nab="X", shots=1))
+            base_d = board_exact_probabilities(prep, "Z", "Z")
+            mixed_d = board_exact_probabilities(prep, "Z", "X")
             assert base_d[0] + base_d[2] == mixed_d[0] + mixed_d[2]
             assert base_d[1] + base_d[3] == mixed_d[1] + mixed_d[3]
 
@@ -81,6 +78,23 @@ class TestGaltonRun:
             p = prep[0] + prep[1]
             sigma = np.sqrt(2 * shots * max(p * (1 - p), 1e-12))
             assert abs(left_z - left_x) < 5 * sigma + 1
+
+    @settings(deadline=None, derandomize=True, database=None, max_examples=300)
+    @given(
+        weights=st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), min_size=4,
+                         max_size=4).filter(lambda w: sum(w) > 0.0),
+        flip=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+        m12=st.sampled_from("ZX"),
+        nab=st.sampled_from("ZX"),
+        shots=st.integers(1, 5000),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_counts_are_those_of_the_ball_by_ball_choice_draw(self, weights, flip, m12, nab,
+                                                               shots, seed):
+        # the same PCG64 stream as Generator.choice plus one uniform per ball per X section
+        prep = tuple(w / sum(weights) for w in weights)
+        cfg = GaltonConfig(prep, m12=m12, nab=nab, shots=shots, x_flip_probability=flip)
+        assert galton_run(cfg, seed).counts == board_counts(prep, m12, nab, shots, flip, seed)
 
     def test_deterministic_per_seed(self):
         cfg = GaltonConfig((0.1, 0.2, 0.3, 0.4), m12="X", nab="X", shots=1000)
