@@ -7,7 +7,6 @@ inputs), 3 internal-consistency failure.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
@@ -15,12 +14,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .analysis import CONTEXTS, build_report, significance
+from .analysis import CONTEXTS, corrected_bound, s_value, significance
 from .chips import DeviceConfig, load_device_config
 from .errors import CalibrationError, ConsistencyError
 from .galton import galton_s, galton_s_exact
 from .sampling import (
-    DEFAULT_BOOTSTRAP_REPLICATES, count_arrays, count_statistics, read_counts_csv,
+    DEFAULT_BOOTSTRAP_REPLICATES, count_statistics, group_counts, read_counts_csv,
     write_counts_columns,
 )
 from .sweep import (
@@ -35,6 +34,9 @@ SHOTS_LIMIT = 2**63
 # a float64 grid of 2**60 phases would pass numpy's 2**63-byte array limit, and
 # np.linspace fails with an IndexError just below 2**63 points
 STEPS_LIMIT = 2**60
+# bootstrap replicates share the limit of the steps: numpy cannot shape 2**63
+# of them, and a count below the limit that cannot be allocated is a data error
+BOOTSTRAP_LIMIT = 2**60
 
 _SUMMARY_NOTE = (
     "note: summary inputs are typically already rounded for publication; "
@@ -82,6 +84,15 @@ def float_within(low: float = -math.inf, high: float = math.inf) -> Callable[[st
     return parse
 
 
+class _SummaryAction(argparse.Action):
+    """Stores --summary S BOUND SIGMA, whose SIGMA must be positive."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if not values[2] > 0.0:
+            raise argparse.ArgumentError(self, f"SIGMA must be positive, got {values[2]!r}")
+        setattr(namespace, self.dest, values)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="chipctx", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -102,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--out", type=Path, default=Path("sweep.csv"))
     sweep.add_argument("--counts-out", type=Path, default=None,
                        help="counts CSV path in sampled mode (default: <out>_counts.csv)")
-    sweep.add_argument("--bootstrap", type=int_at_least(2), nargs="?",
+    sweep.add_argument("--bootstrap", type=int_at_least(2, BOOTSTRAP_LIMIT), nargs="?",
                        const=DEFAULT_BOOTSTRAP_REPLICATES,
                        default=None,
                        help="bootstrap replicates for sigma_S instead of propagation "
@@ -125,11 +136,11 @@ def build_parser() -> argparse.ArgumentParser:
     analyze = sub.add_parser("analyze", help="evaluate the inequality from a counts CSV")
     analyze.add_argument("counts_csv", type=Path)
     analyze.add_argument("--out", type=Path, default=None, help="write the report as JSON")
-    analyze.add_argument("--bootstrap", type=int_at_least(2), nargs="?",
+    analyze.add_argument("--bootstrap", type=int_at_least(2, BOOTSTRAP_LIMIT), nargs="?",
                          const=DEFAULT_BOOTSTRAP_REPLICATES,
                          default=None)
     analyze.add_argument("--summary", type=float_within(), nargs=3, default=None,
-                         metavar=("S", "BOUND", "SIGMA"),
+                         action=_SummaryAction, metavar=("S", "BOUND", "SIGMA"),
                          help="also evaluate a pre-computed (S, bound, sigma_S) summary")
     analyze.set_defaults(func=cmd_analyze)
 
@@ -220,43 +231,88 @@ def cmd_hv(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    rows = read_counts_csv(args.counts_csv)
-    if not rows and args.summary is None:
+    columns = read_counts_csv(args.counts_csv)
+    if not len(columns) and args.summary is None:
         print(f"error: {args.counts_csv} holds no count records", file=sys.stderr)
         return 2
+    phi, counts, seeds = group_counts(columns)
+    groups = _report_rows(phi, *count_statistics(counts, seeds, args.bootstrap))
 
-    groups: dict[float, list] = {}  # phi -> records, in the order each phi first appears
-    for phi, rec in rows:
-        groups.setdefault(phi, []).append(rec)
-    counts, seeds = count_arrays(groups.values())
-    e, eps, sigma_s = count_statistics(counts, seeds, args.bootstrap)
-
-    payload: dict = {"groups": []}
-    for g, phi in enumerate(groups):
-        report = build_report(e[g], eps[g], sigma_s[g])
-        sig = report.significance
-        sig_text = f"{sig:.3f}" if sig is not None else "n/a"
-        print(
-            f"phi={phi!r}: S={report.s:.6f} +- {report.sigma_s:.6f} "
-            f"epsilon={report.epsilon:.6f} bound={report.bound:.6f} "
-            f"significance={sig_text} [{_verdict(sig, report.s, report.bound)}]"
-        )
-        payload["groups"].append({"phi": phi, **report.to_json_dict()})
-
+    lines = [
+        f"phi={phi!r}: S={s:.6f} +- {sigma_s:.6f} epsilon={eps:.6f} bound={bound:.6f} "
+        f"significance={'n/a' if z is None else format(z, '.3f')} [{_verdict(z, s, bound)}]\n"
+        for phi, _, s, eps, bound, sigma_s, z in groups
+    ]
+    summary = None
     if args.summary is not None:
         s, bound, sigma = args.summary
         z = significance(s, bound - 2.0, sigma)
-        print(f"summary: S={s!r} bound={bound!r} sigma_S={sigma!r} "
-              f"-> significance = {z:.3f} sigma [{_verdict(z, s, bound)}]")
-        print(_SUMMARY_NOTE)
-        payload["summary"] = {"S": s, "bound": bound, "sigma_S": sigma, "significance": z}
+        lines.append(f"summary: S={s!r} bound={bound!r} sigma_S={sigma!r} "
+                     f"-> significance = {z:.3f} sigma [{_verdict(z, s, bound)}]\n")
+        lines.append(_SUMMARY_NOTE + "\n")
+        summary = (s, bound, sigma, z)
+    sys.stdout.write("".join(lines))
 
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+            fh.write(_report_json(groups, summary))
         print(f"wrote report to {args.out}")
     return 0
+
+
+def _report_rows(phi: list[float], e: np.ndarray, eps: np.ndarray,
+                 sigma_s: np.ndarray) -> list[tuple]:
+    """(phi, E list, S, epsilon, bound, sigma_S, significance) of each group, as Python values.
+
+    The significance is None unless sigma_S > 0, as in ``analysis.build_report``.
+    """
+    s, bound = s_value(e), corrected_bound(eps)
+    positive = sigma_s > 0.0
+    z = np.zeros_like(s)
+    with np.errstate(over="ignore"):  # an overflow gives inf silently, as float division does
+        z[positive] = significance(s[positive], eps[positive], sigma_s[positive])
+    z_or_none = [value if p else None for value, p in zip(z.tolist(), positive.tolist())]
+    return list(zip(phi, e.tolist(), s.tolist(), eps.tolist(), bound.tolist(), sigma_s.tolist(),
+                    z_or_none))
+
+
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_number(x: float | None) -> str:
+    """A float or None as ``json.dump`` writes it."""
+    if x is None:
+        return "null"
+    text = repr(x)
+    return _JSON_NON_FINITE.get(text, text)
+
+
+def _json_members(members, indent: int) -> str:
+    """The ``"key": value`` lines of a JSON object whose members sit ``indent`` spaces in."""
+    pad = " " * indent
+    return ",\n".join(f'{pad}"{key}": {value}' for key, value in members)
+
+
+def _report_json(groups: list[tuple], summary: tuple | None) -> str:
+    """The ``analyze`` report, byte for byte what ``json.dump(payload, fh, indent=2)`` + LF writes.
+
+    The payload is ``{"groups": [{"phi": phi, **InequalityReport.to_json_dict()}, ...]}``,
+    plus ``"summary": {"S", "bound", "sigma_S", "significance"}`` when given.
+    """
+    blocks = []
+    for phi, e, s, eps, bound, sigma_s, z in groups:
+        expectations = _json_members(zip(CONTEXTS, map(_json_number, e)), 8)
+        members = [("phi", _json_number(phi)),
+                   ("expectations", "{\n" + expectations + "\n      }"),
+                   ("S", _json_number(s)), ("epsilon", _json_number(eps)),
+                   ("bound", _json_number(bound)), ("sigma_S", _json_number(sigma_s)),
+                   ("significance", _json_number(z))]
+        blocks.append("    {\n" + _json_members(members, 6) + "\n    }")
+    top = [("groups", "[\n" + ",\n".join(blocks) + "\n  ]" if blocks else "[]")]
+    if summary is not None:
+        fields = zip(("S", "bound", "sigma_S", "significance"), map(_json_number, summary))
+        top.append(("summary", "{\n" + _json_members(fields, 4) + "\n  }"))
+    return "{\n" + _json_members(top, 2) + "\n}\n"
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -18,15 +18,19 @@ Counts become statistics in one place, :func:`count_statistics`: E, epsilon
 and sigma_S (propagated, or bootstrapped on each group's seeds) of any stack
 of (context, detector) count arrays.  The sampled sweep calls it once per
 block, ``chipctx analyze`` once per counts CSV, and :func:`estimate_s` once
-per record group.
+per record group.  A counts CSV is read as columns (:class:`CountColumns`)
+and grouped by phase with :func:`group_counts`, both checked a whole array
+at a time.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -35,13 +39,21 @@ from numpy.random.bit_generator import ISeedSequence
 from .analysis import (
     CONTEXTS, PROB_SUM_TOL, check_context, epsilon_value, in_context_order, s_value, sign_sum,
 )
+from .errors import ConsistencyError
 
 COUNTS_CSV_COLUMNS = ("phi", "context", "n1", "n2", "n3", "n4", "N", "seed")
 
 DEFAULT_BOOTSTRAP_REPLICATES = 1000
 
-# Rows formatted at a time when a counts CSV is written.
+# Rows formatted at a time when a counts CSV is written, and parsed at a time when one is read.
 _CSV_BLOCK = 1024
+
+# Bytes of bootstrap replicates held at once: a block of groups is drawn into
+# one (group, replicate, context) float64 array of at most this size, or of
+# one group when a group alone needs more.
+_BOOTSTRAP_BLOCK_BYTES = 1 << 18
+
+_CONTEXT_INDEX = {context: i for i, context in enumerate(CONTEXTS)}
 
 
 @dataclass(frozen=True)
@@ -244,18 +256,6 @@ def propagated_sigma_s(sigma: np.ndarray) -> np.ndarray:
     return np.sqrt(np.float_power(sigma, 2.0).sum(axis=-1))
 
 
-def count_arrays(groups: Iterable[Iterable[CountRecord]]) -> tuple[np.ndarray, np.ndarray]:
-    """Counts shaped (group, context, detector) and seeds (group, context) of record groups.
-
-    Each group holds one record per context; every group is checked, and put
-    in CONTEXTS order, by :func:`in_context_order`.
-    """
-    ordered = [in_context_order(records, "record") for records in groups]
-    counts = np.array([[rec.counts for rec in recs] for recs in ordered], dtype=np.int64)
-    seeds = np.array([[rec.seed for rec in recs] for recs in ordered], dtype=np.uint64)
-    return counts.reshape(-1, len(CONTEXTS), 4), seeds.reshape(-1, len(CONTEXTS))
-
-
 def count_statistics(
     counts: np.ndarray, seeds: np.ndarray, bootstrap: int | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -271,10 +271,9 @@ def count_statistics(
     eps = epsilon_value(counts / counts.sum(axis=-1, keepdims=True))
     if bootstrap is None:
         return e, eps, propagated_sigma_s(sigma)
-    groups = counts.reshape(-1, *counts.shape[-2:])
-    rngs = seeded_generators(derive_seeds(*seeds.reshape(-1, seeds.shape[-1]).T))
-    sigma_s = [bootstrap_sigma_s(group, rng, bootstrap) for group, rng in zip(groups, rngs)]
-    return e, eps, np.array(sigma_s, dtype=float).reshape(counts.shape[:-2])
+    group_seeds = derive_seeds(*seeds.reshape(-1, seeds.shape[-1]).T)
+    sigma_s = _bootstrap_sigma_s(counts.reshape(-1, *counts.shape[-2:]), group_seeds, bootstrap)
+    return e, eps, sigma_s.reshape(counts.shape[:-2])
 
 
 def estimate_s(
@@ -285,23 +284,39 @@ def estimate_s(
     sigma_S is propagated, or with ``bootstrap=B`` drawn from the records'
     own seeds, as in :func:`count_statistics`.
     """
-    counts, seeds = count_arrays([records])
-    e, _, sigma_s = count_statistics(counts[0], seeds[0], bootstrap)
+    ordered = in_context_order(records, "record")
+    counts = np.array([rec.counts for rec in ordered], dtype=np.int64)
+    seeds = np.array([rec.seed for rec in ordered], dtype=np.uint64)
+    e, _, sigma_s = count_statistics(counts, seeds, bootstrap)
     return float(s_value(e)), float(sigma_s)
 
 
-def bootstrap_sigma_s(counts: np.ndarray, rng: np.random.Generator, bootstrap: int) -> float:
-    """Standard deviation of S over ``bootstrap`` replicates of (context, detector) counts.
+def _bootstrap_sigma_s(counts: np.ndarray, seeds: np.ndarray, bootstrap: int) -> np.ndarray:
+    """Standard deviation of S over ``bootstrap`` replicates of each (context, detector) group.
 
-    Each context is redrawn from its empirical fractions, in context order,
-    from the one generator ``rng``.
+    ``counts`` is shaped (group, context, detector).  Group g is redrawn from
+    ``default_rng(seeds[g])``: each context from its empirical fractions, in
+    context order.  Groups are drawn a block at a time, and S and its
+    standard deviation are reduced over the whole block.
     """
     if bootstrap < 2:
         raise ValueError(f"bootstrap needs at least 2 replicates, got {bootstrap}")
-    replicated = np.stack([sign_sum(rng.multinomial(total, row / float(total), size=bootstrap))
-                           / total for row, total in zip(counts, counts.sum(axis=-1).tolist())],
-                          axis=-1)
-    return float(np.std(s_value(replicated), ddof=1))
+    n_contexts = counts.shape[1]
+    totals = counts.sum(axis=-1)
+    fractions = counts / totals[..., None]
+    rngs = seeded_generators(seeds)
+    block = max(1, _BOOTSTRAP_BLOCK_BYTES // (8 * n_contexts * bootstrap))
+    sigma_s = np.empty(len(counts))
+    for start in range(0, len(counts), block):
+        stop = min(start + block, len(counts))
+        replicated = np.empty((stop - start, bootstrap, n_contexts))
+        # replicated comes first, so zip takes no generator past the block
+        for out, rng, group_fractions, group_totals in zip(
+                replicated, rngs, fractions[start:stop], totals[start:stop].tolist()):
+            for c, (p, total) in enumerate(zip(group_fractions, group_totals)):
+                out[:, c] = sign_sum(rng.multinomial(total, p, size=bootstrap)) / total
+        sigma_s[start:stop] = np.std(s_value(replicated), axis=1, ddof=1)
+    return sigma_s
 
 
 # --- CSV serialization -------------------------------------------------------
@@ -348,37 +363,125 @@ def write_counts_columns(path: str | Path, phi: np.ndarray, contexts: Sequence[s
                        totals[block].tolist(), seeds[block].tolist()))
 
 
-def read_counts_csv(path: str | Path) -> list[tuple[float, CountRecord]]:
-    """Read count records written by :func:`write_counts_csv`."""
+@dataclass(frozen=True, eq=False)
+class CountColumns:
+    """Count records as columns: record r is phi[r], CONTEXTS[context[r]], counts[r], seeds[r].
+
+    ``context`` holds int64 indices into CONTEXTS, ``counts`` is an (records,
+    detector) int64 array, ``seeds`` a uint64 array; N is each row's sum.
+    """
+
+    phi: list[float]
+    context: np.ndarray
+    counts: np.ndarray
+    seeds: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.phi)
+
+
+def read_counts_csv(path: str | Path) -> CountColumns:
+    """Read the count records written by :func:`write_counts_csv`, as columns.
+
+    Every row is checked as a :class:`CountRecord` would check it, a block of
+    rows at a time; the first bad row, in file order, raises its
+    ``path:line:`` error.  So does a read error of the csv module, after every
+    row before it has been checked.
+    """
+    read_errors: list[Exception] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            return _read_counts_rows(path, reader)
-        except csv.Error as exc:  # e.g. a field longer than the csv module allows
-            raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
+
+        def numbered_rows():
+            try:
+                yield from enumerate(reader, start=1)
+            except csv.Error as exc:  # e.g. a field longer than the csv module allows
+                error = ValueError(f"{path}:{reader.line_num}: {exc}")
+                error.__cause__ = exc
+                read_errors.append(error)
+            except UnicodeDecodeError as exc:
+                read_errors.append(exc)
+
+        rows = numbered_rows()
+        _, header = next(rows, (1, None))
+        if header is None and read_errors:
+            raise read_errors[0]
+        if header is None or tuple(h.strip() for h in header) != COUNTS_CSV_COLUMNS:
+            raise ValueError(f"{path}: expected header {','.join(COUNTS_CSV_COLUMNS)}")
+        records = ((lineno, row) for lineno, row in rows if row)
+        blocks = [([], np.zeros(0, dtype=np.int64), np.zeros((0, 4), dtype=np.int64),
+                   np.zeros(0, dtype=np.uint64))]
+        blocks += [_parse_rows(path, block)
+                   for block in iter(lambda: list(itertools.islice(records, _CSV_BLOCK)), [])]
+    if read_errors:
+        raise read_errors[0]
+    phi, context, counts, seeds = zip(*blocks)
+    return CountColumns(list(itertools.chain.from_iterable(phi)), np.concatenate(context),
+                        np.concatenate(counts), np.concatenate(seeds))
 
 
-def _read_counts_rows(path: str | Path, reader) -> list[tuple[float, CountRecord]]:
-    rows: list[tuple[float, CountRecord]] = []
-    header = next(reader, None)
-    if header is None or tuple(h.strip() for h in header) != COUNTS_CSV_COLUMNS:
-        raise ValueError(f"{path}: expected header {','.join(COUNTS_CSV_COLUMNS)}")
-    for lineno, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(COUNTS_CSV_COLUMNS):
-            raise ValueError(f"{path}:{lineno}: expected {len(COUNTS_CSV_COLUMNS)} fields")
+def _parse_rows(path: str | Path, block: list[tuple[int, list[str]]]):
+    """phi, context, counts and seed columns of (line number, row) pairs, checked as arrays."""
+    rows = [row for _, row in block]
+    first = 0  # unless the rows parse, they are checked one by one from the start
+    if all(len(row) == len(COUNTS_CSV_COLUMNS) for row in rows):
         try:
-            phi = float(row[0])
-            if not math.isfinite(phi):
-                raise ValueError(f"phi must be finite, got {row[0].strip()!r}")
-            rec = CountRecord(
-                context=row[1].strip(),
-                counts=tuple(int(x) for x in row[2:6]),
-                total=int(row[6]),
-                seed=int(row[7]),
-            )
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from exc
-        rows.append((phi, rec))
-    return rows
+            phi = [float(row[0]) for row in rows]
+            context = np.array([_CONTEXT_INDEX.get(row[1].strip(), -1) for row in rows],
+                               dtype=np.int64)
+            # OverflowError for a number outside int64, or a seed outside uint64
+            numbers = np.array([[int(x) for x in row[2:7]] for row in rows], dtype=np.int64)
+            seeds = np.array([int(row[7]) for row in rows], dtype=np.uint64)
+        except (ValueError, OverflowError):
+            pass
+        else:
+            counts, totals = numbers[:, :4], numbers[:, 4]
+            partial = np.cumsum(counts, axis=-1)  # a sum past 2**63 - 1 wraps negative
+            bad = (~np.isfinite(phi) | (context < 0) | (counts < 0).any(axis=-1)
+                   | (partial < 0).any(axis=-1) | (partial[:, -1] != totals))
+            if not bad.any():
+                return phi, context, counts, seeds
+            first = int(bad.argmax())
+    for lineno, row in block[first:]:
+        _check_row(path, lineno, row)  # raises at the first bad row
+    raise ConsistencyError(f"{path}: the array checks reject a row that the row checks accept")
+
+
+def _check_row(path: str | Path, lineno: int, row: list[str]) -> None:
+    """ValueError with the row's ``path:line:`` if it is not a finite phi and a CountRecord."""
+    if len(row) != len(COUNTS_CSV_COLUMNS):
+        raise ValueError(f"{path}:{lineno}: expected {len(COUNTS_CSV_COLUMNS)} fields")
+    try:
+        phi = float(row[0])
+        if not math.isfinite(phi):
+            raise ValueError(f"phi must be finite, got {row[0].strip()!r}")
+        CountRecord(
+            context=row[1].strip(),
+            counts=tuple(int(x) for x in row[2:6]),
+            total=int(row[6]),
+            seed=int(row[7]),
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}:{lineno}: {exc}") from exc
+
+
+def group_counts(columns: CountColumns) -> tuple[list[float], np.ndarray, np.ndarray]:
+    """Records grouped by phi, in the order each phi first appears: phi, counts and seeds.
+
+    ``counts`` is shaped (group, context, detector) and ``seeds`` (group,
+    context), in CONTEXTS order.  Each group must hold one record per context;
+    the first group that does not raises the error of :func:`in_context_order`.
+    """
+    index: dict[float, int] = {}
+    group = np.array([index.setdefault(phi, len(index)) for phi in columns.phi], dtype=np.intp)
+    occupancy = np.zeros((len(index), len(CONTEXTS)), dtype=np.int64)
+    np.add.at(occupancy, (group, columns.context), 1)
+    bad = (occupancy != 1).any(axis=-1)
+    if bad.any():  # in_context_order raises for a group that misses or repeats a context
+        rows = columns.context[group == bad.argmax()].tolist()
+        in_context_order([SimpleNamespace(context=CONTEXTS[c]) for c in rows], "record")
+    counts = np.empty((len(index), len(CONTEXTS), 4), dtype=np.int64)
+    seeds = np.empty((len(index), len(CONTEXTS)), dtype=np.uint64)
+    counts[group, columns.context] = columns.counts
+    seeds[group, columns.context] = columns.seeds
+    return list(index), counts, seeds

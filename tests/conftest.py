@@ -4,12 +4,16 @@ The oracle functions here are written from first principles with raw numpy
 so they stay independent of the package implementation they check.
 """
 
+import csv
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from chipctx.analysis import CONTEXTS, in_context_order, s_value, sign_sum
 from chipctx.chips import PhaseSkeleton
+from chipctx.sampling import COUNTS_CSV_COLUMNS, CountRecord
 
 SQRT2 = np.sqrt(2.0)
 K = 1.0 + SQRT2                 # amplitude ratio of the target state
@@ -147,6 +151,89 @@ def counting(skeleton: PhaseSkeleton) -> tuple[PhaseSkeleton, list]:
         return skeleton.build(phases)
 
     return replace(skeleton, build=build), calls
+
+
+def bootstrap_sigma_s(counts: np.ndarray, rng: np.random.Generator, bootstrap: int) -> float:
+    """Standard deviation of S over ``bootstrap`` replicates of (context, detector) counts.
+
+    Each context is redrawn from its empirical fractions, in context order,
+    from the one generator ``rng``: the scalar reference of the bootstrap
+    kernel in ``count_statistics``.
+    """
+    if bootstrap < 2:
+        raise ValueError(f"bootstrap needs at least 2 replicates, got {bootstrap}")
+    replicated = np.stack([sign_sum(rng.multinomial(total, row / float(total), size=bootstrap))
+                           / total for row, total in zip(counts, counts.sum(axis=-1).tolist())],
+                          axis=-1)
+    return float(np.std(s_value(replicated), ddof=1))
+
+
+def reference_read_counts_csv(path) -> list[tuple[float, CountRecord]]:
+    """(phi, record) rows of a counts CSV, read and checked one row at a time.
+
+    The row-by-row reference of ``read_counts_csv``: the same checks, in the
+    same order, with the same ``path:line:`` errors.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            return _reference_rows(path, reader)
+        except csv.Error as exc:  # e.g. a field longer than the csv module allows
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
+
+
+def _reference_rows(path, reader) -> list[tuple[float, CountRecord]]:
+    rows: list[tuple[float, CountRecord]] = []
+    header = next(reader, None)
+    if header is None or tuple(h.strip() for h in header) != COUNTS_CSV_COLUMNS:
+        raise ValueError(f"{path}: expected header {','.join(COUNTS_CSV_COLUMNS)}")
+    for lineno, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(COUNTS_CSV_COLUMNS):
+            raise ValueError(f"{path}:{lineno}: expected {len(COUNTS_CSV_COLUMNS)} fields")
+        try:
+            phi = float(row[0])
+            if not math.isfinite(phi):
+                raise ValueError(f"phi must be finite, got {row[0].strip()!r}")
+            rec = CountRecord(
+                context=row[1].strip(),
+                counts=tuple(int(x) for x in row[2:6]),
+                total=int(row[6]),
+                seed=int(row[7]),
+            )
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+        rows.append((phi, rec))
+    return rows
+
+
+def count_arrays(groups) -> tuple[np.ndarray, np.ndarray]:
+    """Counts shaped (group, context, detector) and seeds (group, context) of record groups.
+
+    Each group holds one record per context; every group is checked, and put
+    in CONTEXTS order, by ``in_context_order``.
+    """
+    ordered = [in_context_order(records, "record") for records in groups]
+    counts = np.array([[rec.counts for rec in recs] for recs in ordered], dtype=np.int64)
+    seeds = np.array([[rec.seed for rec in recs] for recs in ordered], dtype=np.uint64)
+    return counts.reshape(-1, len(CONTEXTS), 4), seeds.reshape(-1, len(CONTEXTS))
+
+
+def reference_group_counts(rows) -> tuple[list[float], np.ndarray, np.ndarray]:
+    """Phi, counts and seeds of (phi, record) rows grouped by phi: the reference of group_counts."""
+    groups: dict[float, list] = {}
+    for phi, rec in rows:
+        groups.setdefault(phi, []).append(rec)
+    counts, seeds = count_arrays(groups.values())
+    return list(groups), counts, seeds
+
+
+def column_rows(columns) -> list[tuple[float, CountRecord]]:
+    """The (phi, record) rows of ``CountColumns``."""
+    return [(phi, CountRecord(CONTEXTS[c], tuple(n), sum(n), seed))
+            for phi, c, n, seed in zip(columns.phi, columns.context.tolist(),
+                                       columns.counts.tolist(), columns.seeds.tolist())]
 
 
 @pytest.fixture

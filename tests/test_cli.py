@@ -1,12 +1,16 @@
 """Command-line surface: flags, file formats, exit codes, determinism."""
 
 import csv
+import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chipctx import cli
+from chipctx.analysis import build_report, significance
 from chipctx.chips import DeviceConfig, MeasurementConfig, PreparationConfig
 from chipctx.errors import ConsistencyError
 from chipctx.galton import GaltonConfig, galton_run
@@ -193,9 +197,18 @@ class TestSweepCommand:
          f"chipctx sweep: error: argument --steps: must be below {2**60}, got {2**63}\n"),
         (("analyze", "counts.csv", "--summary", "2.5", "nan", "1"),
          "chipctx analyze: error: argument --summary: must be finite, got nan\n"),
+        (("analyze", "counts.csv", "--summary", "2.5", "2", "0"),
+         "chipctx analyze: error: argument --summary: SIGMA must be positive, got 0.0\n"),
+        (("analyze", "counts.csv", "--summary", "2.5", "2", "-0.1"),
+         "chipctx analyze: error: argument --summary: SIGMA must be positive, got -0.1\n"),
+        (("sweep", "--mode", "sampled", "--steps", "2", "--bootstrap", str(2**63)),
+         f"chipctx sweep: error: argument --bootstrap: must be below {2**60}, got {2**63}\n"),
+        (("analyze", "counts.csv", "--bootstrap", str(2**63)),
+         f"chipctx analyze: error: argument --bootstrap: must be below {2**60}, got {2**63}\n"),
     ], ids=["non-finite-phase-limit", "empty-phase-range", "flip-prob-above-one",
             "hv-shots-past-int64", "sweep-shots-past-int64", "sweep-steps-past-array-limit",
-            "non-finite-summary"])
+            "non-finite-summary", "zero-summary-sigma", "negative-summary-sigma",
+            "sweep-bootstrap-past-array-limit", "analyze-bootstrap-past-array-limit"])
     def test_flag_out_of_range_is_a_usage_error(self, tmp_path, capsys, argv, message):
         out = tmp_path / "s.csv"
         extra = ("--steps", "3", "--out", out) if argv[0] == "sweep" else ()
@@ -216,11 +229,17 @@ class TestSweepCommand:
         ("hv", "--prep", "0", "1", "0", "0", "--shots", str(10**15)),
         ("sweep", "--steps", str(10**15)),
         ("sweep", "--mode", "sampled", "--steps", "2", "--bootstrap", str(10**15)),
-    ], ids=["hv-shots", "sweep-steps", "sweep-bootstrap"])
+        ("analyze", "counts.csv", "--bootstrap", str(10**15)),
+    ], ids=["hv-shots", "sweep-steps", "sweep-bootstrap", "analyze-bootstrap"])
     def test_unallocatable_request_is_a_one_line_data_error(self, tmp_path, capsys, argv):
         # 10**15 float64 values need 7 PiB, so the allocation fails at once
         out = tmp_path / "s.csv"
-        extra = ("--out", out) if argv[0] == "sweep" else ()
+        extra = ("--out", out) if argv[0] != "hv" else ()
+        if argv[0] == "analyze":  # one valid group, so that its bootstrap is drawn
+            counts = tmp_path / "counts.csv"
+            write_counts_csv(counts, [(0.0, CountRecord(ctx, (60, 20, 10, 10), 100, seed=i))
+                                      for i, ctx in enumerate(("XX", "XZ", "ZX", "ZZ"))])
+            argv = ("analyze", counts, *argv[2:])
         assert run_cli(*argv, *extra) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -473,3 +492,63 @@ class TestAnalyzeCommand:
         assert run_cli("analyze", counts, "--bootstrap", 300, "--out", r1) == 0
         assert run_cli("analyze", counts, "--bootstrap", 300, "--out", r2) == 0
         assert r1.read_bytes() == r2.read_bytes()
+
+
+# sha256 of analyze's stdout and JSON report on the counts of `sweep --mode
+# sampled --steps 51 --shots 1000 --seed 9`, and on one group with S = 4 and
+# sigma_S = 0 (significance null): any change to the output bytes shows here.
+GOLDEN_ANALYZE = {
+    "plain": ((),
+              "999cf5b7c0b2be3360ba18e0f8ddbb64dd45319a327343df657d51ccfa529e52",
+              "7063c40566381b475ab20f9b1952f44773e7985ecf61fd5019bc89aceb2efa70"),
+    "bootstrap": (("--bootstrap", "50"),
+                  "758b0dc3fb4f3b9856250dd315c9486864d1c8ce253519872cf0a6e8be6ab3fa",
+                  "f67a78facbab619a939b36cfcf979e2d5f74b7766e2b8b4d80531cf1a543c45b"),
+    "summary": (("--summary", "2.69", "2.53", "0.012"),
+                "77e6471969f3de169b506ae88241371ce08f7dd56d4f293a51732351088ccbd6",
+                "55fb4f010d2ef31fdb27b8ddefc20803f1ec5a85da05383d82c51316340fd9f2"),
+    "sigma-zero": (("--bootstrap", "20"),
+                   "a05dec71f5af07ae5df0e3581d27891a226e0fca1a49c73fd161c4d211f1552a",
+                   "06a1ae70c1f4ccbf81c598e2afe5b1c8f5210fe9f38464621fdb5e8a49350d39"),
+}
+
+
+@pytest.mark.parametrize("variant", list(GOLDEN_ANALYZE))
+def test_analyze_output_is_pinned(tmp_path, monkeypatch, capsys, variant):
+    monkeypatch.chdir(tmp_path)
+    if variant == "sigma-zero":  # as in test_verdict_uses_the_corrected_bound_when_sigma_is_zero
+        rows = [(0.0, CountRecord(ctx, (100, 0, 0, 0), 100, seed=i))
+                for i, ctx in enumerate(("XX", "XZ", "ZX"))]
+        rows.append((0.0, CountRecord("ZZ", (0, 100, 0, 0), 100, seed=3)))
+        write_counts_csv("counts.csv", rows)
+    else:
+        assert run_cli("sweep", "--mode", "sampled", "--steps", 51, "--shots", 1000, "--seed", 9,
+                       "--out", "sweep.csv", "--counts-out", "counts.csv") == 0
+    capsys.readouterr()
+    flags, stdout_sha, json_sha = GOLDEN_ANALYZE[variant]
+    assert run_cli("analyze", "counts.csv", *flags, "--out", "report.json") == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_sha
+    assert hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest() == json_sha
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+group_values = st.tuples(finite, st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+                         st.floats(0.0, 1e300), st.floats(0.0, 1e300) | st.just(0.0))
+
+
+@settings(deadline=None, derandomize=True, database=None)
+@given(st.lists(group_values, max_size=6),
+       st.none() | st.tuples(finite, finite, st.floats(5e-324, 1e300)))
+def test_report_json_equals_json_dump(groups, summary):
+    phi = [g[0] for g in groups]
+    e = np.array([g[1] for g in groups], dtype=float).reshape(-1, 4)
+    eps = np.array([g[2] for g in groups], dtype=float)
+    sigma_s = np.array([g[3] for g in groups], dtype=float)
+    payload = {"groups": [{"phi": p, **build_report(e[i], eps[i], sigma_s[i]).to_json_dict()}
+                          for i, p in enumerate(phi)]}
+    if summary is not None:
+        s, bound, sigma = summary
+        summary = (s, bound, sigma, significance(s, bound - 2.0, sigma))
+        payload["summary"] = dict(zip(("S", "bound", "sigma_S", "significance"), summary))
+    text = cli._report_json(cli._report_rows(phi, e, eps, sigma_s), summary)
+    assert text == json.dumps(payload, indent=2) + "\n"

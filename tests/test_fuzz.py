@@ -3,7 +3,9 @@
 Random mutations of a valid device-config JSON, of a valid counts CSV and of
 valid argument lists go through ``cli.main``.  Whatever the mutation, the CLI
 must not raise, must exit 0 (the input still reads), 1 or 2, and must print
-at most one ``error:`` line on stderr.
+at most one ``error:`` line on stderr.  Mutated counts CSVs also go through
+the columnar reader and grouping and through their row-by-row references in
+``conftest``: both must give the same records and groups, or the same error.
 """
 
 import io
@@ -17,7 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chipctx import cli
-from chipctx.sampling import CountRecord, write_counts_csv
+from chipctx.sampling import CountRecord, group_counts, read_counts_csv, write_counts_csv
+
+from conftest import column_rows, reference_group_counts, reference_read_counts_csv
 
 FUZZ = settings(deadline=None, derandomize=True, database=None, max_examples=150)
 
@@ -158,6 +162,46 @@ def test_mutated_device_config_text_exits_cleanly(text):
 @given(mutated_text(COUNTS_TEXT), st.sampled_from([(), ("--bootstrap", "2")]))
 def test_mutated_counts_csv_exits_cleanly(text, extra):
     assert_clean_exit(*run_analyze_on_counts(text, *extra))
+
+
+@st.composite
+def restructured_counts(draw):
+    """COUNTS_TEXT with its records reordered, some duplicated or dropped, and blank lines added."""
+    header, *lines = COUNTS_TEXT.splitlines()
+    lines = list(draw(st.permutations(lines)))
+    for _ in range(draw(st.integers(0, 4))):
+        action = draw(st.sampled_from(["duplicate", "drop", "blank"]))
+        i = draw(st.integers(0, len(lines)))
+        if action == "duplicate" and i < len(lines):
+            lines.insert(draw(st.integers(0, len(lines))), lines[i])
+        elif action == "drop" and i < len(lines):
+            del lines[i]
+        else:
+            lines.insert(i, "")
+    return "\n".join([header, *lines]) + "\n"
+
+
+def read_and_group(read, as_rows, group, path):
+    """("ok", records, groups) of the counts CSV at ``path``, or ("error", message)."""
+    try:
+        records = read(path)
+        phi, counts, seeds = group(records)
+    except ValueError as exc:
+        return "error", str(exc)
+    rows = [(repr(x), rec) for x, rec in as_rows(records)]
+    groups = ([repr(p) for p in phi], counts.dtype, counts.tolist(), seeds.dtype, seeds.tolist())
+    return "ok", rows, groups
+
+
+@settings(FUZZ, max_examples=400)
+@given(restructured_counts().flatmap(lambda text: st.just(text) | mutated_text(text)))
+def test_columnar_reader_matches_the_row_reader(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "counts.csv"
+        path.write_text(text, encoding="utf-8", errors="surrogatepass")
+        columnar = read_and_group(read_counts_csv, column_rows, group_counts, path)
+        reference = read_and_group(reference_read_counts_csv, list, reference_group_counts, path)
+    assert columnar == reference
 
 
 # Valid argument lists, each with the flags that take one value.  analyze

@@ -48,7 +48,7 @@ from chipctx.sampling import (
 )
 from chipctx.sweep import SweepSpec, run_sweep
 
-from conftest import calibration_residual, counting
+from conftest import calibration_residual, column_rows, counting
 
 PROPERTY = settings(deadline=None, derandomize=True, database=None)
 
@@ -173,7 +173,7 @@ def test_counts_csv_round_trips(rows):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "counts.csv"
         write_counts_csv(path, rows)
-        assert read_counts_csv(path) == rows
+        assert column_rows(read_counts_csv(path)) == rows
 
 
 @PROPERTY

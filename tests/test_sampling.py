@@ -5,19 +5,22 @@ import pytest
 
 from chipctx.analysis import CONTEXTS
 from chipctx.sampling import (
+    CountColumns,
     CountRecord,
-    bootstrap_sigma_s,
-    count_arrays,
     count_statistics,
     derive_seed,
     estimate_s,
     expectation_estimates,
+    group_counts,
     read_counts_csv,
     sample_counts,
     write_counts_csv,
 )
 
-from conftest import ORACLE_CONTEXT_UNITARIES, SQRT2, oracle_state, random_states
+from conftest import (
+    ORACLE_CONTEXT_UNITARIES, SQRT2, bootstrap_sigma_s, column_rows, count_arrays, oracle_state,
+    random_states, reference_read_counts_csv,
+)
 
 
 def ideal_context_probs(phi):
@@ -176,11 +179,23 @@ class TestCountStatistics:
         for n, seed, sigma in zip(counts, seeds.tolist(), sigma_s.tolist()):
             assert sigma == bootstrap_sigma_s(n, np.random.default_rng(derive_seed(*seed)), 50)
 
+    def test_bootstrap_blocks_equal_the_scalar_reference(self):
+        # 3000 replicates put two groups in a block, so the third starts a new one
+        counts, seeds = count_arrays(self.groups())
+        for bootstrap in (2, 3000, 20_000):
+            _, _, sigma_s = count_statistics(counts, seeds, bootstrap)
+            assert sigma_s.tolist() == [
+                bootstrap_sigma_s(n, np.random.default_rng(derive_seed(*seed)), bootstrap)
+                for n, seed in zip(counts, seeds.tolist())]
+
     def test_groups_are_put_in_context_order(self):
         groups = self.groups()
-        counts, seeds = count_arrays([list(reversed(group)) for group in groups])
+        rows = [(float(g), rec) for g, group in enumerate(groups) for rec in reversed(group)]
+        phi, counts, seeds = group_counts(columns_of(rows))
+        assert phi == [0.0, 1.0, 2.0]
         assert counts.tolist() == [[list(rec.counts) for rec in group] for group in groups]
         assert seeds.tolist() == [[rec.seed for rec in group] for group in groups]
+        assert (counts.dtype, seeds.dtype) == (np.int64, np.uint64)
 
     def test_zero_event_record_fails_before_any_division(self):
         counts, seeds = count_arrays(self.groups())
@@ -194,13 +209,110 @@ class TestCountStatistics:
         assert (e.shape, eps.shape, sigma_s.shape) == ((0, 4), (0,), (0,))
 
 
+def columns_of(rows) -> CountColumns:
+    """CountColumns of (phi, record) rows."""
+    return CountColumns([phi for phi, _ in rows],
+                        np.array([CONTEXTS.index(rec.context) for _, rec in rows], dtype=np.int64),
+                        np.array([rec.counts for _, rec in rows], dtype=np.int64).reshape(-1, 4),
+                        np.array([rec.seed for _, rec in rows], dtype=np.uint64))
+
+
+class TestGroupCounts:
+    def records(self, contexts, seed=0):
+        return [CountRecord(ctx, (60, 20, 10, 10), 100, seed=seed + i)
+                for i, ctx in enumerate(contexts)]
+
+    def test_groups_follow_the_first_appearance_of_each_phi(self):
+        rows = [(2.5, rec) for rec in self.records(CONTEXTS[:2])]
+        rows += [(-1.0, rec) for rec in self.records(CONTEXTS, seed=10)]
+        rows += [(2.5, rec) for rec in self.records(CONTEXTS[2:], seed=2)]
+        phi, counts, seeds = group_counts(columns_of(rows))
+        assert phi == [2.5, -1.0]
+        assert seeds.tolist() == [[0, 1, 2, 3], [10, 11, 12, 13]]
+        assert counts.shape == (2, 4, 4)
+
+    @pytest.mark.parametrize("contexts,message", [
+        (("XX", "XZ", "XX", "ZX", "ZZ"), "duplicate record for context XX"),
+        (("ZZ", "XX"), "missing record for context(s) ['XZ', 'ZX']"),
+    ], ids=["duplicate", "missing"])
+    def test_first_bad_group_raises_the_in_context_order_message(self, contexts, message):
+        rows = [(0.0, rec) for rec in self.records(CONTEXTS)]
+        rows += [(1.0, rec) for rec in self.records(contexts, seed=10)]
+        rows += [(2.0, rec) for rec in self.records(("XZ",), seed=20)]
+        with pytest.raises(ValueError) as info:
+            group_counts(columns_of(rows))
+        assert str(info.value) == message
+
+    def test_no_records_give_no_groups(self):
+        phi, counts, seeds = group_counts(columns_of([]))
+        assert (phi, counts.shape, seeds.shape) == ([], (0, 4, 4), (0, 4))
+
+
 class TestCountsCsv:
     def test_round_trip(self, tmp_path):
         rows = [(0.0, rec) for rec in sample_all_contexts(0.0, 500, master_seed=3)]
         rows += [(0.5, rec) for rec in sample_all_contexts(0.5, 500, master_seed=3)]
         path = tmp_path / "counts.csv"
         write_counts_csv(path, rows)
-        assert read_counts_csv(path) == rows
+        columns = read_counts_csv(path)
+        assert len(columns) == len(rows)
+        assert columns.counts.shape == (len(rows), 4)
+        assert (columns.context.dtype, columns.counts.dtype, columns.seeds.dtype) == (
+            np.int64, np.int64, np.uint64)
+        assert column_rows(columns) == rows
+
+    def test_rows_past_one_block_keep_their_line_numbers(self, tmp_path):
+        rows = [(phi, rec) for phi in np.linspace(0.0, 1.0, 300).tolist()
+                for rec in sample_all_contexts(phi, 50, master_seed=4)]
+        path = tmp_path / "counts.csv"
+        write_counts_csv(path, rows)
+        assert column_rows(read_counts_csv(path)) == rows
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[1100] = lines[1100].replace(",50,", ",51,")  # N no longer the counts' sum
+        path.write_text("\n\n".join(lines) + "\n", encoding="utf-8")  # a blank line after each
+        with pytest.raises(ValueError) as info:
+            read_counts_csv(path)
+        assert str(info.value).startswith(f"{path}:2201: counts sum 50 != total 51")
+
+    @pytest.mark.parametrize("line", [
+        "0.0,QQ,60,20,10,10,100,1",
+        "nan,XX,60,20,10,10,100,1",
+        "1e400,XX,60,20,10,10,100,1",
+        "0.0,XX,-1,21,10,70,100,1",
+        "0.0,XX,60,20,10,10,99,1",
+        f"0.0,XX,{2**62},{2**62},{2**62},{2**62},0,1",
+        f"0.0,XX,{2**63},0,0,0,{2**63},1",
+        "0.0,XX,60,20,10,10,100,-1",
+        f"0.0,XX,60,20,10,10,100,{2**64}",
+        "0.0,XX,60,20,10,10,100",
+        "0.0,XX,6O,20,10,10,100,1",
+        " 0.5 , ZZ ,6_0, 20,10,10,1_00, 7",
+    ], ids=["unknown-context", "nan-phi", "infinite-phi", "negative-count", "sum-not-total",
+            "sum-past-int64", "total-past-int64", "negative-seed", "seed-past-uint64",
+            "seven-fields", "letter-in-count", "spaces-and-underscores"])
+    def test_row_errors_equal_the_row_reader(self, tmp_path, line):
+        path = tmp_path / "counts.csv"
+        write_counts_csv(path, [(0.0, rec) for rec in sample_all_contexts(0.0, 100, 1)])
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join(lines[:3] + [line, "1.0,XX,1,2,3,4,10,5"] + lines[3:]) + "\n",
+                        encoding="utf-8")
+        assert read_outcome(read_counts_csv, path) == read_outcome(reference_read_counts_csv, path)
+
+    @pytest.mark.parametrize("bad_row_first", [True, False])
+    @pytest.mark.parametrize("read_error", [b"\xff", b"X" * 200_000])
+    def test_read_error_comes_in_file_order(self, tmp_path, read_error, bad_row_first):
+        # an undecodable byte or a field past the csv module's limit, before or after a bad row
+        path = tmp_path / "counts.csv"
+        write_counts_csv(path, [(phi, rec) for phi in np.linspace(0.0, 1.0, 600).tolist()
+                                for rec in sample_all_contexts(phi, 100, 1)])
+        lines = path.read_bytes().splitlines()
+        bad, late = b"0.0,QQ,60,20,10,10,100,1", 600  # both in the first block of rows
+        lines.insert(late if bad_row_first else 5, b"0.0,XX," + read_error + b",0,0,0,1,1")
+        lines.insert(5 if bad_row_first else late, bad)
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        expected = read_outcome(reference_read_counts_csv, path)
+        assert expected[0] == "error"
+        assert read_outcome(read_counts_csv, path) == expected
 
     def test_byte_identical_rewrites(self, tmp_path):
         rows = [(1.25, rec) for rec in sample_all_contexts(1.25, 500, master_seed=3)]
@@ -221,6 +333,16 @@ class TestCountsCsv:
             "phi,context,n1,n2,n3,n4,N,seed\n0.0,ZZ,a,0,0,0,1,0\n", encoding="utf-8")
         with pytest.raises(ValueError):
             read_counts_csv(path)
+
+
+def read_outcome(read, path):
+    """("ok", (phi, record) rows) of the counts CSV at ``path``, or ("error", message)."""
+    try:
+        records = read(path)
+    except ValueError as exc:
+        return "error", str(exc)
+    rows = records if isinstance(records, list) else column_rows(records)
+    return "ok", [(repr(phi), rec) for phi, rec in rows]
 
 
 def test_derive_seed_is_stable_and_key_sensitive():

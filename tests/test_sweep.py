@@ -23,8 +23,10 @@ from chipctx.chips import (
     prepare_state_circuit,
     prepare_state_direct,
 )
-from chipctx.sampling import bootstrap_sigma_s, derive_seed, sample_counts
+from chipctx.sampling import derive_seed, sample_counts
 from chipctx.sweep import _BLOCK, SweepSpec, run_sweep
+
+from conftest import bootstrap_sigma_s
 
 
 def random_device(seed):
