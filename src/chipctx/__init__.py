@@ -14,8 +14,6 @@ from .analysis import (
     InequalityReport,
     classical_bound_enumeration,
     epsilon,
-    expectation,
-    marginals,
     report_from_probabilities,
     significance,
 )
@@ -62,12 +60,10 @@ __all__ = [
     "crossing",
     "epsilon",
     "estimate_s",
-    "expectation",
     "galton_run",
     "galton_s",
     "galton_s_exact",
     "load_device_config",
-    "marginals",
     "measurement_unitary",
     "phase_shifter",
     "prepare_state_circuit",

@@ -2,7 +2,10 @@
 
 Each formula is written once over arrays whose last two axes are (context in
 ``CONTEXTS`` order, detector); the scalar path, the sweep, the count
-estimators and the classical board all reduce their data through it.
+estimators and the classical board all reduce their data through it.  The
+sweep and ``chipctx analyze`` both report through :func:`report_table`, the
+one place that turns E, epsilon and sigma_S columns into S, the bound and the
+significance; :func:`build_report` is its scalar reference.
 
 Outcome signs follow the detector formula E = p1 - p2 - p3 + p4: the product
 of the two measurement outcomes is +1 on modes 1 and 4 and -1 on modes 2 and
@@ -163,19 +166,49 @@ def build_report(e: Sequence[float], eps: float, sigma_s: float = 0.0) -> Inequa
     )
 
 
+@dataclass(frozen=True, eq=False)
+class ReportTable:
+    """Columnar report, one array per column in row order (a sweep's grid, or phi groups).
+
+    ``expectations`` has one column per context in CONTEXTS order and
+    ``significance`` is NaN where it is undefined (sigma_S not positive).  A
+    sampled sweep also carries its counts, shaped (row, context, detector),
+    and the seed of every record.
+    """
+
+    phi: np.ndarray
+    expectations: np.ndarray
+    s: np.ndarray
+    epsilon: np.ndarray
+    bound: np.ndarray
+    sigma_s: np.ndarray
+    significance: np.ndarray
+    counts: np.ndarray | None = None
+    seeds: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.phi)
+
+    def tolist(self) -> list[tuple]:
+        """(phi, E list, S, epsilon, bound, sigma_S, significance) of each row, as Python floats."""
+        columns = (self.phi, self.expectations, self.s, self.epsilon, self.bound, self.sigma_s,
+                   self.significance)
+        return list(zip(*(column.tolist() for column in columns)))
+
+
+def report_table(phi: np.ndarray, e: np.ndarray, eps: np.ndarray, sigma_s: np.ndarray,
+                 counts: np.ndarray | None = None, seeds: np.ndarray | None = None) -> ReportTable:
+    """The report of E (row, context), epsilon and sigma_S columns, row for row as build_report."""
+    s = s_value(e)
+    positive = sigma_s > 0.0
+    z = np.full(len(s), np.nan)
+    with np.errstate(over="ignore"):  # an overflow gives inf silently, as float division does
+        z[positive] = significance(s[positive], eps[positive], sigma_s[positive])
+    return ReportTable(phi, e, s, eps, corrected_bound(eps), sigma_s, z, counts, seeds)
+
+
 def _probability_array(cps: Iterable[ContextProbabilities]) -> np.ndarray:
     return np.array([cp.p for cp in in_context_order(cps, "probabilities")])
-
-
-def expectation(cp: ContextProbabilities) -> float:
-    """Product expectation p1 - p2 - p3 + p4 of one context."""
-    return float(sign_sum(np.asarray(cp.p)))
-
-
-def marginals(cp: ContextProbabilities) -> tuple[float, float]:
-    """Single-measurement marginals (letter, digit) of one context."""
-    letter, digit = _marginals(np.asarray(cp.p))
-    return float(letter), float(digit)
 
 
 def epsilon(cps: Iterable[ContextProbabilities]) -> float:

@@ -442,15 +442,24 @@ def measurement_skeleton(
     )
 
 
+# Calibration settings: the accepted residual (probability deviation for a
+# matrix target, amplitude deviation for a state target), the number and the
+# seed of the random probe states of a matrix target, and the mode a state
+# target is injected into.  The random starts are drawn from _PROBE_SEED + 1.
+_TOL = 1e-9
+_N_PROBE = 100
+_PROBE_SEED = 20260101
+_INPUT_MODE = 1
+
+
 def _probe_states(n_probe: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     v = rng.normal(size=(n_probe, 4)) + 1j * rng.normal(size=(n_probe, 4))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def _residual_function(
-    target: np.ndarray, skeleton: PhaseSkeleton, n_probe: int, probe_seed: int, input_mode: int
-) -> Callable[[np.ndarray], np.ndarray]:
+def _residual_function(target: np.ndarray,
+                       skeleton: PhaseSkeleton) -> Callable[[np.ndarray], np.ndarray]:
     """Phases -> deviation of the skeleton's circuit from ``target``.
 
     Probability deviations on the probe states for a 4x4 target, amplitude
@@ -460,14 +469,14 @@ def _residual_function(
     """
     target = np.asarray(target, dtype=np.complex128)
     if target.shape == (4, 4):
-        probes = _probe_states(n_probe, probe_seed)
+        probes = _probe_states(_N_PROBE, _PROBE_SEED)
         target_probabilities = np.abs(probes @ target.T) ** 2
 
         def residual(phases: np.ndarray) -> np.ndarray:
             return (np.abs(probes @ skeleton.build(phases).T) ** 2 - target_probabilities).ravel()
 
     elif target.shape == (4,):
-        injected = basis_state(input_mode)
+        injected = basis_state(_INPUT_MODE)
         k = int(np.argmax(np.abs(target)))  # the output is phase-aligned on this component
         target_arg = np.angle(target[k])
 
@@ -499,8 +508,8 @@ def _random_starts(n_phases: int, seed: int, count: int) -> Iterator[np.ndarray]
 
 # Relative level at which a fit counts as stalled: the step against the
 # point, or the cost reduction against the cost.  A fit stops there, not as
-# soon as it meets ``tol``, so that the calibrated circuit matches its target
-# to rounding on any probe state, not only just under ``tol`` on its own.
+# soon as it meets ``_TOL``, so that the calibrated circuit matches its target
+# to rounding on any probe state, not only just under ``_TOL`` on its own.
 _STALL = 1e-15
 _EPS = float(np.finfo(float).eps)
 _FD_STEP = math.sqrt(_EPS)
@@ -583,38 +592,31 @@ def calibrate_phases(
     target: np.ndarray,
     skeleton: PhaseSkeleton,
     *,
-    tol: float = 1e-9,
-    n_probe: int = 100,
-    probe_seed: int = 20260101,
-    input_mode: int = 1,
     seed_phases: Sequence[float] | None = None,
     max_restarts: int = 12,
 ) -> np.ndarray:
     """Find free phases that reproduce a target circuit or target state.
 
     For a 4x4 ``target`` the calibrated circuit must produce the same outcome
-    probabilities as the target on every probe state (equality up to output
-    phases and a global phase).  For a length-4 ``target`` the circuit output
-    from ``input_mode`` must match the state up to a global phase.
+    probabilities as the target on 100 seeded probe states, within 1e-9
+    (equality up to output phases and a global phase).  For a length-4
+    ``target`` the circuit output from mode 1 must match the state up to a
+    global phase, each amplitude within 1e-9.
 
     Starts are tried in turn: ``seed_phases``, then the skeleton's analytic
     seed, then zeros, then deterministic pseudo-random points.  Each start is
-    evaluated once.  A start whose residual already meets ``tol`` is returned
-    as it is; a start with a non-finite residual is skipped; otherwise a
-    numpy Levenberg-Marquardt fit with a forward-difference Jacobian runs
-    from it to convergence, not just to ``tol``: until its step or its cost
-    reduction stalls at the relative level 1e-15 or its residual is at
-    rounding level (or after 200 evaluations per free phase plus one).  Its
-    end point is returned if its residual meets ``tol``.
+    evaluated once.  A start whose residual already meets the tolerance is
+    returned as it is; a start with a non-finite residual is skipped;
+    otherwise a numpy Levenberg-Marquardt fit with a forward-difference
+    Jacobian runs from it to convergence, not just to the tolerance: until
+    its step or its cost reduction stalls at the relative level 1e-15 or its
+    residual is at rounding level (or after 200 evaluations per free phase
+    plus one).  Its end point is returned if its residual meets the
+    tolerance.
 
     Args:
         target: 4x4 unitary or length-4 state vector.
         skeleton: Circuit with free phases.
-        tol: Maximum accepted residual (probability deviation for matrix
-            targets, amplitude deviation for state targets).
-        n_probe: Number of random probe states for matrix targets.
-        probe_seed: Seed of the probe-state generator.
-        input_mode: Injection mode for state targets.
         seed_phases: Optional explicit starting point.
         max_restarts: Additional randomized starts before giving up.
 
@@ -627,7 +629,7 @@ def calibrate_phases(
         CalibrationError: If no start reaches the tolerance; carries the best
             residual achieved, the starts tried and the residual evaluations.
     """
-    residual = _residual_function(target, skeleton, n_probe, probe_seed, input_mode)
+    residual = _residual_function(target, skeleton)
     n = skeleton.n_phases
     starts: list[np.ndarray] = []
     if seed_phases is not None:
@@ -638,19 +640,19 @@ def calibrate_phases(
 
     best_residual = math.inf
     evaluations = 0
-    all_starts = itertools.chain(starts, _random_starts(n, probe_seed + 1, max_restarts))
+    all_starts = itertools.chain(starts, _random_starts(n, _PROBE_SEED + 1, max_restarts))
     for tried, start in enumerate(all_starts, 1):
         f = residual(start)
         evaluations += 1
         achieved = float(np.max(np.abs(f)))
-        if achieved <= tol:
+        if achieved <= _TOL:
             return start
         if not math.isfinite(achieved):
             continue
         fitted, f, fit_evaluations = _levenberg_marquardt(residual, start, f, 200 * (n + 1))
         evaluations += fit_evaluations
         achieved = float(np.max(np.abs(f)))
-        if achieved <= tol:
+        if achieved <= _TOL:
             return fitted
         best_residual = min(best_residual, achieved)
     raise CalibrationError("calibration did not reach tolerance", best_residual,

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .analysis import CONTEXTS, corrected_bound, s_value, significance
+from .analysis import CONTEXTS, report_table, significance
 from .chips import DeviceConfig, load_device_config
 from .errors import CalibrationError, ConsistencyError
 from .galton import galton_s, galton_s_exact
@@ -204,9 +204,9 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _verdict(z: float | None, s: float, bound: float) -> str:
-    """Verdict from the z-score, or from S against the bound when z is undefined."""
-    if z is None:
+def _verdict(z: float, s: float, bound: float) -> str:
+    """Verdict from the z-score, or from S against the bound when z is undefined (NaN)."""
+    if math.isnan(z):
         return "violation" if s > bound else "no violation"
     return "violation" if z > VERDICT_SIGMAS else "no violation"
 
@@ -217,12 +217,12 @@ def cmd_hv(args) -> int:
         s = galton_s_exact(prep, x_flip_probability=args.flip_prob)
         print(f"S = {s!r} (exact)")
         print(f"classical bound: 2; margin to bound = {2.0 - s!r}")
-        print(f"verdict: {_verdict(None, s, 2.0)}")
+        print(f"verdict: {_verdict(math.nan, s, 2.0)}")
         return 0
     s, sigma_s = galton_s(prep, args.shots, args.seed, x_flip_probability=args.flip_prob)
-    z = significance(s, 0.0, sigma_s) if sigma_s > 0.0 else None  # the board has epsilon = 0
+    z = significance(s, 0.0, sigma_s) if sigma_s > 0.0 else math.nan  # the board has epsilon = 0
     print(f"S = {s:.6f} +- {sigma_s:.6f} ({args.shots} shots per context)")
-    if z is not None:
+    if not math.isnan(z):
         print(f"classical bound: 2; (S - 2)/sigma_S = {z:.3f}")
     else:
         print("classical bound: 2; sigma_S = 0, comparing S directly")
@@ -236,11 +236,12 @@ def cmd_analyze(args) -> int:
         print(f"error: {args.counts_csv} holds no count records", file=sys.stderr)
         return 2
     phi, counts, seeds = group_counts(columns)
-    groups = _report_rows(phi, *count_statistics(counts, seeds, args.bootstrap))
+    groups = report_table(np.array(phi, dtype=float),
+                          *count_statistics(counts, seeds, args.bootstrap)).tolist()
 
     lines = [
         f"phi={phi!r}: S={s:.6f} +- {sigma_s:.6f} epsilon={eps:.6f} bound={bound:.6f} "
-        f"significance={'n/a' if z is None else format(z, '.3f')} [{_verdict(z, s, bound)}]\n"
+        f"significance={'n/a' if math.isnan(z) else format(z, '.3f')} [{_verdict(z, s, bound)}]\n"
         for phi, _, s, eps, bound, sigma_s, z in groups
     ]
     summary = None
@@ -260,29 +261,11 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _report_rows(phi: list[float], e: np.ndarray, eps: np.ndarray,
-                 sigma_s: np.ndarray) -> list[tuple]:
-    """(phi, E list, S, epsilon, bound, sigma_S, significance) of each group, as Python values.
-
-    The significance is None unless sigma_S > 0, as in ``analysis.build_report``.
-    """
-    s, bound = s_value(e), corrected_bound(eps)
-    positive = sigma_s > 0.0
-    z = np.zeros_like(s)
-    with np.errstate(over="ignore"):  # an overflow gives inf silently, as float division does
-        z[positive] = significance(s[positive], eps[positive], sigma_s[positive])
-    z_or_none = [value if p else None for value, p in zip(z.tolist(), positive.tolist())]
-    return list(zip(phi, e.tolist(), s.tolist(), eps.tolist(), bound.tolist(), sigma_s.tolist(),
-                    z_or_none))
-
-
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def _json_number(x: float | None) -> str:
-    """A float or None as ``json.dump`` writes it."""
-    if x is None:
-        return "null"
+def _json_number(x: float) -> str:
+    """A float as ``json.dump`` writes it."""
     text = repr(x)
     return _JSON_NON_FINITE.get(text, text)
 
@@ -296,8 +279,10 @@ def _json_members(members, indent: int) -> str:
 def _report_json(groups: list[tuple], summary: tuple | None) -> str:
     """The ``analyze`` report, byte for byte what ``json.dump(payload, fh, indent=2)`` + LF writes.
 
-    The payload is ``{"groups": [{"phi": phi, **InequalityReport.to_json_dict()}, ...]}``,
-    plus ``"summary": {"S", "bound", "sigma_S", "significance"}`` when given.
+    ``groups`` are the rows of ``ReportTable.tolist()``.  The payload is
+    ``{"groups": [{"phi": phi, **InequalityReport.to_json_dict()}, ...]}``, so
+    a NaN (undefined) significance is written ``null``, plus ``"summary": {"S",
+    "bound", "sigma_S", "significance"}`` when given.
     """
     blocks = []
     for phi, e, s, eps, bound, sigma_s, z in groups:
@@ -306,7 +291,7 @@ def _report_json(groups: list[tuple], summary: tuple | None) -> str:
                    ("expectations", "{\n" + expectations + "\n      }"),
                    ("S", _json_number(s)), ("epsilon", _json_number(eps)),
                    ("bound", _json_number(bound)), ("sigma_S", _json_number(sigma_s)),
-                   ("significance", _json_number(z))]
+                   ("significance", "null" if math.isnan(z) else _json_number(z))]
         blocks.append("    {\n" + _json_members(members, 6) + "\n    }")
     top = [("groups", "[\n" + ",\n".join(blocks) + "\n  ]" if blocks else "[]")]
     if summary is not None:

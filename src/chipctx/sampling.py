@@ -346,12 +346,12 @@ def write_counts_columns(path: str | Path, phi: np.ndarray, contexts: Sequence[s
         raise ValueError("counts columns differ in length or shape")
     for context in set(contexts):
         check_context(context)
-    partial = np.cumsum(counts, axis=-1)  # a sum past 2**63 - 1 wraps negative
-    if (counts < 0).any() or (partial < 0).any():
+    bad, totals = _bad_count_rows(counts)
+    if bad.any():
         raise ValueError("counts must be non-negative integers whose total is below 2**63")
     if not ((seeds >= 0) & (seeds < 2**64)).all():
         raise ValueError("seeds must lie in [0, 2**64)")
-    phi, totals = np.asarray(phi, dtype=float), partial[:, -1]
+    phi = np.asarray(phi, dtype=float)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(COUNTS_CSV_COLUMNS)
@@ -361,6 +361,21 @@ def write_counts_columns(path: str | Path, phi: np.ndarray, contexts: Sequence[s
                 [repr(x), context, *n, total, seed] for x, context, n, total, seed
                 in zip(phi[block].tolist(), contexts[block], counts[block].tolist(),
                        totals[block].tolist(), seeds[block].tolist()))
+
+
+def _bad_count_rows(counts: np.ndarray,
+                    totals: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Which rows of (rows, detector) int64 counts break a CountRecord condition, and their sums.
+
+    A row is bad if a count is negative, if its running int64 sum wraps past
+    2**63 - 1, or if its sum differs from its entry of ``totals`` when given.
+    """
+    partial = np.cumsum(counts, axis=-1)  # a sum past 2**63 - 1 wraps negative
+    sums = partial[:, -1]
+    bad = (counts < 0).any(axis=-1) | (partial < 0).any(axis=-1)
+    if totals is not None:
+        bad |= sums != totals
+    return bad, sums
 
 
 @dataclass(frozen=True, eq=False)
@@ -392,9 +407,12 @@ def read_counts_csv(path: str | Path) -> CountColumns:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
 
-        def numbered_rows():
+        def numbered_rows():  # each row numbered by the line it starts on
             try:
-                yield from enumerate(reader, start=1)
+                lineno = reader.line_num + 1
+                for row in reader:
+                    yield lineno, row
+                    lineno = reader.line_num + 1
             except csv.Error as exc:  # e.g. a field longer than the csv module allows
                 error = ValueError(f"{path}:{reader.line_num}: {exc}")
                 error.__cause__ = exc
@@ -435,10 +453,8 @@ def _parse_rows(path: str | Path, block: list[tuple[int, list[str]]]):
         except (ValueError, OverflowError):
             pass
         else:
-            counts, totals = numbers[:, :4], numbers[:, 4]
-            partial = np.cumsum(counts, axis=-1)  # a sum past 2**63 - 1 wraps negative
-            bad = (~np.isfinite(phi) | (context < 0) | (counts < 0).any(axis=-1)
-                   | (partial < 0).any(axis=-1) | (partial[:, -1] != totals))
+            counts = numbers[:, :4]
+            bad = ~np.isfinite(phi) | (context < 0) | _bad_count_rows(counts, numbers[:, 4])[0]
             if not bad.any():
                 return phi, context, counts, seeds
             first = int(bad.argmax())

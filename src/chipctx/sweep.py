@@ -2,13 +2,14 @@
 
 The grid is evaluated in blocks of ``_BLOCK`` phases.  For each block the
 prepared states are built as one array, pushed through the four context
-circuits with one stacked matrix product, and reduced to E, S, epsilon, the
-bound and the significance by the statistics core of :mod:`chipctx.analysis`.
-Analytic mode reports the exact probabilities; sampled mode draws one
-multinomial record per (phase, context) from its own derived seed and reduces
-the block's counts with :func:`chipctx.sampling.count_statistics`, the one
-count reduction ``chipctx analyze`` also uses.  Results fill preallocated
-per-grid columns in grid order; every analytic value equals the one
+circuits with one stacked matrix product, and reduced to E and epsilon by the
+statistics core of :mod:`chipctx.analysis`.  Analytic mode reports the exact
+probabilities; sampled mode draws one multinomial record per (phase, context)
+from its own derived seed and reduces the block's counts to E, epsilon and
+sigma_S with :func:`chipctx.sampling.count_statistics`, the one count
+reduction ``chipctx analyze`` also uses.  Once the grid is done, one call of
+:func:`chipctx.analysis.report_table` adds S, the bound and the significance,
+as it does for ``analyze``; every analytic value equals the one
 :func:`report_from_probabilities` gives at that phase, bit for bit.
 """
 
@@ -22,9 +23,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .analysis import (
-    CONTEXTS, PROB_SUM_TOL, corrected_bound, epsilon_value, s_value, sign_sum, significance,
-)
+from .analysis import CONTEXTS, PROB_SUM_TOL, ReportTable, epsilon_value, report_table, sign_sum
 from .chips import DeviceConfig, context_unitaries, prepare_states
 from .errors import ConsistencyError
 from .optics import TransferMatrix, is_unitary
@@ -70,42 +69,6 @@ class SweepSpec:
         return np.linspace(self.phi_start, self.phi_end, self.steps)
 
 
-@dataclass(frozen=True, eq=False)
-class SweepTable:
-    """Columnar result of a sweep, one array per output column in grid order.
-
-    ``expectations`` has one column per context in CONTEXTS order and
-    ``significance`` is NaN where it is undefined (sigma_S = 0).  A sampled
-    sweep also carries its counts, shaped (steps, context, detector), and the
-    seed of every record.
-    """
-
-    phi: np.ndarray
-    expectations: np.ndarray
-    s: np.ndarray
-    epsilon: np.ndarray
-    bound: np.ndarray
-    sigma_s: np.ndarray
-    significance: np.ndarray
-    counts: np.ndarray | None = None
-    seeds: np.ndarray | None = None
-
-    @classmethod
-    def allocate(cls, phis: np.ndarray, sampled: bool) -> "SweepTable":
-        n = len(phis)
-        return cls(
-            phi=phis,
-            expectations=np.empty((n, len(CONTEXTS))),
-            s=np.empty(n), epsilon=np.empty(n), bound=np.empty(n),
-            sigma_s=np.zeros(n), significance=np.full(n, np.nan),
-            counts=np.empty((n, len(CONTEXTS), 4), dtype=np.int64) if sampled else None,
-            seeds=np.empty((n, len(CONTEXTS)), dtype=np.uint64) if sampled else None,
-        )
-
-    def __len__(self) -> int:
-        return len(self.phi)
-
-
 def _checked_unitaries(device: DeviceConfig) -> dict[str, TransferMatrix]:
     unitaries = context_unitaries(device)
     for ctx, u in unitaries.items():
@@ -127,19 +90,21 @@ def _context_probabilities(unitaries: np.ndarray, states: np.ndarray) -> np.ndar
     return p
 
 
-def _draw_counts(table: SweepTable, block: slice, p: np.ndarray, spec: SweepSpec) -> np.ndarray:
-    """One multinomial record per (phase, context), each on its own derived seed.
+def _draw_counts(counts: np.ndarray, seeds: np.ndarray, start: int, p: np.ndarray,
+                 spec: SweepSpec) -> np.ndarray:
+    """One multinomial record per (phase, context) of a block, each on its own derived seed.
 
-    The seeds are ``derive_seed(master_seed, point, context)`` and each
-    record's generator is ``default_rng(seed)``; the seeds and the
-    generators' state words are computed for the whole block at once.
+    Fills the block's ``counts`` and ``seeds``, whose first point is grid
+    point ``start``.  The seeds are ``derive_seed(master_seed, point,
+    context)`` and each record's generator is ``default_rng(seed)``; the
+    seeds and the generators' state words are computed for the whole block
+    at once.
     """
     # the renormalization sample_counts applies to each record
     p = np.clip(p, 0.0, None)
     p = p / p.sum(axis=-1, keepdims=True)
-    counts, seeds = table.counts[block], table.seeds[block]
     n_contexts = len(CONTEXTS)
-    points = np.arange(block.start, block.stop, dtype=np.uint64)
+    points = np.arange(start, start + len(counts), dtype=np.uint64)
     seeds[:] = derive_seeds(spec.master_seed, np.repeat(points, n_contexts),
                             np.tile(np.arange(n_contexts, dtype=np.uint64), len(points)),
                             ).reshape(seeds.shape)
@@ -149,30 +114,27 @@ def _draw_counts(table: SweepTable, block: slice, p: np.ndarray, spec: SweepSpec
     return counts
 
 
-def run_sweep(spec: SweepSpec) -> SweepTable:
+def run_sweep(spec: SweepSpec) -> ReportTable:
     """Evaluate every grid point, in grid order."""
     unitaries = _checked_unitaries(spec.device)
     stacked = np.stack([unitaries[ctx] for ctx in CONTEXTS])
-    sampled = spec.mode == "sampled"
-    table = SweepTable.allocate(spec.phis(), sampled)
+    phi = spec.phis()
+    e, eps = np.empty((spec.steps, len(CONTEXTS))), np.empty(spec.steps)
+    sigma_s = np.zeros(spec.steps)
+    counts = seeds = None
+    if spec.mode == "sampled":
+        counts = np.empty((spec.steps, len(CONTEXTS), 4), dtype=np.int64)
+        seeds = np.empty((spec.steps, len(CONTEXTS)), dtype=np.uint64)
     for start in range(0, spec.steps, _BLOCK):
         block = slice(start, min(start + _BLOCK, spec.steps))
-        states = prepare_states(spec.device.preparation, table.phi[block])
-        p = _context_probabilities(stacked, states)
-        if sampled:
-            e, eps, table.sigma_s[block] = count_statistics(
-                _draw_counts(table, block, p, spec), table.seeds[block], spec.bootstrap)
+        p = _context_probabilities(stacked, prepare_states(spec.device.preparation, phi[block]))
+        if counts is not None:
+            e[block], eps[block], sigma_s[block] = count_statistics(
+                _draw_counts(counts[block], seeds[block], start, p, spec), seeds[block],
+                spec.bootstrap)
         else:
-            e, eps = sign_sum(p), epsilon_value(p)
-        table.expectations[block] = e
-        table.s[block] = s_value(e)
-        table.epsilon[block] = eps
-    table.bound[:] = corrected_bound(table.epsilon)
-    positive = table.sigma_s > 0.0
-    table.significance[positive] = significance(
-        table.s[positive], table.epsilon[positive], table.sigma_s[positive]
-    )
-    return table
+            e[block], eps[block] = sign_sum(p), epsilon_value(p)
+    return report_table(phi, e, eps, sigma_s, counts, seeds)
 
 
 def _fmt(x: float) -> str:
@@ -187,7 +149,7 @@ def _csv_rows(columns: Sequence[np.ndarray]) -> Iterator[list[str]]:
             yield [_fmt(x) for x in values]
 
 
-def write_sweep_csv(path: str | Path, table: SweepTable) -> None:
+def write_sweep_csv(path: str | Path, table: ReportTable) -> None:
     """Write sweep rows; the significance cell is empty when undefined."""
     columns = [table.phi, *table.expectations.T, table.s, table.epsilon, table.bound,
                table.sigma_s, table.significance]

@@ -51,6 +51,18 @@ def oracle_pipeline_s(phi: float) -> float:
     return e["XX"] + e["XZ"] + e["ZX"] - e["ZZ"]
 
 
+def expectation(cp) -> float:
+    """Product expectation p1 - p2 - p3 + p4 of one context's probabilities."""
+    p = np.asarray(cp.p)
+    return float(p[0] - p[1] - p[2] + p[3])
+
+
+def marginals(cp) -> tuple[float, float]:
+    """Single-measurement marginals (letter, digit) of one context's probabilities."""
+    p = np.asarray(cp.p)
+    return float((p[0] + p[1]) - (p[2] + p[3])), float((p[0] + p[2]) - (p[1] + p[3]))
+
+
 def random_states(n: int, seed: int) -> np.ndarray:
     """n normalized complex 4-vectors, rows of the returned array."""
     rng = np.random.default_rng(seed)
@@ -187,7 +199,11 @@ def _reference_rows(path, reader) -> list[tuple[float, CountRecord]]:
     header = next(reader, None)
     if header is None or tuple(h.strip() for h in header) != COUNTS_CSV_COLUMNS:
         raise ValueError(f"{path}: expected header {','.join(COUNTS_CSV_COLUMNS)}")
-    for lineno, row in enumerate(reader, start=2):
+    while True:
+        lineno = reader.line_num + 1  # a row is numbered by the line it starts on
+        row = next(reader, None)
+        if row is None:
+            break
         if not row:
             continue
         if len(row) != len(COUNTS_CSV_COLUMNS):

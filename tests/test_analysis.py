@@ -10,8 +10,6 @@ from chipctx.analysis import (
     assignment_values,
     classical_bound_enumeration,
     epsilon,
-    expectation,
-    marginals,
     report_from_probabilities,
     significance,
 )
@@ -23,7 +21,9 @@ from chipctx.chips import (
     prepare_state_direct,
 )
 
-from conftest import ORACLE_CONTEXT_UNITARIES, SQRT2, oracle_s, oracle_state, random_states
+from conftest import (
+    ORACLE_CONTEXT_UNITARIES, SQRT2, expectation, marginals, oracle_s, oracle_state, random_states,
+)
 
 # Frozen regression pin: target state at phi=0 measured with the XZ context
 # whose (1,2) coupler is detuned to T=0.4, all else ideal.  Computed once with

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chipctx import cli
-from chipctx.analysis import build_report, significance
+from chipctx.analysis import CONTEXTS, build_report, report_table, significance
 from chipctx.chips import DeviceConfig, MeasurementConfig, PreparationConfig
 from chipctx.errors import ConsistencyError
 from chipctx.galton import GaltonConfig, galton_run
@@ -353,21 +353,26 @@ class TestHvCommand:
 
 
 class TestAnalyzeCommand:
-    def test_round_trip_matches_sweep_estimates(self, tmp_path):
+    @pytest.mark.parametrize("bootstrap", [(), ("--bootstrap", 40)], ids=["plain", "bootstrap"])
+    def test_round_trip_matches_sweep_estimates(self, tmp_path, bootstrap):
+        # the sweep and analyze report through one table, so every column agrees exactly
         out = tmp_path / "sweep.csv"
         counts = tmp_path / "counts.csv"
-        run_cli("sweep", "--steps", 4, "--mode", "sampled", "--shots", 5000,
-                "--seed", 11, "--out", out, "--counts-out", counts)
+        assert run_cli("sweep", "--steps", 4, "--mode", "sampled", "--shots", 5000,
+                       "--seed", 11, *bootstrap, "--out", out, "--counts-out", counts) == 0
         report = tmp_path / "report.json"
-        assert run_cli("analyze", counts, "--out", report) == 0
+        assert run_cli("analyze", counts, *bootstrap, "--out", report) == 0
         groups = json.loads(report.read_text(encoding="utf-8"))["groups"]
         sweep_rows = read_rows(out)
         assert len(groups) == len(sweep_rows)
         for group, row in zip(groups, sweep_rows):
-            assert abs(group["phi"] - float(row["phi"])) == 0.0
-            assert abs(group["S"] - float(row["S"])) < 1e-12
-            assert abs(group["sigma_S"] - float(row["sigma_S"])) < 1e-12
-            assert abs(group["epsilon"] - float(row["epsilon"])) < 1e-12
+            assert group == {
+                "phi": float(row["phi"]),
+                "expectations": {c: float(row[f"E_{c}"]) for c in CONTEXTS},
+                "S": float(row["S"]), "epsilon": float(row["epsilon"]),
+                "bound": float(row["bound"]), "sigma_S": float(row["sigma_S"]),
+                "significance": float(row["significance"]) if row["significance"] else None,
+            }
 
     def test_synthetic_ideal_counts_show_huge_significance(self, tmp_path, capsys):
         counts = tmp_path / "counts.csv"
@@ -550,5 +555,6 @@ def test_report_json_equals_json_dump(groups, summary):
         s, bound, sigma = summary
         summary = (s, bound, sigma, significance(s, bound - 2.0, sigma))
         payload["summary"] = dict(zip(("S", "bound", "sigma_S", "significance"), summary))
-    text = cli._report_json(cli._report_rows(phi, e, eps, sigma_s), summary)
+    text = cli._report_json(report_table(np.array(phi, dtype=float), e, eps, sigma_s).tolist(),
+                            summary)
     assert text == json.dumps(payload, indent=2) + "\n"

@@ -5,6 +5,7 @@ import pytest
 
 from chipctx.analysis import CONTEXTS
 from chipctx.sampling import (
+    COUNTS_CSV_COLUMNS,
     CountColumns,
     CountRecord,
     count_statistics,
@@ -273,6 +274,16 @@ class TestCountsCsv:
         with pytest.raises(ValueError) as info:
             read_counts_csv(path)
         assert str(info.value).startswith(f"{path}:2201: counts sum 50 != total 51")
+
+    def test_a_row_after_a_multiline_field_is_numbered_by_its_line(self, tmp_path):
+        # the quoted phi spans lines 2 and 3, so the row after it starts on line 4
+        path = tmp_path / "ml.csv"
+        path.write_text(",".join(COUNTS_CSV_COLUMNS) + '\n"0.0\n",XX,60,20,10,10,100,1\n'
+                        "0.0,QQ,60,20,10,10,100,1\n", encoding="utf-8")
+        for read in (read_counts_csv, reference_read_counts_csv):
+            with pytest.raises(ValueError) as info:
+                read(path)
+            assert str(info.value).startswith(f"{path}:4: unknown context 'QQ'")
 
     @pytest.mark.parametrize("line", [
         "0.0,QQ,60,20,10,10,100,1",
