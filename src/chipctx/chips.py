@@ -22,9 +22,10 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
+from collections.abc import Callable, Collection, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -71,25 +72,52 @@ _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / _SQRT2
 _EYE2 = np.eye(2, dtype=np.complex128)
 
 
-def _json_number(value, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+def _number(value, name: str, low: float = -math.inf, high: float = math.inf) -> float:
+    """A real number that is not a bool (numpy scalars included) as a float in [low, high]."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
     try:
-        return float(value)
+        number = float(value)
     except OverflowError:
         raise ValueError(f"{name} must lie in the float range, got a larger integer") from None
+    if not (math.isfinite(number) and low <= number <= high):
+        limit = "finite" if low == -math.inf else f"in [{low:g}, {high:g}]"
+        raise ValueError(f"{name} must be {limit}, got {value!r}")
+    return number
 
 
-def _json_numbers(value, name: str) -> tuple[float, ...]:
-    if not isinstance(value, list):
-        raise ValueError(f"{name} must be an array of numbers, got {value!r}")
-    return tuple(_json_number(x, f"{name} entry") for x in value)
+def _numbers(value, length: int, name: str, low: float = -math.inf,
+             high: float = math.inf) -> tuple[float, ...]:
+    """A list, tuple or 1-d array of ``length`` numbers, each checked by :func:`_number`."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if not isinstance(value, (list, tuple)) or len(value) != length:
+        raise ValueError(f"{name} must be an array of {length} numbers, got {value!r}")
+    return tuple(_number(x, f"{name} entry", low, high) for x in value)
 
 
-def _json_object(value, name: str) -> Mapping:
-    if not isinstance(value, dict):
+def _mapping(value, name: str) -> dict:
+    """A mapping as a dict."""
+    if not isinstance(value, Mapping):
         raise ValueError(f"{name} must be a JSON object, got {value!r}")
+    return dict(value)
+
+
+def _object(value, name: str, keys: Collection[str]) -> dict:
+    """A mapping as a dict, with every key in ``keys`` and no value null."""
+    value = _mapping(value, name)
+    for key, member in value.items():
+        if key not in keys:
+            raise ValueError(f"{name} has no key {key!r} (keys: {', '.join(keys) or 'none'})")
+        if member is None:
+            raise ValueError(f"{name} {key!r} must not be null")
     return value
+
+
+def _fields(data, name: str, keys: Collection[str]) -> dict:
+    """Keyword arguments from a JSON object; the one key named unlike its field is coupler_Ts."""
+    return {"coupler_ts" if key == "coupler_Ts" else key: value
+            for key, value in _object(data, name, keys).items()}
 
 
 @dataclass(frozen=True)
@@ -107,17 +135,11 @@ class PreparationConfig:
     calibration_phases: tuple[float, float, float] = DEFAULT_PREPARATION_PHASES
 
     def __post_init__(self):
-        if not math.isfinite(self.phi):
-            raise ValueError(f"phi must be finite, got {self.phi!r}")
-        ts = tuple(float(t) for t in self.coupler_ts)
-        if len(ts) != 3 or any(not (0.0 <= t <= 1.0) for t in ts):
-            raise ValueError(f"coupler_ts must be three values in [0, 1], got {self.coupler_ts!r}")
-        phases = tuple(float(p) for p in self.calibration_phases)
-        if len(phases) != 3 or any(not math.isfinite(p) for p in phases):
-            raise ValueError(f"calibration_phases must be three finite values, got {self.calibration_phases!r}")
-        object.__setattr__(self, "phi", float(self.phi))
-        object.__setattr__(self, "coupler_ts", ts)
-        object.__setattr__(self, "calibration_phases", phases)
+        object.__setattr__(self, "phi", _number(self.phi, "preparation phi"))
+        object.__setattr__(self, "coupler_ts",
+                           _numbers(self.coupler_ts, 3, "preparation coupler_ts", 0.0, 1.0))
+        object.__setattr__(self, "calibration_phases",
+                           _numbers(self.calibration_phases, 3, "preparation calibration_phases"))
 
     def to_json_dict(self) -> dict:
         return {
@@ -128,16 +150,7 @@ class PreparationConfig:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "PreparationConfig":
-        data = _json_object(data, "preparation")
-        kwargs = {}
-        if "phi" in data:
-            kwargs["phi"] = _json_number(data["phi"], "preparation phi")
-        if "coupler_Ts" in data:
-            kwargs["coupler_ts"] = _json_numbers(data["coupler_Ts"], "preparation coupler_Ts")
-        if "calibration_phases" in data:
-            kwargs["calibration_phases"] = _json_numbers(
-                data["calibration_phases"], "preparation calibration_phases")
-        return cls(**kwargs)
+        return cls(**_fields(data, "preparation", ("phi", "coupler_Ts", "calibration_phases")))
 
 
 @dataclass(frozen=True)
@@ -163,22 +176,18 @@ class MeasurementConfig:
         check_context(self.context)
         if self.mode not in ("ideal", "physical"):
             raise ValueError(f"mode must be 'ideal' or 'physical', got {self.mode!r}")
-        slots = MEASUREMENT_COUPLER_SLOTS[self.context]
-        ts = dict(self.coupler_ts)
-        for name, t in ts.items():
-            if name not in slots:
-                raise ValueError(f"context {self.context} has no coupler slot {name!r}")
-            if not (math.isfinite(t) and 0.0 <= t <= 1.0):
-                raise ValueError(f"transmissivity for {name!r} must lie in [0, 1], got {t!r}")
-        object.__setattr__(self, "coupler_ts", ts)
+        name = f"context {self.context}"
+        ts = _object(self.coupler_ts, f"{name} coupler_ts", MEASUREMENT_COUPLER_SLOTS[self.context])
+        if self.mode == "ideal" and (ts or self.calibration_phases is not None):
+            raise ValueError(f"{name}: coupler_ts and calibration_phases need mode 'physical'")
+        object.__setattr__(self, "coupler_ts", {
+            slot: _number(t, f"transmissivity for {slot!r}", 0.0, 1.0) for slot, t in ts.items()})
         if self.calibration_phases is not None:
-            phases = tuple(float(p) for p in self.calibration_phases)
-            if len(phases) != 4 or any(not math.isfinite(p) for p in phases):
-                raise ValueError(f"calibration_phases must be four finite values, got {self.calibration_phases!r}")
-            object.__setattr__(self, "calibration_phases", phases)
+            object.__setattr__(self, "calibration_phases",
+                               _numbers(self.calibration_phases, 4, f"{name} calibration_phases"))
 
     def slot_t(self, slot: str) -> float:
-        return float(self.coupler_ts.get(slot, 0.5))
+        return self.coupler_ts.get(slot, 0.5)
 
     def phases(self) -> tuple[float, float, float, float]:
         if self.calibration_phases is not None:
@@ -195,20 +204,11 @@ class MeasurementConfig:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "MeasurementConfig":
-        data = _json_object(data, "measurement config")
-        if "context" not in data:
+        kwargs = _fields(data, "measurement config",
+                         ("context", "mode", "coupler_Ts", "calibration_phases"))
+        if "context" not in kwargs:
             raise ValueError("measurement config requires a 'context' field")
-        coupler_ts = _json_object(data.get("coupler_Ts", {}), "measurement coupler_Ts")
-        return cls(
-            context=data["context"],
-            mode=data.get("mode", "ideal"),
-            coupler_ts={slot: _json_number(t, f"transmissivity for {slot!r}")
-                        for slot, t in coupler_ts.items()},
-            calibration_phases=(
-                _json_numbers(data["calibration_phases"], "measurement calibration_phases")
-                if "calibration_phases" in data else None
-            ),
-        )
+        return cls(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -223,14 +223,11 @@ class DeviceConfig:
     measurements: Mapping[str, MeasurementConfig] = field(default_factory=dict)
 
     def __post_init__(self):
-        meas = dict(self.measurements)
-        for ctx in meas:
-            check_context(ctx)  # a misspelled entry would leave its context ideal
+        meas = _object(self.measurements, "measurements", CONTEXTS)  # a misspelled key stays ideal
         for ctx in CONTEXTS:
-            cfg = meas.get(ctx, MeasurementConfig(context=ctx))
+            cfg = meas.setdefault(ctx, MeasurementConfig(context=ctx))
             if cfg.context != ctx:
                 raise ValueError(f"measurement entry {ctx!r} carries context {cfg.context!r}")
-            meas[ctx] = cfg
         object.__setattr__(self, "measurements", meas)
 
     @classmethod
@@ -245,15 +242,14 @@ class DeviceConfig:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "DeviceConfig":
-        prep = None
-        if "preparation" in data:
-            prep = PreparationConfig.from_json_dict(data["preparation"])
-        meas = {}
-        for ctx, entry in _json_object(data.get("measurements", {}), "measurements").items():
-            entry = dict(_json_object(entry, f"measurement {ctx!r}"))
-            entry.setdefault("context", ctx)
-            meas[ctx] = MeasurementConfig.from_json_dict(entry)
-        return cls(preparation=prep, measurements=meas)
+        data = _object(data, "device config", ("preparation", "measurements"))
+        return cls(
+            preparation=(PreparationConfig.from_json_dict(data["preparation"])
+                         if "preparation" in data else None),
+            measurements={ctx: MeasurementConfig.from_json_dict(
+                {"context": ctx, **_mapping(entry, f"measurement {ctx!r}")})
+                for ctx, entry in _mapping(data.get("measurements", {}), "measurements").items()},
+        )
 
 
 def load_device_config(path: str | Path) -> DeviceConfig:
@@ -263,8 +259,6 @@ def load_device_config(path: str | Path) -> DeviceConfig:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"invalid device config {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ValueError(f"device config {path} must be a JSON object")
     try:
         return DeviceConfig.from_json_dict(data)
     except ValueError as exc:
@@ -353,7 +347,6 @@ def measurement_unitary(config: MeasurementConfig) -> TransferMatrix:
     calibration phases, the digit couplers and the crossing-wrapped letter
     couplers.
     """
-    check_context(config.context)
     if config.mode == "ideal":
         return _ideal_unitary(config.context)
     digit_meas, letter_meas = config.context[0], config.context[1]

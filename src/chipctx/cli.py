@@ -17,7 +17,7 @@ import numpy as np
 from .analysis import CONTEXTS, report_table, significance
 from .chips import DeviceConfig, load_device_config
 from .errors import CalibrationError, ConsistencyError
-from .galton import galton_s, galton_s_exact
+from .galton import _check_preparation, galton_s, galton_s_exact
 from .sampling import (
     DEFAULT_BOOTSTRAP_REPLICATES, count_statistics, group_counts, read_counts_csv,
     write_counts_columns,
@@ -29,14 +29,12 @@ from .sweep import (
 # z-score above which a printed verdict reads "violation"
 VERDICT_SIGMAS = 5.0
 
-# counts are int64, so a record's total must stay below 2**63
-SHOTS_LIMIT = 2**63
-# a float64 grid of 2**60 phases would pass numpy's 2**63-byte array limit, and
-# np.linspace fails with an IndexError just below 2**63 points
-STEPS_LIMIT = 2**60
-# bootstrap replicates share the limit of the steps: numpy cannot shape 2**63
-# of them, and a count below the limit that cannot be allocated is a data error
-BOOTSTRAP_LIMIT = 2**60
+# Size limits keep every array within numpy's 2**63 bytes, so that numpy can
+# shape it and an allocation that fails is its one-line MemoryError, a data error.
+SHOTS_LIMIT = 2**63  # a sampled record's int64 total; nothing is held per event
+HV_SHOTS_LIMIT = 2**60  # the board holds one float64 uniform per ball
+STEPS_LIMIT = 2**60  # float64 phases; np.linspace fails just below 2**63 points
+BOOTSTRAP_LIMIT = 2**58  # a replicate holds four float64 expectations
 
 _SUMMARY_NOTE = (
     "note: summary inputs are typically already rounded for publication; "
@@ -93,6 +91,16 @@ class _SummaryAction(argparse.Action):
         setattr(namespace, self.dest, values)
 
 
+class _PreparationAction(argparse.Action):
+    """Stores hv --prep P1..P4, checked as a board preparation (weights summing to 1)."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        try:
+            setattr(namespace, self.dest, _check_preparation(values))
+        except ValueError as exc:
+            raise argparse.ArgumentError(self, str(exc)) from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="chipctx", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -124,9 +132,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     hv = sub.add_parser("hv", help="run the classical stochastic-board baseline")
     hv.add_argument("--prep", type=float_within(0.0), nargs=4, required=True,
-                    metavar=("P1", "P2", "P3", "P4"),
+                    action=_PreparationAction, metavar=("P1", "P2", "P3", "P4"),
                     help="channel probability distribution")
-    hv.add_argument("--shots", type=int_at_least(1, SHOTS_LIMIT), default=1_000_000)
+    hv.add_argument("--shots", type=int_at_least(1, HV_SHOTS_LIMIT), default=1_000_000)
     hv.add_argument("--seed", type=int_at_least(0), default=0)
     hv.add_argument("--flip-prob", type=float_within(0.0, 1.0), default=0.5,
                     help="bit-flip probability of an X section")
@@ -212,14 +220,13 @@ def _verdict(z: float, s: float, bound: float) -> str:
 
 
 def cmd_hv(args) -> int:
-    prep = tuple(args.prep)
     if args.exact:
-        s = galton_s_exact(prep, x_flip_probability=args.flip_prob)
+        s = galton_s_exact(args.prep, x_flip_probability=args.flip_prob)
         print(f"S = {s!r} (exact)")
         print(f"classical bound: 2; margin to bound = {2.0 - s!r}")
         print(f"verdict: {_verdict(math.nan, s, 2.0)}")
         return 0
-    s, sigma_s = galton_s(prep, args.shots, args.seed, x_flip_probability=args.flip_prob)
+    s, sigma_s = galton_s(args.prep, args.shots, args.seed, x_flip_probability=args.flip_prob)
     z = significance(s, 0.0, sigma_s) if sigma_s > 0.0 else math.nan  # the board has epsilon = 0
     print(f"S = {s:.6f} +- {sigma_s:.6f} ({args.shots} shots per context)")
     if not math.isnan(z):

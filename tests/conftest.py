@@ -63,6 +63,15 @@ def marginals(cp) -> tuple[float, float]:
     return float((p[0] + p[1]) - (p[2] + p[3])), float((p[0] + p[2]) - (p[1] + p[3]))
 
 
+def json_leaves(node, prefix=()) -> dict:
+    """{key path: value} of every number, string, bool and null in a JSON document."""
+    if isinstance(node, (dict, list)):
+        items = node.items() if isinstance(node, dict) else enumerate(node)
+        return {path: leaf for key, child in items
+                for path, leaf in json_leaves(child, prefix + (key,)).items()}
+    return {prefix: node}
+
+
 def random_states(n: int, seed: int) -> np.ndarray:
     """n normalized complex 4-vectors, rows of the returned array."""
     rng = np.random.default_rng(seed)

@@ -40,6 +40,7 @@ from conftest import (
     calibration_residual,
     counting,
     ideal_context_unitary,
+    json_leaves,
     oracle_state,
     random_states,
     two_mode_skeleton,
@@ -282,6 +283,10 @@ class TestCalibration:
         assert err.value.residual == math.inf
 
 
+REPO = Path(__file__).resolve().parents[1]
+SHIPPED_CONFIGS = sorted(REPO.glob("configs/*.json")) + [REPO / "perfbench" / "data" / "device.json"]
+
+
 class TestConfigIO:
     def test_json_round_trip_uses_spec_field_names(self, tmp_path):
         device = DeviceConfig(
@@ -310,3 +315,15 @@ class TestConfigIO:
     def test_mismatched_context_key_rejected(self):
         with pytest.raises(ValueError):
             DeviceConfig(measurements={"XX": MeasurementConfig("ZZ")})
+
+    def test_string_transmissivity_is_a_value_error(self):
+        with pytest.raises(ValueError, match="must be a number, got '0.4'"):
+            MeasurementConfig("XZ", "physical", {"digit_12": "0.4"})
+
+    # the benchmark and the README load these, so the schema must accept them as they are
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda path: path.name)
+    def test_shipped_config_loads_and_round_trips(self, path):
+        device = load_device_config(path)
+        assert DeviceConfig.from_json_dict(device.to_json_dict()) == device
+        shipped = json_leaves(json.loads(path.read_text(encoding="utf-8")))
+        assert shipped.items() <= json_leaves(device.to_json_dict()).items()

@@ -190,7 +190,7 @@ class TestSweepCommand:
         (("hv", "--prep", "0", "1", "0", "0", "--flip-prob", "2"),
          "chipctx hv: error: argument --flip-prob: must be in [0, 1], got 2\n"),
         (("hv", "--prep", "0", "1", "0", "0", "--shots", str(10**21)),
-         f"chipctx hv: error: argument --shots: must be below {2**63}, got {10**21}\n"),
+         f"chipctx hv: error: argument --shots: must be below {2**60}, got {10**21}\n"),
         (("sweep", "--mode", "sampled", "--shots", str(2**63)),
          f"chipctx sweep: error: argument --shots: must be below {2**63}, got {2**63}\n"),
         (("sweep", "--steps", str(2**63)),
@@ -202,9 +202,9 @@ class TestSweepCommand:
         (("analyze", "counts.csv", "--summary", "2.5", "2", "-0.1"),
          "chipctx analyze: error: argument --summary: SIGMA must be positive, got -0.1\n"),
         (("sweep", "--mode", "sampled", "--steps", "2", "--bootstrap", str(2**63)),
-         f"chipctx sweep: error: argument --bootstrap: must be below {2**60}, got {2**63}\n"),
+         f"chipctx sweep: error: argument --bootstrap: must be below {2**58}, got {2**63}\n"),
         (("analyze", "counts.csv", "--bootstrap", str(2**63)),
-         f"chipctx analyze: error: argument --bootstrap: must be below {2**60}, got {2**63}\n"),
+         f"chipctx analyze: error: argument --bootstrap: must be below {2**58}, got {2**63}\n"),
     ], ids=["non-finite-phase-limit", "empty-phase-range", "flip-prob-above-one",
             "hv-shots-past-int64", "sweep-shots-past-int64", "sweep-steps-past-array-limit",
             "non-finite-summary", "zero-summary-sigma", "negative-summary-sigma",
@@ -230,7 +230,12 @@ class TestSweepCommand:
         ("sweep", "--steps", str(10**15)),
         ("sweep", "--mode", "sampled", "--steps", "2", "--bootstrap", str(10**15)),
         ("analyze", "counts.csv", "--bootstrap", str(10**15)),
-    ], ids=["hv-shots", "sweep-steps", "sweep-bootstrap", "analyze-bootstrap"])
+        # one below each limit: the largest accepted size still fails in numpy, not argparse
+        ("hv", "--prep", "0", "1", "0", "0", "--shots", str(2**60 - 1)),
+        ("sweep", "--mode", "sampled", "--steps", "2", "--bootstrap", str(2**58 - 1)),
+        ("analyze", "counts.csv", "--bootstrap", str(2**58 - 1)),
+    ], ids=["hv-shots", "sweep-steps", "sweep-bootstrap", "analyze-bootstrap", "hv-shots-limit",
+            "sweep-bootstrap-limit", "analyze-bootstrap-limit"])
     def test_unallocatable_request_is_a_one_line_data_error(self, tmp_path, capsys, argv):
         # 10**15 float64 values need 7 PiB, so the allocation fails at once
         out = tmp_path / "s.csv"
@@ -281,8 +286,15 @@ class TestSweepCommand:
         {"measurements": []},
         {"preparation": {"phi": 10**400}},
         {"measurements": {"QQ": {"context": "ZZ", "mode": "physical"}}},
+        {"preparation": {}, "measurement": {}},
+        {"preparation": {"coupler_TS": [0.5, 0.5, 0.5]}},
+        {"measurements": {"XZ": {"coupler_Ts": {"digit_12": 0.4}}}},
+        {"measurements": {"XZ": {"mode": "ideal", "calibration_phases": [0.0, 0.0, 0.0, 0.0]}}},
+        {"preparation": None},
     ], ids=["scalar-coupler-ts", "string-transmissivity", "measurements-list",
-            "integer-beyond-float-range", "unknown-measurement-entry"])
+            "integer-beyond-float-range", "unknown-measurement-entry", "unknown-top-level-key",
+            "misspelled-preparation-key", "coupler-ts-without-mode", "phases-in-ideal-mode",
+            "null-preparation"])
     def test_mistyped_config_is_a_one_line_data_error(self, tmp_path, capsys, doc):
         cfg = tmp_path / "dev.json"
         cfg.write_text(json.dumps(doc), encoding="utf-8")
@@ -337,7 +349,12 @@ class TestHvCommand:
         assert "argument --seed: must be non-negative, got -1" in captured.err
 
     def test_rejects_bad_distribution(self, capsys):
-        assert run_cli("hv", "--prep", 0.6, 0.6, 0, 0) == 2
+        # --prep is a flag, so weights that do not sum to 1 are a usage error
+        assert run_cli("hv", "--prep", 0.6, 0.6, 0, 0) == 1
+        captured = capsys.readouterr()
+        assert captured.err.endswith("chipctx hv: error: argument --prep: "
+                                     "preparation must sum to 1 within 1e-9, got sum 1.2\n")
+        assert captured.err.count("error:") == 1
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-0.5"])
     @pytest.mark.parametrize("exact", [True, False])

@@ -3,9 +3,11 @@
 Random mutations of a valid device-config JSON, of a valid counts CSV and of
 valid argument lists go through ``cli.main``.  Whatever the mutation, the CLI
 must not raise, must exit 0 (the input still reads), 1 or 2, and must print
-at most one ``error:`` line on stderr.  Mutated counts CSVs also go through
-the columnar reader and grouping and through their row-by-row references in
-``conftest``: both must give the same records and groups, or the same error.
+at most one ``error:`` line on stderr.  A mutated config that loads must keep
+every one of its values in ``DeviceConfig.to_json_dict``.  Mutated counts CSVs
+also go through the columnar reader and grouping and through their row-by-row
+references in ``conftest``: both must give the same records and groups, or the
+same error.
 """
 
 import io
@@ -19,9 +21,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chipctx import cli
+from chipctx.chips import load_device_config
 from chipctx.sampling import CountRecord, group_counts, read_counts_csv, write_counts_csv
 
-from conftest import column_rows, reference_group_counts, reference_read_counts_csv
+from conftest import column_rows, json_leaves, reference_group_counts, reference_read_counts_csv
 
 FUZZ = settings(deadline=None, derandomize=True, database=None, max_examples=150)
 
@@ -82,22 +85,26 @@ def mutated_documents(draw, document):
 
 @st.composite
 def mutated_text(draw, text):
-    """The text with a few slices deleted, replaced or duplicated.
+    """The text with a few slices deleted, replaced, duplicated or quoted.
 
-    A replacement may be repeated past the csv module's field limit.
+    A replacement may be repeated past the csv module's field limit.  A quoted
+    slice has a newline inside, so that a quoted field can span lines.
     """
     pieces = st.text(alphabet=st.sampled_from(list('0123456789.,-+eE:"{}[] \nXZnaif\x00'))
                      | st.characters(), max_size=6)
     for _ in range(draw(st.integers(1, 4))):
         start = draw(st.integers(0, len(text)))
         stop = draw(st.integers(start, min(len(text), start + 12)))
-        action = draw(st.sampled_from(["delete", "replace", "duplicate"]))
+        action = draw(st.sampled_from(["delete", "replace", "duplicate", "quote"]))
         if action == "delete":
             text = text[:start] + text[stop:]
         elif action == "replace":
             text = text[:start] + draw(pieces) * draw(st.sampled_from([1, 40_000])) + text[stop:]
-        else:
+        elif action == "duplicate":
             text = text[:stop] + text[start:stop] + text[stop:]
+        else:
+            middle = draw(st.integers(start, stop))
+            text = f'{text[:start]}"{text[start:middle]}\n{text[middle:stop]}"{text[stop:]}'
     return text
 
 
@@ -150,6 +157,20 @@ def test_unmutated_inputs_are_accepted():
 @given(mutated_documents(DEVICE_CONFIG))
 def test_mutated_device_config_exits_cleanly(doc):
     assert_clean_exit(*run_sweep_on_config(json.dumps(doc)))
+
+
+@settings(FUZZ, max_examples=600)  # most mutated documents do not load
+@given(mutated_documents(DEVICE_CONFIG))
+def test_a_loaded_config_keeps_every_value(doc):
+    # an empty object or array holds no value, so to_json_dict may leave it out
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "device.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        try:
+            device = load_device_config(path)
+        except ValueError:
+            return
+    assert json_leaves(doc).items() <= json_leaves(device.to_json_dict()).items()
 
 
 @FUZZ

@@ -4,6 +4,7 @@ The examples are derandomized so that the suite gives the same verdict on
 every run.
 """
 
+import json
 import math
 import tempfile
 from dataclasses import replace
@@ -197,6 +198,12 @@ def test_any_device_has_unitary_contexts_and_non_negative_epsilon(device):
     table = run_sweep(SweepSpec(0.0, 2.0 * math.pi, 9, device=device))
     assert np.all(table.epsilon >= 0.0)
     assert np.array_equal(table.bound, 2.0 + table.epsilon)
+
+
+@PROPERTY
+@given(device_configs())
+def test_device_config_survives_its_json_form(device):
+    assert DeviceConfig.from_json_dict(json.loads(json.dumps(device.to_json_dict()))) == device
 
 
 def harmonic_design(phi):
