@@ -18,7 +18,10 @@ Counts become statistics in one place, :func:`count_statistics`: E, epsilon
 and sigma_S (propagated, or bootstrapped on each group's seeds) of any stack
 of (context, detector) count arrays.  The sampled sweep calls it once per
 block, ``chipctx analyze`` once per counts CSV, and :func:`estimate_s` once
-per record group.  A counts CSV is read as columns (:class:`CountColumns`)
+per record group.  Its bootstrap draws blocks of groups on one thread per
+available CPU; each group draws from its own seed, so the output does not
+depend on the thread count, and there is no flag to set it.  A counts CSV is
+read as columns (:class:`CountColumns`)
 and grouped by phase with :func:`group_counts`, both checked a whole array
 at a time.
 """
@@ -28,6 +31,8 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
@@ -291,6 +296,14 @@ def estimate_s(
     return float(s_value(e)), float(sigma_s)
 
 
+def _bootstrap_workers() -> int:
+    """Threads that draw the bootstrap, the calling one included: one per CPU this process may use."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return os.cpu_count() or 1
+
+
 def _bootstrap_sigma_s(counts: np.ndarray, seeds: np.ndarray, bootstrap: int) -> np.ndarray:
     """Standard deviation of S over ``bootstrap`` replicates of each (context, detector) group.
 
@@ -298,24 +311,60 @@ def _bootstrap_sigma_s(counts: np.ndarray, seeds: np.ndarray, bootstrap: int) ->
     ``default_rng(seeds[g])``: each context from its empirical fractions, in
     context order.  Groups are drawn a block at a time, and S and its
     standard deviation are reduced over the whole block.
+
+    The blocks are shared out among :func:`_bootstrap_workers` threads, whose
+    blocks together hold at most ``_BOOTSTRAP_BLOCK_BYTES`` of replicates;
+    when one group needs more than a thread's share, one thread draws.  The
+    draws release the GIL, and each group's draws depend on its seed alone,
+    so sigma_S is the same whatever the thread count.  An exception raised in
+    any thread is raised here once every thread has stopped.
     """
     if bootstrap < 2:
         raise ValueError(f"bootstrap needs at least 2 replicates, got {bootstrap}")
-    n_contexts = counts.shape[1]
+    n_groups, n_contexts = counts.shape[:2]
     totals = counts.sum(axis=-1)
     fractions = counts / totals[..., None]
-    rngs = seeded_generators(seeds)
-    block = max(1, _BOOTSTRAP_BLOCK_BYTES // (8 * n_contexts * bootstrap))
-    sigma_s = np.empty(len(counts))
-    for start in range(0, len(counts), block):
-        stop = min(start + block, len(counts))
-        replicated = np.empty((stop - start, bootstrap, n_contexts))
-        # replicated comes first, so zip takes no generator past the block
-        for out, rng, group_fractions, group_totals in zip(
-                replicated, rngs, fractions[start:stop], totals[start:stop].tolist()):
-            for c, (p, total) in enumerate(zip(group_fractions, group_totals)):
-                out[:, c] = sign_sum(rng.multinomial(total, p, size=bootstrap)) / total
-        sigma_s[start:stop] = np.std(s_value(replicated), axis=1, ddof=1)
+    words = _key_state([seeds], 4)  # the PCG64 state words of each group, as in seeded_generators
+    group_bytes = 8 * n_contexts * bootstrap
+    workers = _bootstrap_workers()
+    block = _BOOTSTRAP_BLOCK_BYTES // (workers * group_bytes)
+    if block == 0:  # a group alone exceeds a thread's share, so it gets the whole budget
+        workers, block = 1, max(1, _BOOTSTRAP_BLOCK_BYTES // group_bytes)
+    sigma_s = np.empty(n_groups)
+    block_starts = range(0, n_groups, block)
+    starts, lock, errors = iter(block_starts), threading.Lock(), []
+
+    def draw_blocks():
+        try:
+            while not errors:
+                with lock:
+                    start = next(starts, None)
+                if start is None:
+                    return
+                stop = min(start + block, n_groups)
+                replicated = np.empty((stop - start, bootstrap, n_contexts))
+                for out, state, group_fractions, group_totals in zip(
+                        replicated, words[start:stop], fractions[start:stop],
+                        totals[start:stop].tolist()):
+                    rng = np.random.Generator(np.random.PCG64(_PresetState(state)))
+                    for c, (p, total) in enumerate(zip(group_fractions, group_totals)):
+                        out[:, c] = sign_sum(rng.multinomial(total, p, size=bootstrap)) / total
+                sigma_s[start:stop] = np.std(s_value(replicated), axis=1, ddof=1)
+        except BaseException as exc:  # raised below once every thread has stopped
+            errors.append(exc)
+
+    threads = []
+    try:
+        for _ in range(min(workers, len(block_starts)) - 1):  # none for a single block
+            thread = threading.Thread(target=draw_blocks, name="chipctx-bootstrap")
+            thread.start()
+            threads.append(thread)
+        draw_blocks()
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
     return sigma_s
 
 

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -251,6 +252,35 @@ class TestSweepCommand:
         assert captured.err.startswith("error: Unable to allocate ")
         assert captured.err.count("\n") == 1
         assert not out.exists()
+
+    def test_memory_error_in_a_bootstrap_thread_is_a_one_line_data_error(
+            self, tmp_path, capsys, monkeypatch):
+        from chipctx import sampling
+
+        counts = tmp_path / "counts.csv"
+        write_counts_csv(counts, [(float(g), CountRecord(ctx, (60, 20, 10, 10), 100, seed=4 * g + i))
+                                  for g in range(8) for i, ctx in enumerate(CONTEXTS)])
+        # two threads, blocks of two groups at --bootstrap 20: four blocks
+        monkeypatch.setattr(sampling, "_bootstrap_workers", lambda: 2)
+        monkeypatch.setattr(sampling, "_BOOTSTRAP_BLOCK_BYTES", 2 * 2 * 8 * 4 * 20)
+        caller, worker_failed, s_value = threading.current_thread(), threading.Event(), sampling.s_value
+
+        def failing_s_value(e):  # a worker's block fails before the caller's block is reduced
+            if threading.current_thread() is caller:
+                worker_failed.wait(timeout=60)
+                return s_value(e)
+            worker_failed.set()
+            raise MemoryError("Unable to allocate 8.00 EiB for an array with shape (2, 2**58)")
+
+        monkeypatch.setattr(sampling, "s_value", failing_s_value)
+        baseline = threading.active_count()
+        assert run_cli("analyze", counts, "--bootstrap", 20) == 2
+        assert worker_failed.is_set()
+        assert threading.active_count() == baseline
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: Unable to allocate 8.00 EiB for an array "
+                                "with shape (2, 2**58)\n")
 
     def test_usage_error_exits_one(self):
         assert run_cli("sweep", "--mode", "bogus") == 1

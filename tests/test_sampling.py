@@ -1,15 +1,21 @@
 """Counting statistics: sampling, estimators, uncertainty scaling, CSV."""
 
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from chipctx.analysis import CONTEXTS
+from chipctx import sampling
+from chipctx.analysis import CONTEXTS, s_value
 from chipctx.sampling import (
     COUNTS_CSV_COLUMNS,
     CountColumns,
     CountRecord,
     count_statistics,
     derive_seed,
+    derive_seeds,
     estimate_s,
     expectation_estimates,
     group_counts,
@@ -208,6 +214,126 @@ class TestCountStatistics:
         counts, seeds = count_arrays([])
         e, eps, sigma_s = count_statistics(counts, seeds, bootstrap=20)
         assert (e.shape, eps.shape, sigma_s.shape) == ((0, 4), (0,), (0,))
+
+
+def random_groups(n_groups, seed):
+    """Counts (group, context, detector) of up to 1e5 events a context, and record seeds (group, context)."""
+    rng = np.random.default_rng(seed)
+    counts = rng.multinomial(rng.integers(1, 100_000, size=(n_groups, 4)), [0.4, 0.1, 0.2, 0.3])
+    return counts, rng.integers(0, 2**64, size=(n_groups, 4), dtype=np.uint64)
+
+
+def traced_peak(function, *args):
+    """tracemalloc peak, in bytes, of one call of ``function``."""
+    tracemalloc.start()
+    try:
+        function(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestBootstrapThreads:
+    """The bootstrap kernel's blocks of groups drawn on several threads."""
+
+    def draw_threads(self, monkeypatch, wait=False):
+        """The thread that reduces each block of groups to sigma_S, appended as it does.
+
+        With ``wait``, the calling thread reduces its first block only once
+        another thread has reduced one, so that a worker surely draws.
+        """
+        caller, threads, other_drew = threading.current_thread(), [], threading.Event()
+
+        def recording_s_value(e):
+            thread = threading.current_thread()
+            if thread is not caller:
+                other_drew.set()
+            elif wait:
+                other_drew.wait(timeout=60)
+            threads.append(thread)
+            return s_value(e)
+
+        monkeypatch.setattr(sampling, "s_value", recording_s_value)
+        return threads
+
+    @pytest.mark.parametrize("n_groups", [1, 5, 7, 19])
+    def test_thread_count_does_not_change_sigma_s(self, monkeypatch, n_groups):
+        # blocks of 6 groups on one thread, 3 on two and 2 on three: 1, block - 1,
+        # block + 1 and 3 block + 1 groups of the one-thread block
+        bootstrap = 50
+        monkeypatch.setattr(sampling, "_BOOTSTRAP_BLOCK_BYTES", 6 * 8 * 4 * bootstrap)
+        counts, seeds = random_groups(n_groups, seed=n_groups)
+        group_seeds = derive_seeds(*seeds.T)
+        sigma_s = {}
+        for workers in (1, 2, 3):
+            several_blocks = n_groups > 6 // workers
+            threads = self.draw_threads(monkeypatch, wait=workers > 1 and several_blocks)
+            monkeypatch.setattr(sampling, "_bootstrap_workers", lambda workers=workers: workers)
+            sigma_s[workers] = sampling._bootstrap_sigma_s(counts, group_seeds, bootstrap)
+            if workers > 1 and several_blocks:
+                assert set(threads) - {threading.current_thread()}
+            else:
+                assert set(threads) == {threading.current_thread()}
+        assert sigma_s[2].tobytes() == sigma_s[1].tobytes() == sigma_s[3].tobytes()
+        if n_groups <= 7:
+            assert sigma_s[3].tolist() == [
+                bootstrap_sigma_s(n, np.random.default_rng(derive_seed(*seed)), bootstrap)
+                for n, seed in zip(counts, seeds.tolist())]
+
+    def test_many_threads_switching_fast_draw_each_block_once(self, monkeypatch):
+        # 8 threads on fewer CPUs, a switch every microsecond and one group a block
+        bootstrap = 20
+        monkeypatch.setattr(sampling, "_BOOTSTRAP_BLOCK_BYTES", 8 * 8 * 4 * bootstrap)
+        counts, seeds = random_groups(200, seed=8)
+        group_seeds = derive_seeds(*seeds.T)
+        monkeypatch.setattr(sampling, "_bootstrap_workers", lambda: 1)
+        expected = sampling._bootstrap_sigma_s(counts, group_seeds, bootstrap)
+        threads = self.draw_threads(monkeypatch)
+        monkeypatch.setattr(sampling, "_bootstrap_workers", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            sigma_s = sampling._bootstrap_sigma_s(counts, group_seeds, bootstrap)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(threads) == 200
+        assert sigma_s.tobytes() == expected.tobytes()
+
+    def test_a_single_block_starts_no_thread(self, monkeypatch):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        monkeypatch.setattr(sampling, "_bootstrap_workers", lambda: 4)
+        counts, seeds = random_groups(3, seed=1)  # a block of 4 threads holds 10 such groups
+        count_statistics(counts, seeds, bootstrap=200)
+        estimate_s([CountRecord(c, n, n.sum(), seed)
+                    for c, n, seed in zip(CONTEXTS, counts[0], seeds[0].tolist())], bootstrap=200)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("bootstrap", [200, 1000])
+    def test_threads_share_the_block_budget(self, monkeypatch, workers, bootstrap):
+        counts, seeds = random_groups(500, seed=workers)
+        monkeypatch.setattr(sampling, "_bootstrap_workers", lambda: workers)
+        # the per-group columns: the peak with 2 replicates, whose blocks hold 64 bytes a group
+        columns = traced_peak(count_statistics, counts, seeds, 2)
+        # slack: S and its standard deviation take two (group, replicate) float64 arrays
+        # besides a block's four, and each thread's draw of one context holds (B, 4) int64
+        # counts and their (B,) sign sum and E
+        slack = sampling._BOOTSTRAP_BLOCK_BYTES // 2 + workers * 48 * bootstrap
+        peak = traced_peak(count_statistics, counts, seeds, bootstrap)
+        assert peak <= columns + sampling._BOOTSTRAP_BLOCK_BYTES + slack
+
+    @pytest.mark.parametrize("bootstrap", [5000, 16_384], ids=["over-a-share", "over-the-budget"])
+    def test_a_group_over_its_share_is_drawn_on_one_thread(self, monkeypatch, bootstrap):
+        # 5000 replicates of 4 contexts (160 kB) exceed half the 256 KiB budget, 16 384 all of it
+        counts, seeds = random_groups(3, seed=4)
+        alone = traced_peak(count_statistics, counts[:1], seeds[:1], bootstrap)  # one block
+        threads = self.draw_threads(monkeypatch)
+        monkeypatch.setattr(sampling, "_bootstrap_workers", lambda: 2)
+        peak = traced_peak(count_statistics, counts, seeds, bootstrap)
+        assert set(threads) == {threading.current_thread()}
+        assert peak <= alone + 4096  # the columns of two more groups, not a second block
 
 
 def columns_of(rows) -> CountColumns:
