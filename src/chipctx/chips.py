@@ -291,14 +291,14 @@ def _preparation_sections(config: PreparationConfig) -> list[TransferMatrix]:
     ]
 
 
-def preparation_unitary(config: PreparationConfig) -> TransferMatrix:
+def _preparation_unitary(config: PreparationConfig) -> TransferMatrix:
     """Transfer matrix of the full preparation chip."""
     return compose(_preparation_sections(config))
 
 
 def prepare_state_circuit(config: PreparationConfig) -> ModeVector:
     """Propagate a photon injected in mode 1 through the preparation chip."""
-    return preparation_unitary(config) @ basis_state(1)
+    return _preparation_unitary(config) @ basis_state(1)
 
 
 def prepare_states(preparation: PreparationConfig | None, phis: np.ndarray) -> np.ndarray:
@@ -673,7 +673,6 @@ __all__ = [
     "measurement_unitary",
     "outcome_probabilities",
     "preparation_skeleton",
-    "preparation_unitary",
     "prepare_state_circuit",
     "prepare_state_direct",
     "prepare_states",

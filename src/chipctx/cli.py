@@ -31,8 +31,7 @@ VERDICT_SIGMAS = 5.0
 
 # Size limits keep every array within numpy's 2**63 bytes, so that numpy can
 # shape it and an allocation that fails is its one-line MemoryError, a data error.
-SHOTS_LIMIT = 2**63  # a sampled record's int64 total; nothing is held per event
-HV_SHOTS_LIMIT = 2**60  # the board holds one float64 uniform per ball
+SHOTS_LIMIT = 2**63  # a record's int64 total; neither sampler nor board holds anything per event
 STEPS_LIMIT = 2**60  # float64 phases; np.linspace fails just below 2**63 points
 BOOTSTRAP_LIMIT = 2**58  # a replicate holds four float64 expectations
 
@@ -134,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
     hv.add_argument("--prep", type=float_within(0.0), nargs=4, required=True,
                     action=_PreparationAction, metavar=("P1", "P2", "P3", "P4"),
                     help="channel probability distribution")
-    hv.add_argument("--shots", type=int_at_least(1, HV_SHOTS_LIMIT), default=1_000_000)
+    hv.add_argument("--shots", type=int_at_least(1, SHOTS_LIMIT), default=1_000_000)
     hv.add_argument("--seed", type=int_at_least(0), default=0)
     hv.add_argument("--flip-prob", type=float_within(0.0, 1.0), default=0.5,
                     help="bit-flip probability of an X section")

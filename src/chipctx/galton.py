@@ -6,20 +6,32 @@ an X section flips its bit with probability 1/2 (a biased flip probability is
 exposed for robustness checks, the bound argument only needs that the ball's
 channel is defined at every stage).  The digit section acts first, then the
 letter section; the two commute because they touch different bits.
+
+A run draws its balls in chunks of ``_CHUNK`` into one reused set of
+buffers, so its memory does not grow with the shot count.  Each draw (the
+channels, then each X section) reads its own run of the seed's PCG64 stream
+from a generator advanced to it, so the counts are those of drawing every
+ball at once.  The four contexts of :func:`galton_s` run on one thread per
+available CPU; each runs on its own seed, so the output does not depend on
+the thread count.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .analysis import CONTEXTS, s_value, sign_sum
-from .sampling import CountRecord, derive_seed, estimate_s
+from .sampling import CountRecord, _share_out, _worker_threads, derive_seed, estimate_s
 
 MEASUREMENTS = ("Z", "X")
+
+# Balls drawn at a time: one float64 uniform and three bytes each in reused buffers.
+_CHUNK = 1 << 16
 
 
 def _check_preparation(preparation: Sequence[float]) -> tuple[float, ...]:
@@ -62,8 +74,9 @@ class GaltonConfig:
         return self.m12 + self.nab
 
 
-def galton_run(config: GaltonConfig, seed: int) -> CountRecord:
-    """Sample one counting run of the board, ball by ball.
+def galton_run(config: GaltonConfig, seed: int,
+               stop: threading.Event | None = None) -> CountRecord | None:
+    """Sample one counting run of the board, ``_CHUNK`` balls at a time.
 
     One uniform per ball picks its channel index ``2*letter_bit + digit_bit``
     from the preparation, then each X section (digit, then letter) draws one
@@ -71,23 +84,43 @@ def galton_run(config: GaltonConfig, seed: int) -> CountRecord:
     probability.  The stream is read exactly as by
     ``rng.choice(4, size=shots, p=preparation)`` followed by one
     ``rng.random(shots) < f`` per X section, so the counts equal those of
-    that draw.  Deterministic per seed.
+    that draw.  ``Generator.random`` takes one PCG64 output per float64, so
+    the k-th of these draws reads outputs [k*shots, (k+1)*shots) of the
+    seed's stream; each draw reads them from its own generator, advanced by
+    k*shots, a chunk at a time.  Deterministic per seed.
+
+    With ``stop``, the run checks it before each chunk and returns None
+    once it is set.
     """
-    rng = np.random.default_rng(int(seed))
+    shots = config.shots
     cdf = np.cumsum(config.preparation)
     cdf /= cdf[-1]  # as Generator.choice normalizes it
-    # Generator.choice returns cdf.searchsorted(u, side="right"), which for a
-    # non-decreasing cdf is the number of cdf entries at or below u.
-    u = rng.random(config.shots)
-    channels = (u >= cdf[0]).view(np.uint8)
-    channels += u >= cdf[1]
-    channels += u >= cdf[2]
-    for section, bit in ((config.m12, 1), (config.nab, 2)):
-        if section == "X":
-            flips = rng.random(out=u) < config.x_flip_probability
-            channels ^= flips.view(np.uint8) * np.uint8(bit)
-    counts = tuple(int(np.count_nonzero(channels == k)) for k in range(4))
-    return CountRecord(context=config.context, counts=counts, total=config.shots, seed=int(seed))
+    flip_bits = [bit for section, bit in ((config.m12, 1), (config.nab, 2)) if section == "X"]
+    draws = [np.random.Generator(np.random.PCG64(int(seed)).advance(k * shots))
+             for k in range(1 + len(flip_bits))]
+    size = min(shots, _CHUNK)
+    u, channels, hits, flips = (np.empty(size), np.empty(size, dtype=np.uint8),
+                                np.empty(size, dtype=bool), np.empty(size, dtype=np.uint8))
+    counts = [0, 0, 0]
+    for start in range(0, shots, _CHUNK):
+        if stop is not None and stop.is_set():
+            return None
+        n = min(_CHUNK, shots - start)
+        u_n, channels_n, hits_n, flips_n = u[:n], channels[:n], hits[:n], flips[:n]
+        # Generator.choice returns cdf.searchsorted(u, side="right"), which for a
+        # non-decreasing cdf is the number of cdf entries at or below u.
+        draws[0].random(out=u_n)
+        np.greater_equal(u_n, cdf[0], out=channels_n.view(bool))
+        for edge in cdf[1:3]:
+            channels_n += np.greater_equal(u_n, edge, out=hits_n).view(np.uint8)
+        for draw, bit in zip(draws[1:], flip_bits):
+            draw.random(out=u_n)
+            np.less(u_n, config.x_flip_probability, out=hits_n)
+            channels_n ^= np.multiply(hits_n.view(np.uint8), np.uint8(bit), out=flips_n)
+        for k in range(3):
+            counts[k] += int(np.count_nonzero(np.equal(channels_n, k, out=hits_n)))
+    counts.append(shots - sum(counts))
+    return CountRecord(context=config.context, counts=tuple(counts), total=shots, seed=int(seed))
 
 
 def galton_s(
@@ -99,15 +132,23 @@ def galton_s(
     """Sampled S of the board over all four section configurations.
 
     Each configuration runs on its own seed substream derived from the
-    master seed and the context index.
+    master seed and the context index.  The runs are shared out among
+    :func:`~chipctx.sampling._worker_threads` threads, the calling one
+    included; their draws release the GIL.  An exception raised in any
+    run stops the others before their next chunk, and is raised here once
+    every thread has stopped.
     """
-    records = []
-    for idx, ctx in enumerate(CONTEXTS):
-        cfg = GaltonConfig(
-            preparation=tuple(preparation), m12=ctx[0], nab=ctx[1], shots=shots,
-            x_flip_probability=x_flip_probability,
-        )
-        records.append(galton_run(cfg, derive_seed(master_seed, idx)))
+    configs = [
+        GaltonConfig(preparation=tuple(preparation), m12=ctx[0], nab=ctx[1], shots=shots,
+                     x_flip_probability=x_flip_probability)
+        for ctx in CONTEXTS
+    ]
+    records: list[CountRecord | None] = [None] * len(configs)
+
+    def run(idx: int, stop: threading.Event) -> None:
+        records[idx] = galton_run(configs[idx], derive_seed(master_seed, idx), stop)
+
+    _share_out(run, range(len(configs)), _worker_threads())
     return estimate_s(records)
 
 

@@ -20,10 +20,13 @@ of (context, detector) count arrays.  The sampled sweep calls it once per
 block, ``chipctx analyze`` once per counts CSV, and :func:`estimate_s` once
 per record group.  Its bootstrap draws blocks of groups on one thread per
 available CPU; each group draws from its own seed, so the output does not
-depend on the thread count, and there is no flag to set it.  A counts CSV is
-read as columns (:class:`CountColumns`)
-and grouped by phase with :func:`group_counts`, both checked a whole array
-at a time.
+depend on the thread count, and there is no flag to set it.  One helper,
+:func:`_share_out`, shares such work out among threads, for the bootstrap's
+blocks and for the classical board's contexts alike: it hands out items
+under a lock, stops every thread once one raises, and joins them all before
+it returns or raises.  A counts CSV is read as columns
+(:class:`CountColumns`) and grouped by phase with :func:`group_counts`, both
+checked a whole array at a time.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ import threading
 from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -296,12 +299,58 @@ def estimate_s(
     return float(s_value(e)), float(sigma_s)
 
 
-def _bootstrap_workers() -> int:
-    """Threads that draw the bootstrap, the calling one included: one per CPU this process may use."""
+def _worker_threads() -> int:
+    """Threads that share out work, the calling one included: one per CPU this process may use."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no CPU affinity on this platform
         return os.cpu_count() or 1
+
+
+def _share_out(work: Callable[[int, threading.Event], None], items: Sequence[int],
+               threads: int) -> None:
+    """Call ``work(item, stop)`` for every item, on at most ``threads`` threads.
+
+    The calling thread is one of them, so one item or one thread starts no
+    other.  Each thread takes the next item under a lock until none is left.
+    When any thread raises (a ``KeyboardInterrupt`` in the calling thread
+    too), ``stop`` is set: the others take no further item, and an item that
+    checks ``stop`` may return early, since its result is discarded.  The
+    first exception is raised here once every thread has stopped.
+    """
+    remaining, lock, errors, stop = iter(items), threading.Lock(), [], threading.Event()
+
+    def take_items():
+        try:
+            while not stop.is_set():
+                with lock:
+                    item = next(remaining, None)
+                if item is None:
+                    return
+                work(item, stop)
+        except BaseException as exc:  # raised below once every thread has stopped
+            errors.append(exc)
+            stop.set()
+
+    started = []
+    try:
+        for _ in range(min(threads, len(items)) - 1):
+            thread = threading.Thread(target=take_items, name="chipctx-worker")
+            thread.start()
+            started.append(thread)
+        take_items()
+    except BaseException as exc:  # an interrupt while the threads start
+        errors.append(exc)
+        stop.set()
+    for thread in started:
+        while thread.is_alive():
+            try:
+                thread.join()
+            except BaseException as exc:  # an interrupt while waiting: stop the others, wait on
+                errors.append(exc)
+                stop.set()
+    if errors:
+        raise errors[0]
 
 
 def _bootstrap_sigma_s(counts: np.ndarray, seeds: np.ndarray, bootstrap: int) -> np.ndarray:
@@ -312,12 +361,12 @@ def _bootstrap_sigma_s(counts: np.ndarray, seeds: np.ndarray, bootstrap: int) ->
     context order.  Groups are drawn a block at a time, and S and its
     standard deviation are reduced over the whole block.
 
-    The blocks are shared out among :func:`_bootstrap_workers` threads, whose
-    blocks together hold at most ``_BOOTSTRAP_BLOCK_BYTES`` of replicates;
-    when one group needs more than a thread's share, one thread draws.  The
-    draws release the GIL, and each group's draws depend on its seed alone,
-    so sigma_S is the same whatever the thread count.  An exception raised in
-    any thread is raised here once every thread has stopped.
+    The blocks are shared out (:func:`_share_out`) among
+    :func:`_worker_threads` threads, whose blocks together hold at most
+    ``_BOOTSTRAP_BLOCK_BYTES`` of replicates; when one group needs more than
+    a thread's share, one thread draws.  The draws release the GIL, and each
+    group's draws depend on its seed alone, so sigma_S is the same whatever
+    the thread count.
     """
     if bootstrap < 2:
         raise ValueError(f"bootstrap needs at least 2 replicates, got {bootstrap}")
@@ -326,45 +375,23 @@ def _bootstrap_sigma_s(counts: np.ndarray, seeds: np.ndarray, bootstrap: int) ->
     fractions = counts / totals[..., None]
     words = _key_state([seeds], 4)  # the PCG64 state words of each group, as in seeded_generators
     group_bytes = 8 * n_contexts * bootstrap
-    workers = _bootstrap_workers()
+    workers = _worker_threads()
     block = _BOOTSTRAP_BLOCK_BYTES // (workers * group_bytes)
     if block == 0:  # a group alone exceeds a thread's share, so it gets the whole budget
         workers, block = 1, max(1, _BOOTSTRAP_BLOCK_BYTES // group_bytes)
     sigma_s = np.empty(n_groups)
-    block_starts = range(0, n_groups, block)
-    starts, lock, errors = iter(block_starts), threading.Lock(), []
 
-    def draw_blocks():
-        try:
-            while not errors:
-                with lock:
-                    start = next(starts, None)
-                if start is None:
-                    return
-                stop = min(start + block, n_groups)
-                replicated = np.empty((stop - start, bootstrap, n_contexts))
-                for out, state, group_fractions, group_totals in zip(
-                        replicated, words[start:stop], fractions[start:stop],
-                        totals[start:stop].tolist()):
-                    rng = np.random.Generator(np.random.PCG64(_PresetState(state)))
-                    for c, (p, total) in enumerate(zip(group_fractions, group_totals)):
-                        out[:, c] = sign_sum(rng.multinomial(total, p, size=bootstrap)) / total
-                sigma_s[start:stop] = np.std(s_value(replicated), axis=1, ddof=1)
-        except BaseException as exc:  # raised below once every thread has stopped
-            errors.append(exc)
+    def draw_block(start: int, stop: threading.Event) -> None:  # a block is short: stop unread
+        end = min(start + block, n_groups)
+        replicated = np.empty((end - start, bootstrap, n_contexts))
+        for out, state, group_fractions, group_totals in zip(
+                replicated, words[start:end], fractions[start:end], totals[start:end].tolist()):
+            rng = np.random.Generator(np.random.PCG64(_PresetState(state)))
+            for c, (p, total) in enumerate(zip(group_fractions, group_totals)):
+                out[:, c] = sign_sum(rng.multinomial(total, p, size=bootstrap)) / total
+        sigma_s[start:end] = np.std(s_value(replicated), axis=1, ddof=1)
 
-    threads = []
-    try:
-        for _ in range(min(workers, len(block_starts)) - 1):  # none for a single block
-            thread = threading.Thread(target=draw_blocks, name="chipctx-bootstrap")
-            thread.start()
-            threads.append(thread)
-        draw_blocks()
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
+    _share_out(draw_block, range(0, n_groups, block), workers)
     return sigma_s
 
 

@@ -6,6 +6,7 @@ so they stay independent of the package implementation they check.
 
 import csv
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -130,6 +131,16 @@ def board_counts(preparation, m12, nab, shots, flip, seed) -> tuple[int, ...]:
             flips = rng.random(shots) < flip
             channels = np.where(flips, table[channels], channels)
     return tuple(int(c) for c in np.bincount(channels, minlength=4))
+
+
+def traced_peak(function, *args):
+    """tracemalloc peak, in bytes, of one call of ``function``."""
+    tracemalloc.start()
+    try:
+        function(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def calibration_residual(phases, target, skeleton: PhaseSkeleton, n_probe: int = 100) -> float:

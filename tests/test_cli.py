@@ -191,7 +191,7 @@ class TestSweepCommand:
         (("hv", "--prep", "0", "1", "0", "0", "--flip-prob", "2"),
          "chipctx hv: error: argument --flip-prob: must be in [0, 1], got 2\n"),
         (("hv", "--prep", "0", "1", "0", "0", "--shots", str(10**21)),
-         f"chipctx hv: error: argument --shots: must be below {2**60}, got {10**21}\n"),
+         f"chipctx hv: error: argument --shots: must be below {2**63}, got {10**21}\n"),
         (("sweep", "--mode", "sampled", "--shots", str(2**63)),
          f"chipctx sweep: error: argument --shots: must be below {2**63}, got {2**63}\n"),
         (("sweep", "--steps", str(2**63)),
@@ -227,20 +227,18 @@ class TestSweepCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
-        ("hv", "--prep", "0", "1", "0", "0", "--shots", str(10**15)),
         ("sweep", "--steps", str(10**15)),
         ("sweep", "--mode", "sampled", "--steps", "2", "--bootstrap", str(10**15)),
         ("analyze", "counts.csv", "--bootstrap", str(10**15)),
         # one below each limit: the largest accepted size still fails in numpy, not argparse
-        ("hv", "--prep", "0", "1", "0", "0", "--shots", str(2**60 - 1)),
         ("sweep", "--mode", "sampled", "--steps", "2", "--bootstrap", str(2**58 - 1)),
         ("analyze", "counts.csv", "--bootstrap", str(2**58 - 1)),
-    ], ids=["hv-shots", "sweep-steps", "sweep-bootstrap", "analyze-bootstrap", "hv-shots-limit",
-            "sweep-bootstrap-limit", "analyze-bootstrap-limit"])
+    ], ids=["sweep-steps", "sweep-bootstrap", "analyze-bootstrap", "sweep-bootstrap-limit",
+            "analyze-bootstrap-limit"])
     def test_unallocatable_request_is_a_one_line_data_error(self, tmp_path, capsys, argv):
         # 10**15 float64 values need 7 PiB, so the allocation fails at once
         out = tmp_path / "s.csv"
-        extra = ("--out", out) if argv[0] != "hv" else ()
+        extra = ("--out", out)
         if argv[0] == "analyze":  # one valid group, so that its bootstrap is drawn
             counts = tmp_path / "counts.csv"
             write_counts_csv(counts, [(0.0, CountRecord(ctx, (60, 20, 10, 10), 100, seed=i))
@@ -261,7 +259,7 @@ class TestSweepCommand:
         write_counts_csv(counts, [(float(g), CountRecord(ctx, (60, 20, 10, 10), 100, seed=4 * g + i))
                                   for g in range(8) for i, ctx in enumerate(CONTEXTS)])
         # two threads, blocks of two groups at --bootstrap 20: four blocks
-        monkeypatch.setattr(sampling, "_bootstrap_workers", lambda: 2)
+        monkeypatch.setattr(sampling, "_worker_threads", lambda: 2)
         monkeypatch.setattr(sampling, "_BOOTSTRAP_BLOCK_BYTES", 2 * 2 * 8 * 4 * 20)
         caller, worker_failed, s_value = threading.current_thread(), threading.Event(), sampling.s_value
 
@@ -281,6 +279,29 @@ class TestSweepCommand:
         assert captured.out == ""
         assert captured.err == ("error: Unable to allocate 8.00 EiB for an array "
                                 "with shape (2, 2**58)\n")
+
+    def test_memory_error_in_a_board_thread_is_a_one_line_data_error(self, capsys, monkeypatch):
+        from chipctx import galton
+
+        # two threads for the four contexts; the worker's first context fails
+        monkeypatch.setattr(galton, "_worker_threads", lambda: 2)
+        caller, worker_failed, run = threading.current_thread(), threading.Event(), galton.galton_run
+
+        def failing_run(config, seed, stop):  # the caller's context waits for the worker to fail
+            if threading.current_thread() is caller:
+                worker_failed.wait(timeout=60)
+                return run(config, seed, stop)
+            worker_failed.set()
+            raise MemoryError("Unable to allocate 512 KiB for an array with shape (65536,)")
+
+        monkeypatch.setattr(galton, "galton_run", failing_run)
+        baseline = threading.active_count()
+        assert run_cli("hv", "--prep", 0, 1, 0, 0, "--shots", 10**6) == 2
+        assert worker_failed.is_set()
+        assert threading.active_count() == baseline
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: Unable to allocate 512 KiB for an array with shape (65536,)\n"
 
     def test_usage_error_exits_one(self):
         assert run_cli("sweep", "--mode", "bogus") == 1
@@ -356,6 +377,16 @@ class TestHvCommand:
         assert capsys.readouterr().out == (
             "S = -0.003200 +- 0.006325 (100000 shots per context)\n"
             "classical bound: 2; (S - 2)/sigma_S = -316.735\n"
+            "verdict: no violation\n"
+        )
+
+    def test_seeded_stdout_across_many_chunks_is_pinned(self, capsys):
+        # sixteen full chunks of balls and a partial one per context, with biased flips
+        assert run_cli("hv", "--prep", 0.1, 0.2, 0.3, 0.4, "--shots", 1000003, "--seed", 11,
+                       "--flip-prob", 0.3) == 0
+        assert capsys.readouterr().out == (
+            "S = -0.000688 +- 0.002000 (1000003 shots per context)\n"
+            "classical bound: 2; (S - 2)/sigma_S = -1000.346\n"
             "verdict: no violation\n"
         )
 

@@ -1,14 +1,38 @@
 """Classical stochastic board: exact maps, sampling, the non-violation bound."""
 
+import threading
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chipctx import galton
+from chipctx.analysis import CONTEXTS
 from chipctx.galton import GaltonConfig, galton_run, galton_s, galton_s_exact, zz_expectation
-from chipctx.sampling import derive_seed
+from chipctx.sampling import derive_seed, estimate_s
 
-from conftest import board_counts, board_exact_probabilities
+from conftest import board_counts, board_exact_probabilities, traced_peak
+
+# one board run: any preparation and flip probability, with their edge values
+board_runs = given(
+    weights=st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), min_size=4,
+                     max_size=4).filter(lambda w: sum(w) > 0.0),
+    flip=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+    m12=st.sampled_from("ZX"),
+    nab=st.sampled_from("ZX"),
+    shots=st.integers(1, 5000),
+    seed=st.integers(0, 2**64 - 1),
+)
+
+
+def assert_ball_by_ball_counts(weights, flip, m12, nab, shots, seed):
+    """galton_run counts the same PCG64 stream as Generator.choice plus one uniform per ball
+    per X section."""
+    prep = tuple(w / sum(weights) for w in weights)
+    cfg = GaltonConfig(prep, m12=m12, nab=nab, shots=shots, x_flip_probability=flip)
+    assert galton_run(cfg, seed).counts == board_counts(prep, m12, nab, shots, flip, seed)
 
 
 def random_preparations(n, seed):
@@ -80,21 +104,46 @@ class TestGaltonRun:
             assert abs(left_z - left_x) < 5 * sigma + 1
 
     @settings(deadline=None, derandomize=True, database=None, max_examples=300)
-    @given(
-        weights=st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), min_size=4,
-                         max_size=4).filter(lambda w: sum(w) > 0.0),
-        flip=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
-        m12=st.sampled_from("ZX"),
-        nab=st.sampled_from("ZX"),
-        shots=st.integers(1, 5000),
-        seed=st.integers(0, 2**64 - 1),
-    )
+    @board_runs
     def test_counts_are_those_of_the_ball_by_ball_choice_draw(self, weights, flip, m12, nab,
                                                                shots, seed):
-        # the same PCG64 stream as Generator.choice plus one uniform per ball per X section
-        prep = tuple(w / sum(weights) for w in weights)
-        cfg = GaltonConfig(prep, m12=m12, nab=nab, shots=shots, x_flip_probability=flip)
-        assert galton_run(cfg, seed).counts == board_counts(prep, m12, nab, shots, flip, seed)
+        assert_ball_by_ball_counts(weights, flip, m12, nab, shots, seed)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    @settings(deadline=None, derandomize=True, database=None, max_examples=300)
+    @board_runs
+    def test_counts_do_not_depend_on_the_chunk(self, chunk, weights, flip, m12, nab, shots, seed):
+        # most runs span many chunks, and the last chunk of most is partial
+        with mock.patch.object(galton, "_CHUNK", chunk):
+            assert_ball_by_ball_counts(weights, flip, m12, nab, shots, seed)
+
+    def test_memory_does_not_grow_with_the_shots(self):
+        # the buffers of one chunk: a float64 uniform and three bytes a ball
+        buffers = 11 * galton._CHUNK
+        cfg = GaltonConfig((0.1, 0.2, 0.3, 0.4), m12="X", nab="X", x_flip_probability=0.3,
+                           shots=10**6)
+        peak = traced_peak(galton_run, cfg, 5)
+        assert peak < 2 * 2**20
+        assert peak <= traced_peak(galton_run, GaltonConfig(**{**vars(cfg), "shots": 10**5}),
+                                   5) + buffers
+
+    def test_a_set_stop_ends_the_run_before_its_next_chunk(self, monkeypatch):
+        class StopAfter:  # reads as set from its (checks + 1)-th check on
+            def __init__(self, checks):
+                self.checks, self.calls = checks, 0
+
+            def is_set(self):
+                self.calls += 1
+                return self.calls > self.checks
+
+        monkeypatch.setattr(galton, "_CHUNK", 10)
+        cfg = GaltonConfig((0.1, 0.2, 0.3, 0.4), m12="X", nab="Z", shots=45)
+        stop = StopAfter(2)
+        assert galton_run(cfg, 3, stop) is None
+        assert stop.calls == 3
+        never = StopAfter(100)
+        assert galton_run(cfg, 3, never) == galton_run(cfg, 3)
+        assert never.calls == 5
 
     def test_deterministic_per_seed(self):
         cfg = GaltonConfig((0.1, 0.2, 0.3, 0.4), m12="X", nab="X", shots=1000)
@@ -152,6 +201,28 @@ class TestGaltonS:
     def test_uniform_preparation_near_zero(self):
         s, sigma = galton_s((0.25,) * 4, shots=10**6, master_seed=71)
         assert abs(s) < 5 * sigma
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
+    def test_thread_count_does_not_change_s(self, monkeypatch, workers):
+        # three chunks and a partial one per context, at a biased flip
+        prep, shots, flip = (0.1, 0.2, 0.3, 0.4), 3 * galton._CHUNK + 5, 0.3
+        expected = estimate_s(
+            galton_run(GaltonConfig(prep, m12=ctx[0], nab=ctx[1], shots=shots,
+                                    x_flip_probability=flip), derive_seed(17, i))
+            for i, ctx in enumerate(CONTEXTS))
+        run, caller, worker_ran = galton.galton_run, threading.current_thread(), threading.Event()
+
+        def recording_run(*args):  # the caller's first run waits until a worker has run one
+            if threading.current_thread() is not caller:
+                worker_ran.set()
+            elif workers > 1:
+                assert worker_ran.wait(timeout=60)
+            return run(*args)
+
+        monkeypatch.setattr(galton, "galton_run", recording_run)
+        monkeypatch.setattr(galton, "_worker_threads", lambda: workers)
+        assert galton_s(prep, shots, 17, flip) == expected
+        assert worker_ran.is_set() == (workers > 1)
 
     def test_never_violates_with_sampling(self):
         for i, prep in enumerate(random_preparations(100, seed=73)):

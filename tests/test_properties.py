@@ -30,12 +30,12 @@ from chipctx.chips import (
     DeviceConfig,
     MeasurementConfig,
     PreparationConfig,
+    _preparation_unitary,
     calibrate_phases,
     context_unitaries,
     measurement_skeleton,
     measurement_unitary,
     preparation_skeleton,
-    preparation_unitary,
 )
 from chipctx.galton import galton_s_exact
 from chipctx.optics import is_unitary
@@ -188,7 +188,7 @@ def test_folded_measurement_build_equals_the_composed_circuit(config):
 @given(preparation_configs)
 def test_folded_preparation_build_equals_the_composed_circuit(config):
     built = preparation_skeleton(config.coupler_ts, config.phi).build(config.calibration_phases)
-    np.testing.assert_allclose(built, preparation_unitary(config), rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(built, _preparation_unitary(config), rtol=0.0, atol=1e-12)
 
 
 @PROPERTY

@@ -2,7 +2,6 @@
 
 import sys
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,7 +25,7 @@ from chipctx.sampling import (
 
 from conftest import (
     ORACLE_CONTEXT_UNITARIES, SQRT2, bootstrap_sigma_s, column_rows, count_arrays, oracle_state,
-    random_states, reference_read_counts_csv,
+    random_states, reference_read_counts_csv, traced_peak,
 )
 
 
@@ -223,16 +222,6 @@ def random_groups(n_groups, seed):
     return counts, rng.integers(0, 2**64, size=(n_groups, 4), dtype=np.uint64)
 
 
-def traced_peak(function, *args):
-    """tracemalloc peak, in bytes, of one call of ``function``."""
-    tracemalloc.start()
-    try:
-        function(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 class TestBootstrapThreads:
     """The bootstrap kernel's blocks of groups drawn on several threads."""
 
@@ -268,7 +257,7 @@ class TestBootstrapThreads:
         for workers in (1, 2, 3):
             several_blocks = n_groups > 6 // workers
             threads = self.draw_threads(monkeypatch, wait=workers > 1 and several_blocks)
-            monkeypatch.setattr(sampling, "_bootstrap_workers", lambda workers=workers: workers)
+            monkeypatch.setattr(sampling, "_worker_threads", lambda workers=workers: workers)
             sigma_s[workers] = sampling._bootstrap_sigma_s(counts, group_seeds, bootstrap)
             if workers > 1 and several_blocks:
                 assert set(threads) - {threading.current_thread()}
@@ -286,10 +275,10 @@ class TestBootstrapThreads:
         monkeypatch.setattr(sampling, "_BOOTSTRAP_BLOCK_BYTES", 8 * 8 * 4 * bootstrap)
         counts, seeds = random_groups(200, seed=8)
         group_seeds = derive_seeds(*seeds.T)
-        monkeypatch.setattr(sampling, "_bootstrap_workers", lambda: 1)
+        monkeypatch.setattr(sampling, "_worker_threads", lambda: 1)
         expected = sampling._bootstrap_sigma_s(counts, group_seeds, bootstrap)
         threads = self.draw_threads(monkeypatch)
-        monkeypatch.setattr(sampling, "_bootstrap_workers", lambda: 8)
+        monkeypatch.setattr(sampling, "_worker_threads", lambda: 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -304,7 +293,7 @@ class TestBootstrapThreads:
             raise AssertionError("a thread was started")
 
         monkeypatch.setattr(threading, "Thread", no_thread)
-        monkeypatch.setattr(sampling, "_bootstrap_workers", lambda: 4)
+        monkeypatch.setattr(sampling, "_worker_threads", lambda: 4)
         counts, seeds = random_groups(3, seed=1)  # a block of 4 threads holds 10 such groups
         count_statistics(counts, seeds, bootstrap=200)
         estimate_s([CountRecord(c, n, n.sum(), seed)
@@ -314,7 +303,7 @@ class TestBootstrapThreads:
     @pytest.mark.parametrize("bootstrap", [200, 1000])
     def test_threads_share_the_block_budget(self, monkeypatch, workers, bootstrap):
         counts, seeds = random_groups(500, seed=workers)
-        monkeypatch.setattr(sampling, "_bootstrap_workers", lambda: workers)
+        monkeypatch.setattr(sampling, "_worker_threads", lambda: workers)
         # the per-group columns: the peak with 2 replicates, whose blocks hold 64 bytes a group
         columns = traced_peak(count_statistics, counts, seeds, 2)
         # slack: S and its standard deviation take two (group, replicate) float64 arrays
@@ -330,11 +319,31 @@ class TestBootstrapThreads:
         counts, seeds = random_groups(3, seed=4)
         alone = traced_peak(count_statistics, counts[:1], seeds[:1], bootstrap)  # one block
         threads = self.draw_threads(monkeypatch)
-        monkeypatch.setattr(sampling, "_bootstrap_workers", lambda: 2)
+        monkeypatch.setattr(sampling, "_worker_threads", lambda: 2)
         peak = traced_peak(count_statistics, counts, seeds, bootstrap)
         assert set(threads) == {threading.current_thread()}
         assert peak <= alone + 4096  # the columns of two more groups, not a second block
 
+
+
+def test_an_interrupt_in_the_calling_thread_stops_every_thread():
+    # the caller raises once the worker holds an item; the worker's item ends at the stop
+    caller, worker_busy, items_seen, stopped = threading.current_thread(), threading.Event(), [], []
+
+    def work(item, stop):
+        items_seen.append(item)
+        if threading.current_thread() is caller:
+            assert worker_busy.wait(timeout=60)
+            raise KeyboardInterrupt
+        worker_busy.set()
+        stopped.append(stop.wait(timeout=60))
+
+    baseline = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        sampling._share_out(work, range(5), 2)
+    assert stopped == [True]
+    assert sorted(items_seen) == [0, 1]  # no thread takes an item after the stop
+    assert threading.active_count() == baseline
 
 def columns_of(rows) -> CountColumns:
     """CountColumns of (phi, record) rows."""
