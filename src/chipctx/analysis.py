@@ -189,12 +189,6 @@ class ReportTable:
     def __len__(self) -> int:
         return len(self.phi)
 
-    def tolist(self) -> list[tuple]:
-        """(phi, E list, S, epsilon, bound, sigma_S, significance) of each row, as Python floats."""
-        columns = (self.phi, self.expectations, self.s, self.epsilon, self.bound, self.sigma_s,
-                   self.significance)
-        return list(zip(*(column.tolist() for column in columns)))
-
 
 def report_table(phi: np.ndarray, e: np.ndarray, eps: np.ndarray, sigma_s: np.ndarray,
                  counts: np.ndarray | None = None, seeds: np.ndarray | None = None) -> ReportTable:

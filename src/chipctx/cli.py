@@ -7,14 +7,15 @@ inputs), 3 internal-consistency failure.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import sys
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .analysis import CONTEXTS, report_table, significance
+from .analysis import CONTEXTS, ReportTable, report_table, significance
 from .chips import DeviceConfig, load_device_config
 from .errors import CalibrationError, ConsistencyError
 from .galton import _check_preparation, galton_s, galton_s_exact
@@ -25,6 +26,7 @@ from .sampling import (
 from .sweep import (
     SweepSpec, run_sweep, write_figure_curves_csv, write_sweep_csv,
 )
+from .text import JSON_NON_FINITE, JSON_SIGNIFICANCE, STDOUT_SIGNIFICANCE, blocks, column_text
 
 # z-score above which a printed verdict reads "violation"
 VERDICT_SIGMAS = 5.0
@@ -211,11 +213,13 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _verdict(z: float, s: float, bound: float) -> str:
-    """Verdict from the z-score, or from S against the bound when z is undefined (NaN)."""
-    if math.isnan(z):
-        return "violation" if s > bound else "no violation"
-    return "violation" if z > VERDICT_SIGMAS else "no violation"
+def _verdict(z, s, bound):
+    """Verdict from the z-score, or from S against the bound where z is undefined (NaN).
+
+    Takes scalars, giving one verdict, or equally long arrays, giving a list.
+    """
+    violation = np.where(np.isnan(z), s > bound, z > VERDICT_SIGMAS)
+    return np.where(violation, "violation", "no violation").tolist()
 
 
 def cmd_hv(args) -> int:
@@ -242,68 +246,81 @@ def cmd_analyze(args) -> int:
         print(f"error: {args.counts_csv} holds no count records", file=sys.stderr)
         return 2
     phi, counts, seeds = group_counts(columns)
-    groups = report_table(np.array(phi, dtype=float),
-                          *count_statistics(counts, seeds, args.bootstrap)).tolist()
-
-    lines = [
-        f"phi={phi!r}: S={s:.6f} +- {sigma_s:.6f} epsilon={eps:.6f} bound={bound:.6f} "
-        f"significance={'n/a' if math.isnan(z) else format(z, '.3f')} [{_verdict(z, s, bound)}]\n"
-        for phi, _, s, eps, bound, sigma_s, z in groups
-    ]
+    table = report_table(np.array(phi, dtype=float),
+                         *count_statistics(counts, seeds, args.bootstrap))
     summary = None
     if args.summary is not None:
         s, bound, sigma = args.summary
-        z = significance(s, bound - 2.0, sigma)
-        lines.append(f"summary: S={s!r} bound={bound!r} sigma_S={sigma!r} "
-                     f"-> significance = {z:.3f} sigma [{_verdict(z, s, bound)}]\n")
-        lines.append(_SUMMARY_NOTE + "\n")
-        summary = (s, bound, sigma, z)
-    sys.stdout.write("".join(lines))
+        summary = (s, bound, sigma, significance(s, bound - 2.0, sigma))
+    sys.stdout.writelines(_report_lines(table, summary))
 
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(_report_json(groups, summary))
+            fh.writelines(_report_json(table, summary))
         print(f"wrote report to {args.out}")
     return 0
 
 
-_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# One group of analyze's stdout.
+_GROUP_LINE = "phi={!r}: S={:.6f} +- {:.6f} epsilon={:.6f} bound={:.6f} significance={} [{}]\n"
 
 
-def _json_number(x: float) -> str:
-    """A float as ``json.dump`` writes it."""
-    text = repr(x)
-    return _JSON_NON_FINITE.get(text, text)
+def _json_template(doc: dict, indent: str) -> str:
+    """``json.dumps(doc, indent=2)`` as a ``str.format`` template with a field for each None.
 
-
-def _json_members(members, indent: int) -> str:
-    """The ``"key": value`` lines of a JSON object whose members sit ``indent`` spaces in."""
-    pad = " " * indent
-    return ",\n".join(f'{pad}"{key}": {value}' for key, value in members)
-
-
-def _report_json(groups: list[tuple], summary: tuple | None) -> str:
-    """The ``analyze`` report, byte for byte what ``json.dump(payload, fh, indent=2)`` + LF writes.
-
-    ``groups`` are the rows of ``ReportTable.tolist()``.  The payload is
-    ``{"groups": [{"phi": phi, **InequalityReport.to_json_dict()}, ...]}``, so
-    a NaN (undefined) significance is written ``null``, plus ``"summary": {"S",
-    "bound", "sigma_S", "significance"}`` when given.
+    Every line after the first sits ``indent`` further in.
     """
-    blocks = []
-    for phi, e, s, eps, bound, sigma_s, z in groups:
-        expectations = _json_members(zip(CONTEXTS, map(_json_number, e)), 8)
-        members = [("phi", _json_number(phi)),
-                   ("expectations", "{\n" + expectations + "\n      }"),
-                   ("S", _json_number(s)), ("epsilon", _json_number(eps)),
-                   ("bound", _json_number(bound)), ("sigma_S", _json_number(sigma_s)),
-                   ("significance", "null" if math.isnan(z) else _json_number(z))]
-        blocks.append("    {\n" + _json_members(members, 6) + "\n    }")
-    top = [("groups", "[\n" + ",\n".join(blocks) + "\n  ]" if blocks else "[]")]
+    text = json.dumps(doc, indent=2).replace("{", "{{").replace("}", "}}").replace("null", "{}")
+    return text.replace("\n", "\n" + indent)
+
+
+# One group and the summary of the JSON report, laid out by json.dumps itself.
+_GROUP_JSON = "    " + _json_template(
+    {"phi": None, "expectations": dict.fromkeys(CONTEXTS), "S": None, "epsilon": None,
+     "bound": None, "sigma_S": None, "significance": None}, "    ")
+_SUMMARY_JSON = ',\n  "summary": ' + _json_template(
+    dict.fromkeys(("S", "bound", "sigma_S", "significance")), "  ")
+
+
+def _report_lines(table: ReportTable, summary: tuple | None) -> Iterator[str]:
+    """``analyze``'s stdout, a block of groups at a time, then the summary (S, bound, sigma_S, z)."""
+    for block in blocks(len(table)):
+        s, bound, z = table.s[block], table.bound[block], table.significance[block]
+        yield "".join(map(_GROUP_LINE.format, table.phi[block].tolist(), s.tolist(),
+                          table.sigma_s[block].tolist(), table.epsilon[block].tolist(),
+                          bound.tolist(), column_text(z, STDOUT_SIGNIFICANCE, "{:.3f}".format),
+                          _verdict(z, s, bound)))
     if summary is not None:
-        fields = zip(("S", "bound", "sigma_S", "significance"), map(_json_number, summary))
-        top.append(("summary", "{\n" + _json_members(fields, 4) + "\n  }"))
-    return "{\n" + _json_members(top, 2) + "\n}\n"
+        s, bound, sigma, z = summary
+        yield (f"summary: S={s!r} bound={bound!r} sigma_S={sigma!r} "
+               f"-> significance = {z:.3f} sigma [{_verdict(z, s, bound)}]\n")
+        yield _SUMMARY_NOTE + "\n"
+
+
+def _json_groups(table: ReportTable, block: slice) -> str:
+    """The JSON objects of one block of groups; their cells are freed on return."""
+    numbers = [column_text(column[block], JSON_NON_FINITE) for column in (
+        table.phi, *table.expectations.T, table.s, table.epsilon, table.bound, table.sigma_s)]
+    numbers.append(column_text(table.significance[block], JSON_SIGNIFICANCE))
+    return ",\n".join(map(_GROUP_JSON.format, *numbers))
+
+
+def _report_json(table: ReportTable, summary: tuple | None) -> Iterator[str]:
+    """The ``analyze`` report, a block of groups at a time.
+
+    Byte for byte what ``json.dump(payload, fh, indent=2)`` + LF writes: the
+    payload is ``{"groups": [{"phi": phi, **InequalityReport.to_json_dict()},
+    ...]}``, so a NaN (undefined) significance is written ``null``, plus
+    ``"summary": {"S", "bound", "sigma_S", "significance"}`` when given.
+    """
+    yield '{\n  "groups": ['
+    for block in blocks(len(table)):
+        yield "\n" if block.start == 0 else ",\n"
+        yield _json_groups(table, block)
+    yield "\n  ]" if len(table) else "]"
+    if summary is not None:
+        yield _SUMMARY_JSON.format(*column_text(np.array(summary, dtype=float), JSON_NON_FINITE))
+    yield "\n}\n"
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -26,7 +26,10 @@ blocks and for the classical board's contexts alike: it hands out items
 under a lock, stops every thread once one raises, and joins them all before
 it returns or raises.  A counts CSV is read as columns
 (:class:`CountColumns`) and grouped by phase with :func:`group_counts`, both
-checked a whole array at a time.
+checked a whole array at a time.  It is written from columns too, by
+:func:`write_counts_columns` (or :func:`write_counts_csv`, from (phi, record)
+rows), which checks each column once and formats it with
+:func:`chipctx.text.write_csv`, the one column-wise formatter.
 """
 
 from __future__ import annotations
@@ -48,12 +51,13 @@ from .analysis import (
     CONTEXTS, PROB_SUM_TOL, check_context, epsilon_value, in_context_order, s_value, sign_sum,
 )
 from .errors import ConsistencyError
+from .text import write_csv
 
 COUNTS_CSV_COLUMNS = ("phi", "context", "n1", "n2", "n3", "n4", "N", "seed")
 
 DEFAULT_BOOTSTRAP_REPLICATES = 1000
 
-# Rows formatted at a time when a counts CSV is written, and parsed at a time when one is read.
+# Rows parsed at a time when a counts CSV is read.
 _CSV_BLOCK = 1024
 
 # Bytes of bootstrap replicates held at once: a block of groups is drawn into
@@ -399,7 +403,7 @@ def _bootstrap_sigma_s(counts: np.ndarray, seeds: np.ndarray, bootstrap: int) ->
 
 
 def write_counts_csv(path: str | Path, rows: Iterable[tuple[float, CountRecord]]) -> None:
-    """Write (phi, record) rows in the fixed column layout, LF line endings."""
+    """Write (phi, record) rows as a counts CSV: the row-wise entry of :func:`write_counts_columns`."""
     rows = list(rows)
     write_counts_columns(
         path,
@@ -417,9 +421,12 @@ def write_counts_columns(path: str | Path, phi: np.ndarray, contexts: Sequence[s
     ``counts`` is shaped (rows, detector) and N is each row's sum.  Every row
     meets the conditions of :class:`CountRecord`, checked once per array.
     """
-    counts, seeds = np.asarray(counts, dtype=np.int64), np.asarray(seeds)
+    phi, counts, seeds = (np.asarray(phi, dtype=float), np.asarray(counts, dtype=np.int64),
+                          np.asarray(seeds))
     if not len(phi) == len(contexts) == len(counts) == len(seeds) or counts.shape[1:] != (4,):
         raise ValueError("counts columns differ in length or shape")
+    if not np.isfinite(phi).all():  # read_counts_csv rejects a non-finite phi
+        raise ValueError("phi must be finite")
     for context in set(contexts):
         check_context(context)
     bad, totals = _bad_count_rows(counts)
@@ -427,16 +434,7 @@ def write_counts_columns(path: str | Path, phi: np.ndarray, contexts: Sequence[s
         raise ValueError("counts must be non-negative integers whose total is below 2**63")
     if not ((seeds >= 0) & (seeds < 2**64)).all():
         raise ValueError("seeds must lie in [0, 2**64)")
-    phi = np.asarray(phi, dtype=float)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(COUNTS_CSV_COLUMNS)
-        for start in range(0, len(counts), _CSV_BLOCK):  # bounds the Python objects alive at once
-            block = slice(start, start + _CSV_BLOCK)
-            writer.writerows(
-                [repr(x), context, *n, total, seed] for x, context, n, total, seed
-                in zip(phi[block].tolist(), contexts[block], counts[block].tolist(),
-                       totals[block].tolist(), seeds[block].tolist()))
+    write_csv(path, COUNTS_CSV_COLUMNS, [phi, contexts, *counts.T, totals, seeds])
 
 
 def _bad_count_rows(counts: np.ndarray,

@@ -10,16 +10,17 @@ sigma_S with :func:`chipctx.sampling.count_statistics`, the one count
 reduction ``chipctx analyze`` also uses.  Once the grid is done, one call of
 :func:`chipctx.analysis.report_table` adds S, the bound and the significance,
 as it does for ``analyze``; every analytic value equals the one
-:func:`report_from_probabilities` gives at that phase, bit for bit.
+:func:`report_from_probabilities` gives at that phase, bit for bit.  The
+sweep CSV and the ``--emit-figure3`` CSV are written by
+:func:`chipctx.text.write_csv`, the one column-wise formatter, a block of
+rows at a time.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -28,6 +29,7 @@ from .chips import DeviceConfig, context_unitaries, prepare_states
 from .errors import ConsistencyError
 from .optics import TransferMatrix, is_unitary
 from .sampling import count_statistics, derive_seeds, seeded_generators
+from .text import write_csv
 
 SWEEP_CSV_COLUMNS = (
     "phi", "E_XX", "E_XZ", "E_ZX", "E_ZZ", "S", "epsilon", "bound", "sigma_S", "significance",
@@ -137,26 +139,10 @@ def run_sweep(spec: SweepSpec) -> ReportTable:
     return report_table(phi, e, eps, sigma_s, counts, seeds)
 
 
-def _fmt(x: float) -> str:
-    return "" if math.isnan(x) else repr(x)
-
-
-def _csv_rows(columns: Sequence[np.ndarray]) -> Iterator[list[str]]:
-    """Format columns row by row, one block at a time; NaN cells are empty."""
-    for start in range(0, len(columns[0]), _BLOCK):
-        block = [col[start:start + _BLOCK].tolist() for col in columns]
-        for values in zip(*block):
-            yield [_fmt(x) for x in values]
-
-
 def write_sweep_csv(path: str | Path, table: ReportTable) -> None:
     """Write sweep rows; the significance cell is empty when undefined."""
-    columns = [table.phi, *table.expectations.T, table.s, table.epsilon, table.bound,
-               table.sigma_s, table.significance]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(SWEEP_CSV_COLUMNS)
-        writer.writerows(_csv_rows(columns))
+    write_csv(path, SWEEP_CSV_COLUMNS, [table.phi, *table.expectations.T, table.s, table.epsilon,
+                                        table.bound, table.sigma_s, table.significance])
 
 
 def write_figure_curves_csv(
@@ -169,7 +155,4 @@ def write_figure_curves_csv(
     """
     ideal = run_sweep(replace(spec, mode="analytic", device=DeviceConfig.ideal()))
     dev = run_sweep(replace(spec, mode="analytic", device=device))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(FIGURE3_CSV_COLUMNS)
-        writer.writerows(_csv_rows([ideal.phi, ideal.s, dev.s, dev.epsilon, dev.bound]))
+    write_csv(path, FIGURE3_CSV_COLUMNS, [ideal.phi, ideal.s, dev.s, dev.epsilon, dev.bound])

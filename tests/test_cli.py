@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -596,6 +597,72 @@ GOLDEN_ANALYZE = {
 }
 
 
+SAMPLE_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "device.sample.json"
+
+# sha256 of the sweep CSV (and the counts CSV of a sampled sweep) of each
+# command, recorded before the writers became column-wise.  Every grid is
+# longer than the engine's block of 1024 phases and ends in a partial block of
+# it and of the writers' 512 rows; "few-shots" mixes undefined (empty)
+# significance cells with defined ones.
+GOLDEN_SWEEP = {
+    "ideal": (("--steps", "2051"),
+              ("ff518cb1f7dc5f3f70ae5d001335e6a2ac2d34200c507f911de70afcc675cc26",)),
+    "imperfect": (("--steps", "1100", "--device", "imperfect", "--config", SAMPLE_CONFIG),
+                  ("37b88d0fcd828ee8e4c89c968f4dc53fcda919b57764754c78debb434a59bd33",)),
+    "figure3": (("--steps", "1100", "--emit-figure3", "--config", SAMPLE_CONFIG),
+                ("f6205f407ff11e41817376186b1c6e830277c803d36df5bc47142e39c3dec40b",)),
+    "sampled": (("--steps", "1027", "--mode", "sampled", "--shots", "1000", "--seed", "5"),
+                ("64b169ed4c32d248eb6210cf2c41d46439346cbee58ac8bd6844f43b373d1228",
+                 "a86cb45ad3c5005c40f2a382932131e1f92e214cbc00d8c7208a96e6be570475")),
+    "bootstrap": (("--steps", "1027", "--mode", "sampled", "--shots", "1000", "--seed", "5",
+                   "--bootstrap", "30", "--phi-start", "-1.5", "--phi-end", "1.5"),
+                  ("cf3165506e1e0dead4d97245cb77e034c9fffd4e8976e0123b4d6337fbed9e92",
+                   "c7751bd75ae7370a953620b987bc3ebae286167b8cf289fc04a95d579f7e6358")),
+    "few-shots": (("--steps", "1025", "--mode", "sampled", "--shots", "2", "--seed", "8"),
+                  ("ffe768dc7ecb4099a5c27987a24ba6acf66d201f90745e21f033578d307db92c",
+                   "7091587a574a289ccc3de0c3193eca7a83ae9eaa8d1286c023bcc84f378addfd")),
+}
+
+# sha256 of analyze's stdout and JSON report on the "few-shots" counts: 1025
+# groups, 235 of them with an undefined significance.
+GOLDEN_ANALYZE_BLOCKS = {
+    "plain": ((),
+              "637069a392a3515650fa7d13a529e135705943e3413c3b11bd1e2479d6ff410a",
+              "371aab5931dd1c92d99b7c83eede1b6525bf2366157e2a2a9480c6bf24941ffa"),
+    "bootstrap": (("--bootstrap", "20"),
+                  "769e040ff5ef2b35398769d08448eb17bf7729355cf04edb3b4d9da6e7c34515",
+                  "3a64ee6be3555b2565de7318def93b490e7971d44cbae752fb2dff45a29d29f1"),
+    "summary": (("--summary", "2.69", "2.53", "0.012"),
+                "4d88ebfe0246a7420ea69682e1887ce76e591103a3064ab72e28c8a98a306c42",
+                "c6a17473e4b8091fd72c1a0c76539f05110cb10b98466416a872688871ab25b3"),
+}
+
+
+def sha256_of(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("variant", list(GOLDEN_SWEEP))
+def test_sweep_output_is_pinned(tmp_path, capsys, variant):
+    flags, shas = GOLDEN_SWEEP[variant]
+    out, counts = tmp_path / "sweep.csv", tmp_path / "counts.csv"
+    extra = ("--counts-out", counts) if len(shas) == 2 else ()
+    assert run_cli("sweep", *flags, "--out", out, *extra) == 0
+    assert tuple(sha256_of(path) for path in (out, counts)[:len(shas)]) == shas
+
+
+@pytest.mark.parametrize("variant", list(GOLDEN_ANALYZE_BLOCKS))
+def test_analyze_output_across_blocks_is_pinned(tmp_path, monkeypatch, capsys, variant):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli("sweep", *GOLDEN_SWEEP["few-shots"][0], "--out", "sweep.csv",
+                   "--counts-out", "counts.csv") == 0
+    capsys.readouterr()
+    flags, stdout_sha, json_sha = GOLDEN_ANALYZE_BLOCKS[variant]
+    assert run_cli("analyze", "counts.csv", *flags, "--out", "report.json") == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_sha
+    assert sha256_of("report.json") == json_sha
+
+
 @pytest.mark.parametrize("variant", list(GOLDEN_ANALYZE))
 def test_analyze_output_is_pinned(tmp_path, monkeypatch, capsys, variant):
     monkeypatch.chdir(tmp_path)
@@ -633,6 +700,6 @@ def test_report_json_equals_json_dump(groups, summary):
         s, bound, sigma = summary
         summary = (s, bound, sigma, significance(s, bound - 2.0, sigma))
         payload["summary"] = dict(zip(("S", "bound", "sigma_S", "significance"), summary))
-    text = cli._report_json(report_table(np.array(phi, dtype=float), e, eps, sigma_s).tolist(),
-                            summary)
+    text = "".join(cli._report_json(report_table(np.array(phi, dtype=float), e, eps, sigma_s),
+                                    summary))
     assert text == json.dumps(payload, indent=2) + "\n"

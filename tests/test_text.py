@@ -1,0 +1,215 @@
+"""The column-wise text formatter against row-by-row references that live only here.
+
+The references format one cell at a time, as the writers did before the
+formatter: ``csv.writer`` with ``repr`` (NaN an empty cell) for every CSV,
+``json.dumps(..., indent=2)`` for the ``analyze`` report and one f-string per
+group for its stdout.  Columns hold NaN, +-inf, -0.0, the smallest subnormal
+and the largest double, in lengths around one and two blocks of rows.
+"""
+
+import csv
+import io
+import json
+import math
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from chipctx import cli, text
+from chipctx.analysis import CONTEXTS, ReportTable
+from chipctx.sampling import (
+    CountRecord, read_counts_csv, write_counts_columns, write_counts_csv,
+)
+from chipctx.sweep import SWEEP_CSV_COLUMNS, write_sweep_csv
+
+from conftest import traced_peak
+
+PROPERTY = settings(deadline=None, derandomize=True, database=None, max_examples=40)
+
+EDGE_VALUES = (math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324,
+               1.7976931348623157e308, -1.7976931348623157e308)
+FINITE_EDGE_VALUES = tuple(x for x in EDGE_VALUES if math.isfinite(x))
+LENGTHS = st.sampled_from(sorted({0, 1, text._BLOCK - 1, text._BLOCK, text._BLOCK + 1,
+                                   1023, 1024, 1025}))
+
+cells = st.floats() | st.sampled_from(EDGE_VALUES)
+finite_cells = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(FINITE_EDGE_VALUES)
+
+
+@st.composite
+def report_columns(draw):
+    """A (rows, 10) float array: phi, the four E, S, epsilon, bound, sigma_S, significance."""
+    return draw(hnp.arrays(np.float64, (draw(LENGTHS), 10), elements=cells))
+
+
+def table_of(columns):
+    return ReportTable(columns[:, 0], columns[:, 1:5], *columns[:, 5:].T)
+
+
+def reference_csv(header, rows):
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([x if isinstance(x, (int, str)) else "" if math.isnan(x) else repr(x)
+                      for x in row] for row in rows)
+    return buffer.getvalue()
+
+
+def reference_stdout(rows, summary):
+    def verdict(z, s, bound):
+        return "violation" if (s > bound if math.isnan(z) else z > cli.VERDICT_SIGMAS) else (
+            "no violation")
+
+    lines = [f"phi={phi!r}: S={s:.6f} +- {sigma_s:.6f} epsilon={eps:.6f} bound={bound:.6f} "
+             f"significance={'n/a' if math.isnan(z) else format(z, '.3f')} "
+             f"[{verdict(z, s, bound)}]\n"
+             for phi, _, _, _, _, s, eps, bound, sigma_s, z in rows]
+    if summary is not None:
+        s, bound, sigma, z = summary
+        lines.append(f"summary: S={s!r} bound={bound!r} sigma_S={sigma!r} "
+                     f"-> significance = {z:.3f} sigma [{verdict(z, s, bound)}]\n")
+        lines.append(cli._SUMMARY_NOTE + "\n")
+    return "".join(lines)
+
+
+def assert_same_text(got, expected):
+    """got == expected, reporting the first line that differs: a diff of the whole text is slow."""
+    if got != expected:
+        got_lines, expected_lines = got.splitlines(), expected.splitlines()
+        line = next((i for i, (a, b) in enumerate(zip(got_lines, expected_lines)) if a != b),
+                    min(len(got_lines), len(expected_lines)))
+        pytest.fail(f"line {line + 1} differs: {got_lines[line:line + 1]} != "
+                    f"{expected_lines[line:line + 1]}")
+
+
+def written(write, *args):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "out.csv"
+        write(path, *args)
+        return path.read_bytes().decode("utf-8")
+
+
+@PROPERTY
+@given(report_columns())
+def test_sweep_csv_equals_csv_writer(columns):
+    assert_same_text(written(write_sweep_csv, table_of(columns)),
+                     reference_csv(SWEEP_CSV_COLUMNS, columns.tolist()))
+
+
+@PROPERTY
+@given(st.data())
+def test_write_csv_equals_csv_writer(data):
+    columns = data.draw(hnp.arrays(np.float64, (data.draw(LENGTHS), data.draw(st.integers(2, 5))),
+                                   elements=cells))
+    header = [f"c{i}" for i in range(columns.shape[1])]
+    assert_same_text(written(text.write_csv, header, list(columns.T)),
+                     reference_csv(header, columns.tolist()))
+
+
+@PROPERTY
+@given(report_columns(), st.none() | st.tuples(cells, cells, cells, cells))
+def test_report_json_equals_json_dump(columns, summary):
+    payload = {"groups": [
+        {"phi": phi, "expectations": dict(zip(CONTEXTS, e)), "S": s, "epsilon": eps,
+         "bound": bound, "sigma_S": sigma_s, "significance": None if math.isnan(z) else z}
+        for phi, *e, s, eps, bound, sigma_s, z in columns.tolist()]}
+    if summary is not None:
+        payload["summary"] = dict(zip(("S", "bound", "sigma_S", "significance"), summary))
+    assert_same_text("".join(cli._report_json(table_of(columns), summary)),
+                     json.dumps(payload, indent=2) + "\n")
+
+
+@PROPERTY
+@given(report_columns(), st.none() | st.tuples(cells, cells, cells, cells))
+def test_report_stdout_equals_the_row_format(columns, summary):
+    assert_same_text("".join(cli._report_lines(table_of(columns), summary)),
+                     reference_stdout(columns.tolist(), summary))
+
+
+@st.composite
+def count_columns(draw):
+    """Columns the counts writer accepts: finite phi, totals up to 2**63 - 1, any uint64 seed."""
+    n = draw(LENGTHS)
+    phi = draw(hnp.arrays(np.float64, n, elements=finite_cells))
+    contexts = [CONTEXTS[c] for c in draw(hnp.arrays(np.int64, n, elements=st.integers(0, 3)))]
+    counts = draw(hnp.arrays(np.int64, (n, 4), elements=st.integers(0, 2**61 - 1)))
+    if n:  # a row whose total is the largest an int64 holds
+        counts[draw(st.integers(0, n - 1))] = draw(st.permutations([2**63 - 1, 0, 0, 0]))
+    seeds = draw(hnp.arrays(np.uint64, n, elements=st.integers(0, 2**64 - 1)
+                            | st.sampled_from([0, 2**63, 2**64 - 1])))
+    return phi, contexts, counts, seeds
+
+
+@PROPERTY
+@given(count_columns())
+def test_counts_csv_equals_csv_writer(columns):
+    phi, contexts, counts, seeds = columns
+    rows = [(repr(x), context, *n, sum(n), seed) for x, context, n, seed
+            in zip(phi.tolist(), contexts, counts.tolist(), seeds.tolist())]
+    assert_same_text(written(write_counts_columns, *columns),
+                     reference_csv(("phi", "context", "n1", "n2", "n3", "n4", "N", "seed"), rows))
+
+
+@st.composite
+def any_count_columns(draw):
+    """Columns the counts writer may reject: any phi, counts that may be negative or overflow."""
+    n = draw(st.sampled_from([0, 1, 2, 5, text._BLOCK + 1]))
+    phi = draw(hnp.arrays(np.float64, n, elements=cells))
+    contexts = [CONTEXTS[c] for c in draw(hnp.arrays(np.int64, n, elements=st.integers(0, 3)))]
+    counts = draw(hnp.arrays(np.int64, (n, 4), elements=st.integers(-1, 2**62)
+                             | st.sampled_from([0, 1, 2**63 - 1])))
+    seeds = draw(hnp.arrays(np.int64, n, elements=st.integers(-1, 2**63 - 1))
+                 | hnp.arrays(np.uint64, n, elements=st.integers(0, 2**64 - 1)))
+    return phi, contexts, counts, seeds
+
+
+@PROPERTY
+@given(any_count_columns())
+def test_every_counts_csv_written_reads_back_to_its_columns(columns):
+    phi, contexts, counts, seeds = columns
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "counts.csv"
+        try:
+            write_counts_columns(path, *columns)
+        except ValueError:
+            assert not path.exists()
+            return
+        read = read_counts_csv(path)
+    assert list(map(repr, read.phi)) == list(map(repr, phi.tolist()))
+    assert [CONTEXTS[c] for c in read.context.tolist()] == contexts
+    assert read.counts.tolist() == counts.tolist()
+    assert read.seeds.tolist() == seeds.tolist()
+
+
+@pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+def test_counts_writer_rejects_a_phi_its_reader_rejects(tmp_path, phi):
+    path = tmp_path / "counts.csv"
+    with pytest.raises(ValueError, match="phi must be finite"):
+        write_counts_csv(path, [(0.0, CountRecord("XZ", (1, 0, 0, 0), 1, 0)),
+                                (phi, CountRecord("XX", (1, 0, 0, 0), 1, 0))])
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("write", ["sweep_csv", "report"])
+def test_memory_does_not_grow_with_the_rows(tmp_path, write):
+    # the whole report of 40 blocks would be about 7 MB of text, the CSV about 4 MB
+    def write_out(columns):
+        table = table_of(columns)
+        if write == "sweep_csv":
+            write_sweep_csv(tmp_path / "sweep.csv", table)
+            return
+        with open(tmp_path / "report.txt", "w", encoding="utf-8") as fh:
+            fh.writelines(cli._report_lines(table, None))
+        with open(tmp_path / "report.json", "w", encoding="utf-8") as fh:
+            fh.writelines(cli._report_json(table, None))
+
+    rng = np.random.default_rng(5)
+    one_block = traced_peak(write_out, rng.random((text._BLOCK, 10)))
+    many_blocks = traced_peak(write_out, rng.random((40 * text._BLOCK, 10)))
+    assert many_blocks <= one_block + 64 * 1024
+    assert many_blocks < 1 << 20
