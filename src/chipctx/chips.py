@@ -19,6 +19,7 @@ letter section; for exact tensor-product circuits the order is irrelevant.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -445,10 +446,14 @@ _PROBE_SEED = 20260101
 _INPUT_MODE = 1
 
 
-def _probe_states(n_probe: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    v = rng.normal(size=(n_probe, 4)) + 1j * rng.normal(size=(n_probe, 4))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
+@functools.cache
+def _probe_states() -> np.ndarray:
+    """The _N_PROBE random unit states of a matrix target, drawn once per process, read-only."""
+    rng = np.random.default_rng(_PROBE_SEED)
+    v = rng.normal(size=(_N_PROBE, 4)) + 1j * rng.normal(size=(_N_PROBE, 4))
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    v.flags.writeable = False
+    return v
 
 
 def _residual_function(target: np.ndarray,
@@ -462,7 +467,7 @@ def _residual_function(target: np.ndarray,
     """
     target = np.asarray(target, dtype=np.complex128)
     if target.shape == (4, 4):
-        probes = _probe_states(_N_PROBE, _PROBE_SEED)
+        probes = _probe_states()
         target_probabilities = np.abs(probes @ target.T) ** 2
 
         def residual(phases: np.ndarray) -> np.ndarray:

@@ -2,11 +2,19 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error (unreadable or malformed
 inputs), 3 internal-consistency failure.
+
+:func:`main` may be called many times in one process.  The argparse parser
+is built once, on the first call, and shared by every later one, which is
+safe because parsing leaves the parser as it was: each call parses into a
+new ``Namespace``, the custom actions write only to it, ``prog`` is fixed,
+and help and usage text is formatted when it is printed, so the terminal
+width and the current ``sys.stdout``/``sys.stderr`` are read at that moment.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -36,6 +44,10 @@ VERDICT_SIGMAS = 5.0
 SHOTS_LIMIT = 2**63  # a record's int64 total; neither sampler nor board holds anything per event
 STEPS_LIMIT = 2**60  # float64 phases; np.linspace fails just below 2**63 points
 BOOTSTRAP_LIMIT = 2**58  # a replicate holds four float64 expectations
+
+# hv's sampled board without --shots and --seed
+_HV_SHOTS = 1_000_000
+_HV_SEED = 0
 
 _SUMMARY_NOTE = (
     "note: summary inputs are typically already rounded for publication; "
@@ -102,7 +114,9 @@ class _PreparationAction(argparse.Action):
             raise argparse.ArgumentError(self, str(exc)) from None
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use."""
     parser = _Parser(prog="chipctx", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -135,8 +149,10 @@ def build_parser() -> argparse.ArgumentParser:
     hv.add_argument("--prep", type=float_within(0.0), nargs=4, required=True,
                     action=_PreparationAction, metavar=("P1", "P2", "P3", "P4"),
                     help="channel probability distribution")
-    hv.add_argument("--shots", type=int_at_least(1, SHOTS_LIMIT), default=1_000_000)
-    hv.add_argument("--seed", type=int_at_least(0), default=0)
+    hv.add_argument("--shots", type=int_at_least(1, SHOTS_LIMIT), default=None,
+                    help=f"balls per context, without --exact (default {_HV_SHOTS})")
+    hv.add_argument("--seed", type=int_at_least(0), default=None,
+                    help=f"board seed, without --exact (default {_HV_SEED})")
     hv.add_argument("--flip-prob", type=float_within(0.0, 1.0), default=0.5,
                     help="bit-flip probability of an X section")
     hv.add_argument("--exact", action="store_true", help="exact probabilities, no sampling")
@@ -224,14 +240,20 @@ def _verdict(z, s, bound):
 
 def cmd_hv(args) -> int:
     if args.exact:
+        for flag, value in (("--shots", args.shots), ("--seed", args.seed)):
+            if value is not None:
+                print(f"error: {flag} does not apply to --exact", file=sys.stderr)
+                return 1
         s = galton_s_exact(args.prep, x_flip_probability=args.flip_prob)
         print(f"S = {s!r} (exact)")
         print(f"classical bound: 2; margin to bound = {2.0 - s!r}")
         print(f"verdict: {_verdict(math.nan, s, 2.0)}")
         return 0
-    s, sigma_s = galton_s(args.prep, args.shots, args.seed, x_flip_probability=args.flip_prob)
+    shots = _HV_SHOTS if args.shots is None else args.shots
+    seed = _HV_SEED if args.seed is None else args.seed
+    s, sigma_s = galton_s(args.prep, shots, seed, x_flip_probability=args.flip_prob)
     z = significance(s, 0.0, sigma_s) if sigma_s > 0.0 else math.nan  # the board has epsilon = 0
-    print(f"S = {s:.6f} +- {sigma_s:.6f} ({args.shots} shots per context)")
+    print(f"S = {s:.6f} +- {sigma_s:.6f} ({shots} shots per context)")
     if not math.isnan(z):
         print(f"classical bound: 2; (S - 2)/sigma_S = {z:.3f}")
     else:
@@ -324,9 +346,8 @@ def _report_json(table: ReportTable, summary: tuple | None) -> Iterator[str]:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -365,10 +365,11 @@ def _bootstrap_sigma_s(counts: np.ndarray, seeds: np.ndarray, bootstrap: int) ->
     context order.  Groups are drawn a block at a time, and S and its
     standard deviation are reduced over the whole block.
 
-    The blocks are shared out (:func:`_share_out`) among
-    :func:`_worker_threads` threads, whose blocks together hold at most
-    ``_BOOTSTRAP_BLOCK_BYTES`` of replicates; when one group needs more than
-    a thread's share, one thread draws.  The draws release the GIL, and each
+    The blocks are shared out (:func:`_share_out`) among at most
+    :func:`_worker_threads` threads, and at most as many as the groups that
+    ``_BOOTSTRAP_BLOCK_BYTES`` of replicates hold, so that the threads'
+    blocks together stay within that budget; a group over the whole budget
+    is drawn alone, on one thread.  The draws release the GIL, and each
     group's draws depend on its seed alone, so sigma_S is the same whatever
     the thread count.
     """
@@ -379,10 +380,8 @@ def _bootstrap_sigma_s(counts: np.ndarray, seeds: np.ndarray, bootstrap: int) ->
     fractions = counts / totals[..., None]
     words = _key_state([seeds], 4)  # the PCG64 state words of each group, as in seeded_generators
     group_bytes = 8 * n_contexts * bootstrap
-    workers = _worker_threads()
-    block = _BOOTSTRAP_BLOCK_BYTES // (workers * group_bytes)
-    if block == 0:  # a group alone exceeds a thread's share, so it gets the whole budget
-        workers, block = 1, max(1, _BOOTSTRAP_BLOCK_BYTES // group_bytes)
+    workers = min(_worker_threads(), max(1, _BOOTSTRAP_BLOCK_BYTES // group_bytes))
+    block = max(1, _BOOTSTRAP_BLOCK_BYTES // (workers * group_bytes))
     sigma_s = np.empty(n_groups)
 
     def draw_block(start: int, stop: threading.Event) -> None:  # a block is short: stop unread

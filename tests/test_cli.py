@@ -1,9 +1,12 @@
 """Command-line surface: flags, file formats, exit codes, determinism."""
 
+import argparse
 import csv
 import hashlib
+import io
 import json
 import threading
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -397,6 +400,26 @@ class TestHvCommand:
         assert "S = 1.0 (exact)" in out
         assert "no violation" in out
 
+    @pytest.mark.parametrize("flag, value", [("--shots", 5), ("--seed", 3)])
+    def test_sampling_flag_with_exact_is_a_usage_error(self, capsys, flag, value):
+        # --exact draws nothing, so a flag of the sampled board is an error, not ignored
+        assert run_cli("hv", "--prep", 0, 1, 0, 0, "--exact", flag, value) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {flag} does not apply to --exact\n"
+
+    def test_flip_prob_applies_to_exact(self, capsys):
+        # the exact board uses the flip probability: S is 1.0 at the default 0.5
+        assert run_cli("hv", "--prep", 0, 1, 0, 0, "--exact", "--flip-prob", 0) == 0
+        assert capsys.readouterr().out.startswith("S = -2.0 (exact)\n")
+
+    def test_sampled_defaults_are_a_million_balls_and_seed_zero(self, capsys):
+        assert run_cli("hv", "--prep", 0.1, 0.2, 0.3, 0.4) == 0
+        defaults = capsys.readouterr().out
+        assert "(1000000 shots per context)" in defaults
+        assert run_cli("hv", "--prep", 0.1, 0.2, 0.3, 0.4, "--shots", 1000000, "--seed", 0) == 0
+        assert capsys.readouterr().out == defaults
+
     def test_never_reports_violation(self, capsys):
         rng = np.random.default_rng(81)
         for seed in range(100):
@@ -576,6 +599,72 @@ class TestAnalyzeCommand:
         assert run_cli("analyze", counts, "--bootstrap", 300, "--out", r1) == 0
         assert run_cli("analyze", counts, "--bootstrap", 300, "--out", r2) == 0
         assert r1.read_bytes() == r2.read_bytes()
+
+
+def captured_cli(argv):
+    """(exit code, stdout, stderr) of one ``cli.main(argv)`` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main([str(a) for a in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestSharedParser:
+    """One parser per process: a call leaves nothing behind for the next one."""
+
+    @staticmethod
+    def argvs(tmp_path):
+        sweep, counts = tmp_path / "sweep.csv", tmp_path / "counts.csv"
+        return [
+            ["sweep", "--steps", 5, "--out", sweep],
+            ["sweep", "--mode", "sampled", "--steps", 5, "--shots", 200, "--seed", 4,
+             "--out", sweep, "--counts-out", counts, "--bootstrap"],
+            ["analyze", counts, "--bootstrap", 30],
+            ["analyze", counts, "--summary", 2.69, 2.53, 0.012, "--out", tmp_path / "report.json"],
+            ["hv", "--prep", 0.1, 0.2, 0.3, 0.4, "--shots", 1000, "--seed", 3],
+            ["hv", "--prep", 0, 1, 0, 0, "--exact"],
+            ["sweep", "--steps", 3, "--seed", 5, "--out", sweep],  # usage error after parsing
+            ["sweep", "--steps", 1],  # usage error while parsing
+            ["analyze", tmp_path / "missing.csv"],  # data error
+            ["--help"],
+            ["hv", "--help"],
+            ["hv", "--prep", "nan", 1, 0, 0],
+            ["hv", "--prep", 0, 1, 0, 0, "--exact", "--seed", 3],
+            ["analyze", counts, "--summary", 2.69, 2.53, 0],
+            [],
+            ["analyze", counts],
+            ["sweep", "--steps", 5, "--out", sweep],
+        ]
+
+    def test_calls_through_one_parser_equal_calls_through_fresh_ones(self, tmp_path):
+        cli._parser.cache_clear()
+        shared = [captured_cli(argv) for argv in self.argvs(tmp_path)]
+        assert {code for code, _, _ in shared} == {0, 1, 2}
+        fresh = []
+        for argv in self.argvs(tmp_path):
+            cli._parser.cache_clear()
+            fresh.append(captured_cli(argv))
+        for argv, one, other in zip(self.argvs(tmp_path), shared, fresh):
+            assert one == other, argv
+
+    def test_later_calls_build_no_parser(self, monkeypatch, capsys):
+        built, init = [], argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli._parser.cache_clear()
+        assert run_cli("hv", "--prep", 0, 1, 0, 0, "--exact") == 0
+        assert built  # the first call builds the parser and its subcommands' parsers
+        built.clear()
+        assert run_cli("hv", "--prep", 0, 1, 0, 0, "--exact") == 0
+        assert run_cli("hv", "--prep", 0.1, 0.2, 0.3, 0.4, "--shots", 100) == 0
+        assert run_cli("sweep", "--steps", 1) == 1
+        assert run_cli("--help") == 0
+        assert built == []
+        cli._parser.cache_clear()  # drop the parser built through the patched constructor
 
 
 # sha256 of analyze's stdout and JSON report on the counts of `sweep --mode

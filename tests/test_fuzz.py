@@ -3,11 +3,13 @@
 Random mutations of a valid device-config JSON, of a valid counts CSV and of
 valid argument lists go through ``cli.main``.  Whatever the mutation, the CLI
 must not raise, must exit 0 (the input still reads), 1 or 2, and must print
-at most one ``error:`` line on stderr.  A mutated config that loads must keep
-every one of its values in ``DeviceConfig.to_json_dict``.  Mutated counts CSVs
-also go through the columnar reader and grouping and through their row-by-row
-references in ``conftest``: both must give the same records and groups, or the
-same error.
+at most one ``error:`` line on stderr.  A mutated argument list must give the
+same exit code, stdout and stderr through the parser that the examples before
+it used as through a freshly built one.  A mutated config that loads must
+keep every one of its values in ``DeviceConfig.to_json_dict``.  Mutated counts
+CSVs also go through the columnar reader and grouping and through their
+row-by-row references in ``conftest``: both must give the same records and
+groups, or the same error.
 """
 
 import io
@@ -263,16 +265,27 @@ def mutated_argvs(draw):
     return argv
 
 
-@settings(FUZZ, max_examples=1000)
-@given(mutated_argvs())
-def test_mutated_argv_exits_cleanly(argv):
+def run_cli_in_new_directory(argv):
+    """(exit code, stdout, stderr) of ``cli.main(argv)`` in a new directory holding counts.csv."""
     cwd = os.getcwd()
+    out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)  # a mutated --out may name any relative path
         try:
             Path("counts.csv").write_text(COUNTS_TEXT, encoding="utf-8")
-            code, err = run_cli(argv)
+            with redirect_stdout(out), redirect_stderr(err):
+                code = cli.main([str(a) for a in argv])
         finally:
             os.chdir(cwd)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(FUZZ, max_examples=1000)
+@given(mutated_argvs())
+def test_mutated_argv_exits_cleanly(argv):
+    shared = run_cli_in_new_directory(argv)  # through the parser the examples before it used
+    code, _, err = shared
     assert "Traceback" not in err, err
     assert_clean_exit(code, err)
+    cli._parser.cache_clear()
+    assert run_cli_in_new_directory(argv) == shared  # through a freshly built parser

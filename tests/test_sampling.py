@@ -324,6 +324,26 @@ class TestBootstrapThreads:
         assert set(threads) == {threading.current_thread()}
         assert peak <= alone + 4096  # the columns of two more groups, not a second block
 
+    def test_many_cpus_share_out_the_default_bootstrap(self, monkeypatch):
+        # at the default B = 1000 a group holds 32 000 bytes, so the 256 KiB budget holds
+        # 8 groups: 16 CPUs draw on 8 threads, a group a block, instead of on one
+        bootstrap = 1000
+        counts, seeds = random_groups(24, seed=16)
+        group_seeds = derive_seeds(*seeds.T)
+        monkeypatch.setattr(sampling, "_worker_threads", lambda: 1)
+        alone = sampling._bootstrap_sigma_s(counts, group_seeds, bootstrap)
+        columns = traced_peak(count_statistics, counts, seeds, 2)
+        threads = self.draw_threads(monkeypatch, wait=True)
+        monkeypatch.setattr(sampling, "_worker_threads", lambda: 16)
+        sigma_s = sampling._bootstrap_sigma_s(counts, group_seeds, bootstrap)
+        drawing = sampling._BOOTSTRAP_BLOCK_BYTES // (8 * 4 * bootstrap)
+        assert 1 < len(set(threads)) <= drawing == 8
+        assert sigma_s.tobytes() == alone.tobytes()
+        # test_threads_share_the_block_budget's bound, for the threads that draw
+        slack = sampling._BOOTSTRAP_BLOCK_BYTES // 2 + drawing * 48 * bootstrap
+        peak = traced_peak(count_statistics, counts, seeds, bootstrap)
+        assert peak <= columns + sampling._BOOTSTRAP_BLOCK_BYTES + slack
+
 
 
 def test_an_interrupt_in_the_calling_thread_stops_every_thread():
