@@ -28,8 +28,7 @@ from .chips import DeviceConfig, load_device_config
 from .errors import CalibrationError, ConsistencyError
 from .galton import _check_preparation, galton_s, galton_s_exact
 from .sampling import (
-    DEFAULT_BOOTSTRAP_REPLICATES, count_statistics, group_counts, read_counts_csv,
-    write_counts_columns,
+    DEFAULT_BOOTSTRAP_REPLICATES, count_statistics, read_counts_csv, write_counts_columns,
 )
 from .sweep import (
     SweepSpec, run_sweep, write_figure_curves_csv, write_sweep_csv,
@@ -173,9 +172,12 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _sweep_usage_error(args) -> str | None:
-    """Why this flag combination is unusable: an empty grid, a missing or an ignored flag."""
+    """Why this flag combination is unusable: a bad grid, a missing or an ignored flag."""
     if not args.phi_start < args.phi_end:
         return f"--phi-start must be below --phi-end, got {args.phi_start!r} >= {args.phi_end!r}"
+    if not math.isfinite(args.phi_end - args.phi_start):
+        return (f"--phi-start to --phi-end spans more than a float holds, "
+                f"got {args.phi_start!r} to {args.phi_end!r}")
     needs_config = args.device == "imperfect" or args.emit_figure3
     if needs_config and args.config is None:
         return "--config is required for --device imperfect and --emit-figure3"
@@ -263,13 +265,11 @@ def cmd_hv(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    columns = read_counts_csv(args.counts_csv)
-    if not len(columns) and args.summary is None:
+    phi, counts, seeds = read_counts_csv(args.counts_csv)
+    if not len(phi) and args.summary is None:
         print(f"error: {args.counts_csv} holds no count records", file=sys.stderr)
         return 2
-    phi, counts, seeds = group_counts(columns)
-    table = report_table(np.array(phi, dtype=float),
-                         *count_statistics(counts, seeds, args.bootstrap))
+    table = report_table(phi, *count_statistics(counts, seeds, args.bootstrap))
     summary = None
     if args.summary is not None:
         s, bound, sigma = args.summary

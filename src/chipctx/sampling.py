@@ -24,12 +24,12 @@ depend on the thread count, and there is no flag to set it.  One helper,
 :func:`_share_out`, shares such work out among threads, for the bootstrap's
 blocks and for the classical board's contexts alike: it hands out items
 under a lock, stops every thread once one raises, and joins them all before
-it returns or raises.  A counts CSV is read as columns
-(:class:`CountColumns`) and grouped by phase with :func:`group_counts`, both
-checked a whole array at a time.  It is written from columns too, by
-:func:`write_counts_columns` (or :func:`write_counts_csv`, from (phi, record)
-rows), which checks each column once and formats it with
-:func:`chipctx.text.write_csv`, the one column-wise formatter.
+it returns or raises.  :func:`read_counts_csv` reads a counts CSV straight
+into phase groups, checking its rows a block at a time and then its groups.
+The CSV is written from columns by :func:`write_counts_columns` (or
+:func:`write_counts_csv`, from (phi, record) rows), which checks each column
+once and formats it with :func:`chipctx.text.write_csv`, the one column-wise
+formatter.
 """
 
 from __future__ import annotations
@@ -84,6 +84,8 @@ class CountRecord:
             raise ValueError(f"counts must be four non-negative integers, got {self.counts!r}")
         if sum(counts) != total:
             raise ValueError(f"counts sum {sum(counts)} != total {total}")
+        if total < 1:  # a record without events has no estimate
+            raise ValueError(f"total must be at least 1, got {total}")
         if total >= 2**63:  # the estimators count in int64
             raise ValueError(f"total must be below 2**63, got {total}")
         if not 0 <= seed < 2**64:
@@ -430,7 +432,7 @@ def write_counts_columns(path: str | Path, phi: np.ndarray, contexts: Sequence[s
         check_context(context)
     bad, totals = _bad_count_rows(counts)
     if bad.any():
-        raise ValueError("counts must be non-negative integers whose total is below 2**63")
+        raise ValueError("counts must be non-negative integers whose total lies in [1, 2**63)")
     if not ((seeds >= 0) & (seeds < 2**64)).all():
         raise ValueError("seeds must lie in [0, 2**64)")
     write_csv(path, COUNTS_CSV_COLUMNS, [phi, contexts, *counts.T, totals, seeds])
@@ -441,38 +443,56 @@ def _bad_count_rows(counts: np.ndarray,
     """Which rows of (rows, detector) int64 counts break a CountRecord condition, and their sums.
 
     A row is bad if a count is negative, if its running int64 sum wraps past
-    2**63 - 1, or if its sum differs from its entry of ``totals`` when given.
+    2**63 - 1, if its sum differs from its entry of ``totals`` when given, or
+    if its sum is 0.
     """
     partial = np.cumsum(counts, axis=-1)  # a sum past 2**63 - 1 wraps negative
     sums = partial[:, -1]
-    bad = (counts < 0).any(axis=-1) | (partial < 0).any(axis=-1)
+    bad = (counts < 0).any(axis=-1) | (partial < 0).any(axis=-1) | (sums < 1)
     if totals is not None:
         bad |= sums != totals
     return bad, sums
 
 
-@dataclass(frozen=True, eq=False)
-class CountColumns:
-    """Count records as columns: record r is phi[r], CONTEXTS[context[r]], counts[r], seeds[r].
+def read_counts_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The records of a counts CSV grouped by phi: phi, counts and seeds.
 
-    ``context`` holds int64 indices into CONTEXTS, ``counts`` is an (records,
-    detector) int64 array, ``seeds`` a uint64 array; N is each row's sum.
+    ``phi`` is float64, in the order each phi first appears; ``counts`` is
+    shaped (group, context, detector) and ``seeds`` (group, context), in
+    CONTEXTS order.  The rows are checked by :func:`_count_blocks`, then the
+    groups: the first that misses or repeats a context raises the error of
+    :func:`in_context_order`, after ``path: phi=<repr>:``.
     """
+    index: dict[float, int] = {}
+    blocks = []  # (group * 4 + context, counts, seeds) of each block of records
+    for phi, context, counts, seeds in _count_blocks(path):
+        group = np.array([index.setdefault(x, len(index)) for x in phi], dtype=np.intp)
+        blocks.append((group * len(CONTEXTS) + context, counts, seeds))
+    slots = np.concatenate([np.zeros(0, dtype=np.intp)] + [slot for slot, _, _ in blocks])
+    occupancy = np.bincount(slots, minlength=len(index) * len(CONTEXTS))
+    bad = (occupancy.reshape(-1, len(CONTEXTS)) != 1).any(axis=-1)
+    if bad.any():  # in_context_order raises for a group that misses or repeats a context
+        first = int(bad.argmax())
+        rows = (slots[slots // len(CONTEXTS) == first] % len(CONTEXTS)).tolist()
+        try:
+            in_context_order([SimpleNamespace(context=CONTEXTS[c]) for c in rows], "record")
+        except ValueError as exc:
+            raise ValueError(f"{path}: phi={list(index)[first]!r}: {exc}") from None
+    counts = np.empty((len(index), len(CONTEXTS), 4), dtype=np.int64)
+    seeds = np.empty((len(index), len(CONTEXTS)), dtype=np.uint64)
+    for slot, block_counts, block_seeds in blocks:
+        counts.reshape(-1, 4)[slot] = block_counts
+        seeds.reshape(-1)[slot] = block_seeds
+    return np.array(list(index), dtype=float), counts, seeds
 
-    phi: list[float]
-    context: np.ndarray
-    counts: np.ndarray
-    seeds: np.ndarray
 
-    def __len__(self) -> int:
-        return len(self.phi)
+def _count_blocks(path: str | Path) -> Iterator[tuple]:
+    """phi, context, counts and seed columns of a counts CSV's records, a block at a time.
 
-
-def read_counts_csv(path: str | Path) -> CountColumns:
-    """Read the count records written by :func:`write_counts_csv`, as columns.
-
-    Every row is checked as a :class:`CountRecord` would check it, a block of
-    rows at a time; the first bad row, in file order, raises its
+    ``phi`` is a list of floats, ``context`` int64 indices into CONTEXTS,
+    ``counts`` an (records, detector) int64 array and ``seeds`` a uint64
+    array.  Every row is checked as a :class:`CountRecord` would check it, a
+    block at a time; the first bad row, in file order, raises its
     ``path:line:`` error.  So does a read error of the csv module, after every
     row before it has been checked.
     """
@@ -500,15 +520,10 @@ def read_counts_csv(path: str | Path) -> CountColumns:
         if header is None or tuple(h.strip() for h in header) != COUNTS_CSV_COLUMNS:
             raise ValueError(f"{path}: expected header {','.join(COUNTS_CSV_COLUMNS)}")
         records = ((lineno, row) for lineno, row in rows if row)
-        blocks = [([], np.zeros(0, dtype=np.int64), np.zeros((0, 4), dtype=np.int64),
-                   np.zeros(0, dtype=np.uint64))]
-        blocks += [_parse_rows(path, block)
-                   for block in iter(lambda: list(itertools.islice(records, _CSV_BLOCK)), [])]
+        for block in iter(lambda: list(itertools.islice(records, _CSV_BLOCK)), []):
+            yield _parse_rows(path, block)
     if read_errors:
         raise read_errors[0]
-    phi, context, counts, seeds = zip(*blocks)
-    return CountColumns(list(itertools.chain.from_iterable(phi)), np.concatenate(context),
-                        np.concatenate(counts), np.concatenate(seeds))
 
 
 def _parse_rows(path: str | Path, block: list[tuple[int, list[str]]]):
@@ -552,25 +567,3 @@ def _check_row(path: str | Path, lineno: int, row: list[str]) -> None:
         )
     except ValueError as exc:
         raise ValueError(f"{path}:{lineno}: {exc}") from exc
-
-
-def group_counts(columns: CountColumns) -> tuple[list[float], np.ndarray, np.ndarray]:
-    """Records grouped by phi, in the order each phi first appears: phi, counts and seeds.
-
-    ``counts`` is shaped (group, context, detector) and ``seeds`` (group,
-    context), in CONTEXTS order.  Each group must hold one record per context;
-    the first group that does not raises the error of :func:`in_context_order`.
-    """
-    index: dict[float, int] = {}
-    group = np.array([index.setdefault(phi, len(index)) for phi in columns.phi], dtype=np.intp)
-    occupancy = np.zeros((len(index), len(CONTEXTS)), dtype=np.int64)
-    np.add.at(occupancy, (group, columns.context), 1)
-    bad = (occupancy != 1).any(axis=-1)
-    if bad.any():  # in_context_order raises for a group that misses or repeats a context
-        rows = columns.context[group == bad.argmax()].tolist()
-        in_context_order([SimpleNamespace(context=CONTEXTS[c]) for c in rows], "record")
-    counts = np.empty((len(index), len(CONTEXTS), 4), dtype=np.int64)
-    seeds = np.empty((len(index), len(CONTEXTS)), dtype=np.uint64)
-    counts[group, columns.context] = columns.counts
-    seeds[group, columns.context] = columns.seeds
-    return list(index), counts, seeds

@@ -60,6 +60,8 @@ class SweepSpec:
             raise ValueError("phase limits must be finite")
         if not self.phi_start < self.phi_end:
             raise ValueError(f"phi_start must be below phi_end, got {self.phi_start} >= {self.phi_end}")
+        if not math.isfinite(self.phi_end - self.phi_start):
+            raise ValueError(f"phase span must be finite, got {self.phi_end} - {self.phi_start}")
         if self.steps < 2:
             raise ValueError(f"steps must be at least 2, got {self.steps}")
         if self.mode not in ("analytic", "sampled"):

@@ -12,6 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from chipctx import sampling
 from chipctx.analysis import CONTEXTS, in_context_order, s_value, sign_sum
 from chipctx.chips import PhaseSkeleton
 from chipctx.sampling import COUNTS_CSV_COLUMNS, CountRecord
@@ -256,20 +257,56 @@ def count_arrays(groups) -> tuple[np.ndarray, np.ndarray]:
     return counts.reshape(-1, len(CONTEXTS), 4), seeds.reshape(-1, len(CONTEXTS))
 
 
-def reference_group_counts(rows) -> tuple[list[float], np.ndarray, np.ndarray]:
-    """Phi, counts and seeds of (phi, record) rows grouped by phi: the reference of group_counts."""
+def reference_group_counts(path, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Phi, counts and seeds of (phi, record) rows grouped by phi: the reference of read_counts_csv.
+
+    A group that misses or repeats a context raises the error of
+    ``in_context_order`` prefixed with ``path: phi=<repr>:``.
+    """
     groups: dict[float, list] = {}
     for phi, rec in rows:
         groups.setdefault(phi, []).append(rec)
+    for phi, records in groups.items():
+        try:
+            in_context_order(records, "record")
+        except ValueError as exc:
+            raise ValueError(f"{path}: phi={phi!r}: {exc}") from None
     counts, seeds = count_arrays(groups.values())
-    return list(groups), counts, seeds
+    return np.array(list(groups), dtype=float), counts, seeds
 
 
-def column_rows(columns) -> list[tuple[float, CountRecord]]:
-    """The (phi, record) rows of ``CountColumns``."""
+def record_rows(path) -> list[tuple[float, CountRecord]]:
+    """The (phi, record) rows of a counts CSV, from the checked blocks read_counts_csv groups."""
     return [(phi, CountRecord(CONTEXTS[c], tuple(n), sum(n), seed))
-            for phi, c, n, seed in zip(columns.phi, columns.context.tolist(),
-                                       columns.counts.tolist(), columns.seeds.tolist())]
+            for block_phi, context, counts, seeds in sampling._count_blocks(path)
+            for phi, c, n, seed in zip(block_phi, context.tolist(), counts.tolist(),
+                                       seeds.tolist())]
+
+
+def read_outcome(path, reference=False):
+    """("ok", rows, groups) of the counts CSV at ``path``, or ("error", message) of its rows.
+
+    The rows are (repr(phi), record) pairs in file order.  The groups are
+    phi, counts and seeds with their dtypes, phi again as reprs, or ("error",
+    message) of the group check.  They are read by ``read_counts_csv`` and its
+    blocks, or with ``reference`` by ``reference_read_counts_csv`` and
+    ``reference_group_counts``.
+    """
+    try:
+        rows = reference_read_counts_csv(path) if reference else record_rows(path)
+    except ValueError as exc:
+        return "error", str(exc)
+    try:
+        if reference:
+            phi, counts, seeds = reference_group_counts(path, rows)
+        else:
+            phi, counts, seeds = sampling.read_counts_csv(path)
+    except ValueError as exc:
+        groups = ("error", str(exc))
+    else:
+        groups = (phi.dtype, [repr(x) for x in phi.tolist()], counts.dtype, counts.tolist(),
+                  seeds.dtype, seeds.tolist())
+    return "ok", [(repr(x), rec) for x, rec in rows], groups
 
 
 @pytest.fixture

@@ -224,6 +224,17 @@ class TestSweepCommand:
         assert captured.err.count("error:") == 1
         assert not out.exists()
 
+    def test_phase_span_past_the_float_range_is_a_usage_error(self, tmp_path, capsys):
+        # each limit is finite, but phi_end - phi_start overflows
+        out = tmp_path / "s.csv"
+        assert run_cli("sweep", "--phi-start=-1e308", "--phi-end", "1e308", "--steps", 3,
+                       "--out", out) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", "error: --phi-start to --phi-end spans more than a float holds, "
+                "got -1e+308 to 1e+308\n")
+        assert not out.exists()
+
     def test_negative_seed_is_a_usage_error(self, tmp_path, capsys):
         out = tmp_path / "s.csv"
         assert run_cli("sweep", "--seed", -1, "--mode", "sampled", "--out", out) == 1
@@ -546,7 +557,7 @@ class TestAnalyzeCommand:
         assert run_cli("analyze", counts, "--out", report) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: duplicate record for context XX\n"
+        assert captured.err == f"error: {counts}: phi=1.0: duplicate record for context XX\n"
         assert not report.exists()
 
     def test_non_finite_phi_is_a_data_error(self, tmp_path, capsys):
@@ -559,6 +570,18 @@ class TestAnalyzeCommand:
         assert run_cli("analyze", counts) == 2
         err = capsys.readouterr().err
         assert err == f"error: {counts}:2: phi must be finite, got 'nan'\n"
+
+    def test_zero_event_record_is_a_data_error_at_its_line(self, tmp_path, capsys):
+        counts = tmp_path / "counts.csv"
+        write_counts_csv(counts, [(0.0, CountRecord(ctx, (60, 20, 10, 10), 100, seed=i))
+                                  for i, ctx in enumerate(("XX", "XZ", "ZX", "ZZ"))])
+        lines = counts.read_text(encoding="utf-8").splitlines()
+        lines[3] = "0.0,ZX,0,0,0,0,0,2"
+        counts.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run_cli("analyze", counts) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {counts}:4: total must be at least 1, got 0\n"
 
     def test_negative_record_seed_is_a_data_error(self, tmp_path, capsys):
         counts = tmp_path / "counts.csv"

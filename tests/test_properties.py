@@ -49,7 +49,7 @@ from chipctx.sampling import (
 )
 from chipctx.sweep import SweepSpec, run_sweep
 
-from conftest import calibration_residual, column_rows, counting
+from conftest import calibration_residual, counting, record_rows, reference_group_counts
 
 PROPERTY = settings(deadline=None, derandomize=True, database=None)
 
@@ -114,12 +114,25 @@ def device_configs(draw):
     )
 
 
-count_records = st.builds(
-    lambda context, counts, seed: CountRecord(context, tuple(counts), sum(counts), seed),
-    st.sampled_from(CONTEXTS),
-    st.lists(st.integers(0, 2**61), min_size=4, max_size=4),
-    st.integers(0, 2**64 - 1),
-)
+def count_records(context):
+    """Records of one context: counts up to 2**61 with at least one event, any uint64 seed."""
+    return st.builds(
+        lambda counts, seed: CountRecord(context, tuple(counts), sum(counts), seed),
+        st.lists(st.integers(0, 2**61), min_size=4, max_size=4).filter(any),
+        st.integers(0, 2**64 - 1),
+    )
+
+
+@st.composite
+def count_groups(draw):
+    """(phi, record) rows of up to three finite phis, each with one record per context.
+
+    The rows of all groups come in a drawn order, so groups interleave.
+    """
+    phis = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False), unique=True,
+                         max_size=3))
+    rows = [(phi, draw(count_records(context))) for phi in phis for context in CONTEXTS]
+    return draw(st.permutations(rows))
 
 
 @PROPERTY
@@ -168,13 +181,19 @@ def test_board_s_never_exceeds_two(prep, flip):
 
 
 @PROPERTY
-@given(st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False), count_records),
-                max_size=12))
+@given(count_groups())
 def test_counts_csv_round_trips(rows):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "counts.csv"
         write_counts_csv(path, rows)
-        assert column_rows(read_counts_csv(path)) == rows
+        assert [(repr(phi), rec) for phi, rec in record_rows(path)] == [
+            (repr(phi), rec) for phi, rec in rows]
+        phi, counts, seeds = read_counts_csv(path)
+        expected_phi, expected_counts, expected_seeds = reference_group_counts(path, rows)
+    assert (phi.dtype, list(map(repr, phi.tolist()))) == (
+        np.float64, list(map(repr, expected_phi.tolist())))
+    assert (counts.dtype, counts.tolist()) == (np.int64, expected_counts.tolist())
+    assert (seeds.dtype, seeds.tolist()) == (np.uint64, expected_seeds.tolist())
 
 
 @PROPERTY

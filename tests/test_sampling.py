@@ -10,22 +10,20 @@ from chipctx import sampling
 from chipctx.analysis import CONTEXTS, s_value
 from chipctx.sampling import (
     COUNTS_CSV_COLUMNS,
-    CountColumns,
     CountRecord,
     count_statistics,
     derive_seed,
     derive_seeds,
     estimate_s,
     expectation_estimates,
-    group_counts,
     read_counts_csv,
     sample_counts,
     write_counts_csv,
 )
 
 from conftest import (
-    ORACLE_CONTEXT_UNITARIES, SQRT2, bootstrap_sigma_s, column_rows, count_arrays, oracle_state,
-    random_states, reference_read_counts_csv, traced_peak,
+    ORACLE_CONTEXT_UNITARIES, SQRT2, bootstrap_sigma_s, count_arrays, oracle_state, random_states,
+    read_outcome, record_rows, reference_group_counts, reference_read_counts_csv, traced_peak,
 )
 
 
@@ -71,6 +69,8 @@ class TestSampleCounts:
             CountRecord("ZZ", (-1, 2, 3, 4), total=8, seed=0)
         with pytest.raises(ValueError, match="total must be below"):
             CountRecord("ZZ", (2**63, 0, 0, 0), total=2**63, seed=0)
+        with pytest.raises(ValueError, match=r"^total must be at least 1, got 0$"):
+            CountRecord("ZZ", (0, 0, 0, 0), total=0, seed=0)
         for seed in (-1, 2**64):
             with pytest.raises(ValueError, match="seed must lie in"):
                 CountRecord("ZZ", (1, 0, 0, 0), total=1, seed=seed)
@@ -194,11 +194,13 @@ class TestCountStatistics:
                 bootstrap_sigma_s(n, np.random.default_rng(derive_seed(*seed)), bootstrap)
                 for n, seed in zip(counts, seeds.tolist())]
 
-    def test_groups_are_put_in_context_order(self):
+    def test_groups_are_put_in_context_order(self, tmp_path):
         groups = self.groups()
         rows = [(float(g), rec) for g, group in enumerate(groups) for rec in reversed(group)]
-        phi, counts, seeds = group_counts(columns_of(rows))
-        assert phi == [0.0, 1.0, 2.0]
+        path = tmp_path / "counts.csv"
+        write_counts_csv(path, rows)
+        phi, counts, seeds = read_counts_csv(path)
+        assert (phi.dtype, phi.tolist()) == (np.float64, [0.0, 1.0, 2.0])
         assert counts.tolist() == [[list(rec.counts) for rec in group] for group in groups]
         assert seeds.tolist() == [[rec.seed for rec in group] for group in groups]
         assert (counts.dtype, seeds.dtype) == (np.int64, np.uint64)
@@ -237,7 +239,7 @@ class TestBootstrapThreads:
             thread = threading.current_thread()
             if thread is not caller:
                 other_drew.set()
-            elif wait:
+            elif wait and caller not in threads:  # the caller's first block
                 other_drew.wait(timeout=60)
             threads.append(thread)
             return s_value(e)
@@ -365,25 +367,24 @@ def test_an_interrupt_in_the_calling_thread_stops_every_thread():
     assert sorted(items_seen) == [0, 1]  # no thread takes an item after the stop
     assert threading.active_count() == baseline
 
-def columns_of(rows) -> CountColumns:
-    """CountColumns of (phi, record) rows."""
-    return CountColumns([phi for phi, _ in rows],
-                        np.array([CONTEXTS.index(rec.context) for _, rec in rows], dtype=np.int64),
-                        np.array([rec.counts for _, rec in rows], dtype=np.int64).reshape(-1, 4),
-                        np.array([rec.seed for _, rec in rows], dtype=np.uint64))
-
 
 class TestGroupCounts:
+    """Records grouped by phi as read_counts_csv reads them from a CSV that write_counts_csv wrote."""
+
     def records(self, contexts, seed=0):
         return [CountRecord(ctx, (60, 20, 10, 10), 100, seed=seed + i)
                 for i, ctx in enumerate(contexts)]
 
-    def test_groups_follow_the_first_appearance_of_each_phi(self):
+    def read(self, path, rows):
+        write_counts_csv(path, rows)
+        return read_counts_csv(path)
+
+    def test_groups_follow_the_first_appearance_of_each_phi(self, tmp_path):
         rows = [(2.5, rec) for rec in self.records(CONTEXTS[:2])]
         rows += [(-1.0, rec) for rec in self.records(CONTEXTS, seed=10)]
         rows += [(2.5, rec) for rec in self.records(CONTEXTS[2:], seed=2)]
-        phi, counts, seeds = group_counts(columns_of(rows))
-        assert phi == [2.5, -1.0]
+        phi, counts, seeds = self.read(tmp_path / "counts.csv", rows)
+        assert phi.tolist() == [2.5, -1.0]
         assert seeds.tolist() == [[0, 1, 2, 3], [10, 11, 12, 13]]
         assert counts.shape == (2, 4, 4)
 
@@ -391,17 +392,23 @@ class TestGroupCounts:
         (("XX", "XZ", "XX", "ZX", "ZZ"), "duplicate record for context XX"),
         (("ZZ", "XX"), "missing record for context(s) ['XZ', 'ZX']"),
     ], ids=["duplicate", "missing"])
-    def test_first_bad_group_raises_the_in_context_order_message(self, contexts, message):
+    def test_first_bad_group_raises_the_in_context_order_message(self, tmp_path, contexts,
+                                                                 message):
         rows = [(0.0, rec) for rec in self.records(CONTEXTS)]
-        rows += [(1.0, rec) for rec in self.records(contexts, seed=10)]
+        rows += [(0.1, rec) for rec in self.records(contexts, seed=10)]
         rows += [(2.0, rec) for rec in self.records(("XZ",), seed=20)]
+        path = tmp_path / "counts.csv"
         with pytest.raises(ValueError) as info:
-            group_counts(columns_of(rows))
-        assert str(info.value) == message
+            self.read(path, rows)
+        assert str(info.value) == f"{path}: phi=0.1: {message}"
+        with pytest.raises(ValueError) as info:
+            reference_group_counts(path, reference_read_counts_csv(path))
+        assert str(info.value) == f"{path}: phi=0.1: {message}"
 
-    def test_no_records_give_no_groups(self):
-        phi, counts, seeds = group_counts(columns_of([]))
-        assert (phi, counts.shape, seeds.shape) == ([], (0, 4, 4), (0, 4))
+    def test_no_records_give_no_groups(self, tmp_path):
+        phi, counts, seeds = self.read(tmp_path / "counts.csv", [])
+        assert (phi.dtype, phi.shape, counts.shape, seeds.shape) == (
+            np.float64, (0,), (0, 4, 4), (0, 4))
 
 
 class TestCountsCsv:
@@ -410,19 +417,24 @@ class TestCountsCsv:
         rows += [(0.5, rec) for rec in sample_all_contexts(0.5, 500, master_seed=3)]
         path = tmp_path / "counts.csv"
         write_counts_csv(path, rows)
-        columns = read_counts_csv(path)
-        assert len(columns) == len(rows)
-        assert columns.counts.shape == (len(rows), 4)
-        assert (columns.context.dtype, columns.counts.dtype, columns.seeds.dtype) == (
-            np.int64, np.int64, np.uint64)
-        assert column_rows(columns) == rows
+        for _, context, counts, seeds in sampling._count_blocks(path):
+            assert (context.dtype, counts.dtype, seeds.dtype) == (np.int64, np.int64, np.uint64)
+        assert record_rows(path) == rows
+        phi, counts, seeds = read_counts_csv(path)
+        assert phi.tolist() == [0.0, 0.5]
+        assert (phi.dtype, counts.dtype, seeds.dtype) == (np.float64, np.int64, np.uint64)
+        assert counts.tolist() == [[list(rec.counts) for _, rec in rows[g:g + 4]]
+                                   for g in (0, 4)]
+        assert seeds.tolist() == [[rec.seed for _, rec in rows[g:g + 4]] for g in (0, 4)]
 
     def test_rows_past_one_block_keep_their_line_numbers(self, tmp_path):
         rows = [(phi, rec) for phi in np.linspace(0.0, 1.0, 300).tolist()
                 for rec in sample_all_contexts(phi, 50, master_seed=4)]
         path = tmp_path / "counts.csv"
         write_counts_csv(path, rows)
-        assert column_rows(read_counts_csv(path)) == rows
+        outcome = read_outcome(path)
+        assert outcome == read_outcome(path, reference=True)
+        assert outcome[1] == [(repr(phi), rec) for phi, rec in rows]
         lines = path.read_text(encoding="utf-8").splitlines()
         lines[1100] = lines[1100].replace(",50,", ",51,")  # N no longer the counts' sum
         path.write_text("\n\n".join(lines) + "\n", encoding="utf-8")  # a blank line after each
@@ -446,6 +458,7 @@ class TestCountsCsv:
         "1e400,XX,60,20,10,10,100,1",
         "0.0,XX,-1,21,10,70,100,1",
         "0.0,XX,60,20,10,10,99,1",
+        "0.0,XX,0,0,0,0,0,1",
         f"0.0,XX,{2**62},{2**62},{2**62},{2**62},0,1",
         f"0.0,XX,{2**63},0,0,0,{2**63},1",
         "0.0,XX,60,20,10,10,100,-1",
@@ -454,15 +467,15 @@ class TestCountsCsv:
         "0.0,XX,6O,20,10,10,100,1",
         " 0.5 , ZZ ,6_0, 20,10,10,1_00, 7",
     ], ids=["unknown-context", "nan-phi", "infinite-phi", "negative-count", "sum-not-total",
-            "sum-past-int64", "total-past-int64", "negative-seed", "seed-past-uint64",
-            "seven-fields", "letter-in-count", "spaces-and-underscores"])
+            "no-events", "sum-past-int64", "total-past-int64", "negative-seed",
+            "seed-past-uint64", "seven-fields", "letter-in-count", "spaces-and-underscores"])
     def test_row_errors_equal_the_row_reader(self, tmp_path, line):
         path = tmp_path / "counts.csv"
         write_counts_csv(path, [(0.0, rec) for rec in sample_all_contexts(0.0, 100, 1)])
         lines = path.read_text(encoding="utf-8").splitlines()
         path.write_text("\n".join(lines[:3] + [line, "1.0,XX,1,2,3,4,10,5"] + lines[3:]) + "\n",
                         encoding="utf-8")
-        assert read_outcome(read_counts_csv, path) == read_outcome(reference_read_counts_csv, path)
+        assert read_outcome(path) == read_outcome(path, reference=True)
 
     @pytest.mark.parametrize("bad_row_first", [True, False])
     @pytest.mark.parametrize("read_error", [b"\xff", b"X" * 200_000])
@@ -476,9 +489,9 @@ class TestCountsCsv:
         lines.insert(late if bad_row_first else 5, b"0.0,XX," + read_error + b",0,0,0,1,1")
         lines.insert(5 if bad_row_first else late, bad)
         path.write_bytes(b"\n".join(lines) + b"\n")
-        expected = read_outcome(reference_read_counts_csv, path)
+        expected = read_outcome(path, reference=True)
         assert expected[0] == "error"
-        assert read_outcome(read_counts_csv, path) == expected
+        assert read_outcome(path) == expected
 
     def test_byte_identical_rewrites(self, tmp_path):
         rows = [(1.25, rec) for rec in sample_all_contexts(1.25, 500, master_seed=3)]
@@ -499,16 +512,6 @@ class TestCountsCsv:
             "phi,context,n1,n2,n3,n4,N,seed\n0.0,ZZ,a,0,0,0,1,0\n", encoding="utf-8")
         with pytest.raises(ValueError):
             read_counts_csv(path)
-
-
-def read_outcome(read, path):
-    """("ok", (phi, record) rows) of the counts CSV at ``path``, or ("error", message)."""
-    try:
-        records = read(path)
-    except ValueError as exc:
-        return "error", str(exc)
-    rows = records if isinstance(records, list) else column_rows(records)
-    return "ok", [(repr(phi), rec) for phi, rec in rows]
 
 
 def test_derive_seed_is_stable_and_key_sensitive():

@@ -154,3 +154,9 @@ def test_large_master_seeds_follow_the_seed_contract(master_seed, bootstrap):
     assert table.seeds.tolist() == [[derive_seed(master_seed, i, c) for c in range(len(CONTEXTS))]
                                     for i in range(spec.steps)]
     assert_sampled_rows_follow_the_seed_contract(table, spec)
+
+
+def test_a_phase_span_past_the_float_range_is_rejected():
+    # each limit is finite, but phi_end - phi_start overflows
+    with pytest.raises(ValueError, match="phase span must be finite"):
+        SweepSpec(-1e308, 1e308, steps=3)

@@ -23,11 +23,11 @@ from hypothesis.extra import numpy as hnp
 from chipctx import cli, text
 from chipctx.analysis import CONTEXTS, ReportTable
 from chipctx.sampling import (
-    CountRecord, read_counts_csv, write_counts_columns, write_counts_csv,
+    CountRecord, write_counts_columns, write_counts_csv,
 )
 from chipctx.sweep import SWEEP_CSV_COLUMNS, write_sweep_csv
 
-from conftest import traced_peak
+from conftest import read_outcome, record_rows, traced_peak
 
 PROPERTY = settings(deadline=None, derandomize=True, database=None, max_examples=40)
 
@@ -133,11 +133,13 @@ def test_report_stdout_equals_the_row_format(columns, summary):
 
 @st.composite
 def count_columns(draw):
-    """Columns the counts writer accepts: finite phi, totals up to 2**63 - 1, any uint64 seed."""
+    """Columns the counts writer accepts: finite phi, totals in [1, 2**63), any uint64 seed."""
     n = draw(LENGTHS)
     phi = draw(hnp.arrays(np.float64, n, elements=finite_cells))
     contexts = [CONTEXTS[c] for c in draw(hnp.arrays(np.int64, n, elements=st.integers(0, 3)))]
     counts = draw(hnp.arrays(np.int64, (n, 4), elements=st.integers(0, 2**61 - 1)))
+    no_events = ~counts.any(axis=1)  # a record holds at least one event
+    counts[no_events, draw(st.integers(0, 3))] = draw(st.integers(1, 2**61 - 1))
     if n:  # a row whose total is the largest an int64 holds
         counts[draw(st.integers(0, n - 1))] = draw(st.permutations([2**63 - 1, 0, 0, 0]))
     seeds = draw(hnp.arrays(np.uint64, n, elements=st.integers(0, 2**64 - 1)
@@ -179,11 +181,12 @@ def test_every_counts_csv_written_reads_back_to_its_columns(columns):
         except ValueError:
             assert not path.exists()
             return
-        read = read_counts_csv(path)
-    assert list(map(repr, read.phi)) == list(map(repr, phi.tolist()))
-    assert [CONTEXTS[c] for c in read.context.tolist()] == contexts
-    assert read.counts.tolist() == counts.tolist()
-    assert read.seeds.tolist() == seeds.tolist()
+        rows = record_rows(path)
+        assert read_outcome(path) == read_outcome(path, reference=True)
+    assert [repr(x) for x, _ in rows] == list(map(repr, phi.tolist()))
+    assert [rec.context for _, rec in rows] == contexts
+    assert [list(rec.counts) for _, rec in rows] == counts.tolist()
+    assert [rec.seed for _, rec in rows] == seeds.tolist()
 
 
 @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
