@@ -172,8 +172,8 @@ class ReportTable:
 
     ``expectations`` has one column per context in CONTEXTS order and
     ``significance`` is NaN where it is undefined (sigma_S not positive).  A
-    sampled sweep also carries its counts, shaped (row, context, detector),
-    and the seed of every record.
+    sampled sweep's table also holds its counts (row, context, detector) and
+    seeds (row, context), which :func:`chipctx.sweep.run_sweep` attaches.
     """
 
     phi: np.ndarray
@@ -190,15 +190,15 @@ class ReportTable:
         return len(self.phi)
 
 
-def report_table(phi: np.ndarray, e: np.ndarray, eps: np.ndarray, sigma_s: np.ndarray,
-                 counts: np.ndarray | None = None, seeds: np.ndarray | None = None) -> ReportTable:
+def report_table(phi: np.ndarray, e: np.ndarray, eps: np.ndarray,
+                 sigma_s: np.ndarray) -> ReportTable:
     """The report of E (row, context), epsilon and sigma_S columns, row for row as build_report."""
     s = s_value(e)
     positive = sigma_s > 0.0
     z = np.full(len(s), np.nan)
     with np.errstate(over="ignore"):  # an overflow gives inf silently, as float division does
         z[positive] = significance(s[positive], eps[positive], sigma_s[positive])
-    return ReportTable(phi, e, s, eps, corrected_bound(eps), sigma_s, z, counts, seeds)
+    return ReportTable(phi, e, s, eps, corrected_bound(eps), sigma_s, z)
 
 
 def _probability_array(cps: Iterable[ContextProbabilities]) -> np.ndarray:

@@ -17,6 +17,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
@@ -172,7 +173,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _sweep_usage_error(args) -> str | None:
-    """Why this flag combination is unusable: a bad grid, a missing or an ignored flag."""
+    """Why these flags are unusable: a bad grid, a missing or ignored flag, a file named twice."""
     if not args.phi_start < args.phi_end:
         return f"--phi-start must be below --phi-end, got {args.phi_start!r} >= {args.phi_end!r}"
     if not math.isfinite(args.phi_end - args.phi_start):
@@ -190,6 +191,39 @@ def _sweep_usage_error(args) -> str | None:
     for flag, value in sampled_flags:
         if args.mode == "analytic" and value is not None:
             return f"{flag} applies only to --mode sampled"
+    return _same_file([("--config", args.config), ("--out", args.out),
+                       ("--counts-out", _counts_path(args) if args.mode == "sampled" else None)])
+
+
+def _counts_path(args) -> Path:
+    """The sampled sweep's counts CSV: --counts-out, by default <out>_counts.csv.
+
+    Built on ``out.parent``: ``out.with_name`` raises for an --out without a
+    name, such as ``.``, which the sweep CSV's write then reports.
+    """
+    if args.counts_out is not None:
+        return args.counts_out
+    return args.out.parent / (args.out.stem + "_counts.csv")
+
+
+def _same_file(named_paths: Sequence[tuple[str, Path | None]]) -> str | None:
+    """Why a command may not use these (name, path) pairs, inputs first: two name one file.
+
+    A path that is None is unused, and one that exists and is no regular
+    file, such as /dev/null, may be named twice.  An existing file is known
+    by its device and inode, so a hard link to it is the file; a path that
+    does not exist yet by ``os.path.realpath``, which resolves it as
+    ``Path.resolve`` does but returns on a symlink loop instead of raising.
+    """
+    seen: dict = {}
+    for name, path in named_paths:
+        if path is None or (path.exists() and not path.is_file()):
+            continue
+        stat = path.stat() if path.exists() else None
+        key = (stat.st_dev, stat.st_ino) if stat else os.path.realpath(path)
+        if key in seen:
+            return f"{name} names the same file as {seen[key]}: {path}"
+        seen[key] = name
     return None
 
 
@@ -198,20 +232,16 @@ def cmd_sweep(args) -> int:
     if usage_error is not None:
         print(f"error: {usage_error}", file=sys.stderr)
         return 1
-    device = DeviceConfig.ideal()
-    if args.config is not None:
-        device = load_device_config(args.config)
-
     sampling = {name: value for name, value in (("shots", args.shots), ("master_seed", args.seed))
                 if value is not None}
     spec = SweepSpec(
         phi_start=args.phi_start, phi_end=args.phi_end, steps=args.steps, mode=args.mode,
-        device=device if args.device == "imperfect" else DeviceConfig.ideal(),
+        device=DeviceConfig.ideal() if args.config is None else load_device_config(args.config),
         bootstrap=args.bootstrap, **sampling,
     )
 
     if args.emit_figure3:
-        write_figure_curves_csv(args.out, spec, device)
+        write_figure_curves_csv(args.out, spec)
         print(f"wrote ideal and device curves ({spec.steps} points) to {args.out}")
         return 0
 
@@ -219,9 +249,7 @@ def cmd_sweep(args) -> int:
     write_sweep_csv(args.out, table)
     print(f"wrote {len(table)} sweep rows to {args.out}")
     if spec.mode == "sampled":
-        counts_path = args.counts_out
-        if counts_path is None:
-            counts_path = args.out.with_name(args.out.stem + "_counts.csv")
+        counts_path = _counts_path(args)
         write_counts_columns(counts_path, np.repeat(table.phi, len(CONTEXTS)),
                              CONTEXTS * len(table), table.counts.reshape(-1, 4),
                              table.seeds.ravel())
@@ -265,6 +293,10 @@ def cmd_hv(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    usage_error = _same_file([("the counts CSV", args.counts_csv), ("--out", args.out)])
+    if usage_error is not None:
+        print(f"error: {usage_error}", file=sys.stderr)
+        return 1
     phi, counts, seeds = read_counts_csv(args.counts_csv)
     if not len(phi) and args.summary is None:
         print(f"error: {args.counts_csv} holds no count records", file=sys.stderr)

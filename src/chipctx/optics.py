@@ -81,11 +81,11 @@ def probabilities(state: ModeVector) -> NDArray[np.float64]:
     return np.abs(np.asarray(state, dtype=np.complex128)) ** 2
 
 
-def is_unitary(matrix: TransferMatrix, atol: float = ATOL) -> bool:
+def is_unitary(matrix: TransferMatrix) -> bool:
     m = np.asarray(matrix, dtype=np.complex128)
     if m.shape != (N_MODES, N_MODES):
         return False
-    return bool(np.max(np.abs(m.conj().T @ m - np.eye(N_MODES))) <= atol)
+    return bool(np.max(np.abs(m.conj().T @ m - np.eye(N_MODES))) <= ATOL)
 
 
 def coupler(spec: CouplerSpec) -> TransferMatrix:

@@ -35,7 +35,6 @@ formatter.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 import os
 import threading
@@ -493,37 +492,33 @@ def _count_blocks(path: str | Path) -> Iterator[tuple]:
     ``counts`` an (records, detector) int64 array and ``seeds`` a uint64
     array.  Every row is checked as a :class:`CountRecord` would check it, a
     block at a time; the first bad row, in file order, raises its
-    ``path:line:`` error.  So does a read error of the csv module, after every
-    row before it has been checked.
+    ``path:line:`` error, where the line is the one the row starts on.  A
+    read error of the csv module, or an undecodable byte, raises once the
+    rows before it have been checked.
     """
-    read_errors: list[Exception] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-
-        def numbered_rows():  # each row numbered by the line it starts on
-            try:
-                lineno = reader.line_num + 1
-                for row in reader:
-                    yield lineno, row
-                    lineno = reader.line_num + 1
-            except csv.Error as exc:  # e.g. a field longer than the csv module allows
-                error = ValueError(f"{path}:{reader.line_num}: {exc}")
-                error.__cause__ = exc
-                read_errors.append(error)
-            except UnicodeDecodeError as exc:
-                read_errors.append(exc)
-
-        rows = numbered_rows()
-        _, header = next(rows, (1, None))
-        if header is None and read_errors:
-            raise read_errors[0]
-        if header is None or tuple(h.strip() for h in header) != COUNTS_CSV_COLUMNS:
-            raise ValueError(f"{path}: expected header {','.join(COUNTS_CSV_COLUMNS)}")
-        records = ((lineno, row) for lineno, row in rows if row)
-        for block in iter(lambda: list(itertools.islice(records, _CSV_BLOCK)), []):
-            yield _parse_rows(path, block)
-    if read_errors:
-        raise read_errors[0]
+        block = []  # (line number, row) of the records not yet checked
+        try:
+            header = next(reader, None)
+            if header is None or tuple(h.strip() for h in header) != COUNTS_CSV_COLUMNS:
+                raise ValueError(f"{path}: expected header {','.join(COUNTS_CSV_COLUMNS)}")
+            lineno = reader.line_num + 1
+            for row in reader:
+                if row:
+                    block.append((lineno, row))
+                if len(block) == _CSV_BLOCK:
+                    yield _parse_rows(path, block)
+                    block = []
+                lineno = reader.line_num + 1  # the line the next row starts on
+        except (csv.Error, UnicodeDecodeError) as exc:  # e.g. a field past the csv module's limit
+            if block:
+                _parse_rows(path, block)
+            if isinstance(exc, csv.Error):
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
+            raise
+    if block:
+        yield _parse_rows(path, block)
 
 
 def _parse_rows(path: str | Path, block: list[tuple[int, list[str]]]):

@@ -1,19 +1,19 @@
 """Phase-sweep engine: evaluates the full pipeline over a grid of phases.
 
-The grid is evaluated in blocks of ``_BLOCK`` phases.  For each block the
-prepared states are built as one array, pushed through the four context
-circuits with one stacked matrix product, and reduced to E and epsilon by the
-statistics core of :mod:`chipctx.analysis`.  Analytic mode reports the exact
-probabilities; sampled mode draws one multinomial record per (phase, context)
-from its own derived seed and reduces the block's counts to E, epsilon and
-sigma_S with :func:`chipctx.sampling.count_statistics`, the one count
-reduction ``chipctx analyze`` also uses.  Once the grid is done, one call of
+A :class:`SweepSpec` holds the grid, the mode and the device.  The grid is
+evaluated in blocks of ``_BLOCK`` phases.  For each block the prepared states
+are built as one array, pushed through the four context circuits with one
+stacked matrix product, and reduced to E and epsilon by the statistics core
+of :mod:`chipctx.analysis`.  Analytic mode reports the exact probabilities;
+sampled mode draws one multinomial record per (phase, context) from its own
+derived seed and reduces the block's counts to E, epsilon and sigma_S with
+:func:`chipctx.sampling.count_statistics`, the one count reduction
+``chipctx analyze`` also uses.  Once the grid is done, one call of
 :func:`chipctx.analysis.report_table` adds S, the bound and the significance,
 as it does for ``analyze``; every analytic value equals the one
 :func:`report_from_probabilities` gives at that phase, bit for bit.  The
-sweep CSV and the ``--emit-figure3`` CSV are written by
-:func:`chipctx.text.write_csv`, the one column-wise formatter, a block of
-rows at a time.
+sweep CSV and the ``--emit-figure3`` CSV (the ideal curve beside the spec
+device's) are written by :func:`chipctx.text.write_csv`, a block at a time.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ _BLOCK = 1024
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Grid and evaluation mode of one sweep."""
+    """Grid, evaluation mode and device of one sweep."""
 
     phi_start: float
     phi_end: float
@@ -138,7 +138,7 @@ def run_sweep(spec: SweepSpec) -> ReportTable:
                 spec.bootstrap)
         else:
             e[block], eps[block] = sign_sum(p), epsilon_value(p)
-    return report_table(phi, e, eps, sigma_s, counts, seeds)
+    return replace(report_table(phi, e, eps, sigma_s), counts=counts, seeds=seeds)
 
 
 def write_sweep_csv(path: str | Path, table: ReportTable) -> None:
@@ -147,14 +147,12 @@ def write_sweep_csv(path: str | Path, table: ReportTable) -> None:
                                         table.bound, table.sigma_s, table.significance])
 
 
-def write_figure_curves_csv(
-    path: str | Path, spec: SweepSpec, device: DeviceConfig
-) -> None:
-    """Write the ideal curve and a device curve side by side (analytic mode).
+def write_figure_curves_csv(path: str | Path, spec: SweepSpec) -> None:
+    """Write the ideal curve and the curve of ``spec.device`` side by side (analytic mode).
 
     Columns: phi, S of the ideal pipeline, S of the device pipeline, the
     device epsilon and the corrected bound 2 + epsilon.
     """
     ideal = run_sweep(replace(spec, mode="analytic", device=DeviceConfig.ideal()))
-    dev = run_sweep(replace(spec, mode="analytic", device=device))
+    dev = run_sweep(replace(spec, mode="analytic"))
     write_csv(path, FIGURE3_CSV_COLUMNS, [ideal.phi, ideal.s, dev.s, dev.epsilon, dev.bound])

@@ -60,6 +60,11 @@ class TestExpectation:
         with pytest.raises(ValueError):
             ContextProbabilities("ZZ", (1.2, -0.2, 0.0, 0.0))
 
+    @pytest.mark.parametrize("p", [(0.5, 0.5, 0.0), (0.5, 0.5, 0.0, 0.0, 0.0)])
+    def test_rejects_other_than_four_probabilities(self, p):
+        with pytest.raises(ValueError, match=f"^need exactly four probabilities, got {len(p)}$"):
+            ContextProbabilities("ZZ", p)
+
     def test_bounded_for_valid_inputs(self, rng):
         for _ in range(500):
             p = rng.dirichlet(np.ones(4))
@@ -191,6 +196,17 @@ class TestReport:
     def test_invalid_expectation_rejected(self):
         with pytest.raises(ValueError):
             InequalityReport(expectations={"XX": 1.5}, s=0.0, epsilon=0.0, bound=2.0)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("s", 4.5, r"\|S\| cannot exceed 4, got 4.5"),
+        ("s", -4.5, r"\|S\| cannot exceed 4, got -4.5"),
+        ("epsilon", -0.1, "epsilon must be non-negative, got -0.1"),
+        ("sigma_s", -0.1, "sigma_s must be non-negative, got -0.1"),
+    ], ids=["s-above-4", "s-below-minus-4", "negative-epsilon", "negative-sigma"])
+    def test_out_of_range_value_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            InequalityReport(**{"expectations": {}, "s": 0.0, "epsilon": 0.0, "bound": 2.0,
+                                field: value})
 
     def test_json_dict_uses_spec_keys(self):
         doc = report_from_probabilities(ideal_probabilities(0.0)).to_json_dict()

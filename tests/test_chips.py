@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -28,6 +29,7 @@ from chipctx.chips import (
     preparation_skeleton,
     prepare_state_circuit,
     prepare_state_direct,
+    prepare_states,
 )
 from chipctx.errors import CalibrationError
 
@@ -83,6 +85,12 @@ class TestPrepareStateDirect:
     def test_rejects_non_finite_phi(self):
         with pytest.raises(ValueError):
             prepare_state_direct(float("nan"))
+
+    @pytest.mark.parametrize("preparation", [None, PreparationConfig()], ids=["direct", "circuit"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_prepare_states_rejects_a_non_finite_phase(self, preparation, bad):
+        with pytest.raises(ValueError, match="^phases must be finite$"):
+            prepare_states(preparation, np.array([0.0, bad, 1.0]))
 
 
 class TestPrepareStateCircuit:
@@ -259,6 +267,12 @@ class TestCalibration:
             calibrate_phases(ideal_context_unitary("XZ"), counted, seed_phases=seed)
         assert calls == []
 
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 3), (3,), (16,)])
+    def test_target_of_the_wrong_shape_is_rejected(self, shape):
+        message = f"target must be a 4x4 matrix or a length-4 state, got shape {shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            calibrate_phases(np.ones(shape, dtype=complex), measurement_skeleton("XZ"))
+
     def test_build_rejects_a_phase_vector_of_the_wrong_length(self):
         # a single phase would otherwise broadcast over every mode
         with pytest.raises(ValueError, match=r"expected 4 phases, got shape \(1,\)"):
@@ -311,6 +325,10 @@ class TestConfigIO:
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(ValueError):
             load_device_config(path)
+
+    def test_measurement_without_a_context_rejected(self):
+        with pytest.raises(ValueError, match="^measurement config requires a 'context' field$"):
+            MeasurementConfig.from_json_dict({"mode": "physical"})
 
     def test_mismatched_context_key_rejected(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import csv
 import hashlib
 import io
 import json
+import os
 import threading
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -331,6 +332,22 @@ class TestSweepCommand:
         monkeypatch.setattr(sweep_mod, "_checked_unitaries", broken)
         assert run_cli("sweep", "--steps", 3, "--out", tmp_path / "s.csv") == 3
 
+    @pytest.mark.parametrize("name,broken,message", [
+        ("context_unitaries", lambda real: lambda device: {**real(device), "ZX": 1.01 * np.eye(4)},
+         "assembled circuit for context ZX is not unitary"),
+        ("prepare_states", lambda real: lambda preparation, phis: 1.01 * real(preparation, phis),
+         "context outcome probabilities do not sum to 1"),
+    ], ids=["non-unitary-circuit", "unnormalised-state"])
+    def test_a_broken_pipeline_exits_three(self, tmp_path, monkeypatch, capsys, name, broken,
+                                           message):
+        from chipctx import sweep as sweep_mod
+
+        monkeypatch.setattr(sweep_mod, name, broken(getattr(sweep_mod, name)))
+        out = tmp_path / "s.csv"
+        assert run_cli("sweep", "--steps", 3, "--out", out) == 3
+        assert capsys.readouterr() == ("", f"internal consistency failure: {message}\n")
+        assert not out.exists()
+
     def test_emit_figure3_writes_both_curves(self, tmp_path):
         cfg = write_device_config(tmp_path / "dev.json", XZ={"digit_12": 0.4})
         out = tmp_path / "fig3.csv"
@@ -423,6 +440,14 @@ class TestHvCommand:
         # the exact board uses the flip probability: S is 1.0 at the default 0.5
         assert run_cli("hv", "--prep", 0, 1, 0, 0, "--exact", "--flip-prob", 0) == 0
         assert capsys.readouterr().out.startswith("S = -2.0 (exact)\n")
+
+    def test_zero_sigma_compares_s_directly(self, capsys):
+        # one channel and no flips make every context deterministic, so sigma_S is 0
+        assert run_cli("hv", "--prep", 1, 0, 0, 0, "--flip-prob", 0) == 0
+        assert capsys.readouterr() == (
+            "S = 2.000000 +- 0.000000 (1000000 shots per context)\n"
+            "classical bound: 2; sigma_S = 0, comparing S directly\n"
+            "verdict: no violation\n", "")
 
     def test_sampled_defaults_are_a_million_balls_and_seed_zero(self, capsys):
         assert run_cli("hv", "--prep", 0.1, 0.2, 0.3, 0.4) == 0
@@ -622,6 +647,55 @@ class TestAnalyzeCommand:
         assert run_cli("analyze", counts, "--bootstrap", 300, "--out", r1) == 0
         assert run_cli("analyze", counts, "--bootstrap", 300, "--out", r2) == 0
         assert r1.read_bytes() == r2.read_bytes()
+
+
+class TestOutputPaths:
+    """No command writes a file it reads or another of its outputs."""
+
+    @pytest.fixture
+    def snapshot(self, tmp_path, monkeypatch):
+        """Snapshots of a new working directory: a device config, a counts CSV, two links to it."""
+        monkeypatch.chdir(tmp_path)
+        write_device_config(tmp_path / "dev.json")
+        write_counts_csv(tmp_path / "c.csv", [(0.0, CountRecord(ctx, (60, 20, 10, 10), 100, i))
+                                              for i, ctx in enumerate(CONTEXTS)])
+        os.symlink("c.csv", tmp_path / "link.csv")
+        os.link(tmp_path / "c.csv", tmp_path / "hard.csv")
+        return lambda: {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+
+    @pytest.mark.parametrize("argv,message", [
+        (("sweep", "--mode", "sampled", "--steps", "3", "--shots", "10", "--out", "s.csv",
+          "--counts-out", "s.csv"), "--counts-out names the same file as --out: s.csv"),
+        (("analyze", "c.csv", "--out", "c.csv"),
+         "--out names the same file as the counts CSV: c.csv"),
+        (("sweep", "--device", "imperfect", "--config", "dev.json", "--out", "dev.json"),
+         "--out names the same file as --config: dev.json"),
+        (("sweep", "--emit-figure3", "--config", "dev.json", "--out", "dev.json"),
+         "--out names the same file as --config: dev.json"),
+        (("sweep", "--mode", "sampled", "--device", "imperfect", "--config", "s_counts.csv",
+          "--out", "s.csv"), "--counts-out names the same file as --config: s_counts.csv"),
+        (("analyze", "c.csv", "--out", "link.csv"),
+         "--out names the same file as the counts CSV: link.csv"),
+        (("analyze", "hard.csv", "--out", "c.csv"),
+         "--out names the same file as the counts CSV: c.csv"),
+    ], ids=["sweep-counts-out-is-out", "analyze-out-is-counts-csv", "sweep-out-is-config",
+            "figure3-out-is-config", "default-counts-path-is-config", "out-links-to-counts-csv",
+            "out-is-a-hard-link-of-counts-csv"])
+    def test_a_file_named_twice_is_a_usage_error(self, snapshot, capsys, argv, message):
+        before = snapshot()
+        assert run_cli(*argv) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert snapshot() == before
+
+    def test_a_file_that_is_not_regular_may_be_named_twice(self, snapshot, capsys):
+        assert run_cli("sweep", "--mode", "sampled", "--steps", 3, "--shots", 10,
+                       "--out", os.devnull, "--counts-out", os.devnull) == 0
+        assert run_cli("analyze", "c.csv", "--out", os.devnull) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert (f"wrote 3 sweep rows to {os.devnull}\n"
+                f"wrote 12 count records to {os.devnull}\n") in captured.out
+        assert captured.out.endswith(f"wrote report to {os.devnull}\n")
 
 
 def captured_cli(argv):

@@ -1,5 +1,6 @@
 """Classical stochastic board: exact maps, sampling, the non-violation bound."""
 
+import re
 import threading
 from unittest import mock
 
@@ -113,7 +114,10 @@ class TestGaltonRun:
     @settings(deadline=None, derandomize=True, database=None, max_examples=300)
     @board_runs
     def test_counts_do_not_depend_on_the_chunk(self, chunk, weights, flip, m12, nab, shots, seed):
-        # most runs span many chunks, and the last chunk of most is partial
+        # most runs span many chunks, and the last chunk of most is partial; a chunk of one
+        # ball is never partial, so that case draws at most 300 balls (300 chunks)
+        if chunk == 1:
+            shots = 1 + (shots - 1) % 300
         with mock.patch.object(galton, "_CHUNK", chunk):
             assert_ball_by_ball_counts(weights, flip, m12, nab, shots, seed)
 
@@ -167,6 +171,21 @@ class TestGaltonRun:
     def test_exact_rejects_bad_distribution(self, prep):
         with pytest.raises(ValueError):
             galton_s_exact(prep)
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"m12": "Y"}, "sections must be 'Z' or 'X', got 'Y', 'Z'"),
+        ({"nab": "z"}, "sections must be 'Z' or 'X', got 'Z', 'z'"),
+        ({"shots": 0}, "shots must be positive, got 0"),
+    ], ids=["m12", "nab", "shots"])
+    def test_rejects_bad_sections_and_shots(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            GaltonConfig((1.0, 0.0, 0.0, 0.0), **kwargs)
+
+    @pytest.mark.parametrize("flip", [-0.1, 1.5])
+    def test_exact_rejects_a_flip_probability_outside_zero_one(self, flip):
+        message = f"flip probability must lie in [0, 1], got {flip}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            galton_s_exact((1.0, 0.0, 0.0, 0.0), x_flip_probability=flip)
 
 
 class TestGaltonS:

@@ -127,6 +127,11 @@ def test_constructors_always_unitary():
         assert is_unitary(crossing(pair))
 
 
+@pytest.mark.parametrize("shape", [(3, 3), (5, 5), (3, 4), (4,)])
+def test_is_unitary_is_false_for_other_than_a_4x4_matrix(shape):
+    assert not is_unitary(np.eye(*shape) if len(shape) == 2 else np.ones(shape))
+
+
 def test_random_compositions_conserve_probability():
     rng = np.random.default_rng(13)
     pairs = [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)]

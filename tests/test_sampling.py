@@ -1,5 +1,6 @@
 """Counting statistics: sampling, estimators, uncertainty scaling, CSV."""
 
+import re
 import sys
 import threading
 
@@ -61,6 +62,12 @@ class TestSampleCounts:
             sample_counts((0.5, 0.5, 0.5, 0.5), 10, seed=1)
         with pytest.raises(ValueError):
             sample_counts((0.25,) * 4, 0, seed=1)
+
+    @pytest.mark.parametrize("p", [(0.5, 0.5, 0.0), (0.25,) * 5, ((0.5, 0.5), (0.0, 0.0))])
+    def test_rejects_other_than_four_probabilities(self, p):
+        message = f"need exactly four probabilities, got shape {np.shape(p)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            sample_counts(p, 10, seed=1)
 
     def test_record_invariants(self):
         with pytest.raises(ValueError):
@@ -210,6 +217,11 @@ class TestCountStatistics:
         counts[1, 2] = 0
         with np.errstate(all="raise"), pytest.raises(ValueError, match="record holds no events"):
             count_statistics(counts, seeds)
+
+    def test_bootstrap_needs_two_replicates(self):
+        counts, seeds = count_arrays(self.groups())
+        with pytest.raises(ValueError, match="^bootstrap needs at least 2 replicates, got 1$"):
+            count_statistics(counts, seeds, bootstrap=1)
 
     def test_no_groups_give_empty_columns(self):
         counts, seeds = count_arrays([])

@@ -7,6 +7,7 @@ The sampled reference is one ``sample_counts`` per record on the seed
 pin, and estimates computed from those counts with raw numpy.
 """
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -154,6 +155,19 @@ def test_large_master_seeds_follow_the_seed_contract(master_seed, bootstrap):
     assert table.seeds.tolist() == [[derive_seed(master_seed, i, c) for c in range(len(CONTEXTS))]
                                     for i in range(spec.steps)]
     assert_sampled_rows_follow_the_seed_contract(table, spec)
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"phi_start": np.nan}, "phase limits must be finite"),
+    ({"phi_end": np.inf}, "phase limits must be finite"),
+    ({"phi_start": 1.0}, "phi_start must be below phi_end, got 1.0 >= 1.0"),
+    ({"steps": 1}, "steps must be at least 2, got 1"),
+    ({"mode": "exact"}, "mode must be 'analytic' or 'sampled', got 'exact'"),
+    ({"shots": 0}, "shots must be positive, got 0"),
+], ids=["nan-start", "infinite-end", "empty-range", "one-step", "unknown-mode", "no-shots"])
+def test_a_bad_spec_is_rejected(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SweepSpec(**{"phi_start": 0.0, "phi_end": 1.0, "steps": 3, **kwargs})
 
 
 def test_a_phase_span_past_the_float_range_is_rejected():

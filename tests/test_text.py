@@ -189,6 +189,20 @@ def test_every_counts_csv_written_reads_back_to_its_columns(columns):
     assert [rec.seed for _, rec in rows] == seeds.tolist()
 
 
+@pytest.mark.parametrize("columns,message", [
+    (([0.0], ["XX", "XZ"], [[1, 0, 0, 0]], [0]), "counts columns differ in length or shape"),
+    (([0.0], ["XX"], [[1, 0, 0, 0]], [0, 1]), "counts columns differ in length or shape"),
+    (([0.0], ["XX"], [[1, 0, 0]], [0]), "counts columns differ in length or shape"),
+    (([0.0], ["XX"], [[1, 0, 0, 0]], [-1]), r"seeds must lie in \[0, 2\*\*64\)"),
+    (([0.0], ["XX"], [[1, 0, 0, 0]], [2**64]), r"seeds must lie in \[0, 2\*\*64\)"),
+], ids=["extra-context", "extra-seed", "three-detectors", "negative-seed", "seed-past-uint64"])
+def test_counts_writer_rejects_unequal_columns_and_bad_seeds(tmp_path, columns, message):
+    path = tmp_path / "counts.csv"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        write_counts_columns(path, *columns)
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
 def test_counts_writer_rejects_a_phi_its_reader_rejects(tmp_path, phi):
     path = tmp_path / "counts.csv"
