@@ -16,7 +16,9 @@ them (:func:`seeded_generators`).
 
 Counts become statistics in one place, :func:`count_statistics`: E, epsilon
 and sigma_S (propagated, or bootstrapped on each group's seeds) of any stack
-of (context, detector) count arrays.  The sampled sweep calls it once per
+of (context, detector) count arrays, in one pass that sums each record into
+its N and divides it into fractions once; E, epsilon and the bootstrap's
+draws all read those.  The sampled sweep calls it once per
 block, ``chipctx analyze`` once per counts CSV, and :func:`estimate_s` once
 per record group.  Its bootstrap draws blocks of groups on one thread per
 available CPU; each group draws from its own seed, so the output does not
@@ -250,42 +252,34 @@ def sample_counts(
                        total=int(n_events), seed=int(seed))
 
 
-def expectation_estimates(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """E = (n1 - n2 - n3 + n4)/N over the last axis of counts, and its standard error.
-
-    The observable takes values +-1, so Var = (1 - E^2)/N exactly.
-    """
-    total = counts.sum(axis=-1)
-    if (total < 1).any():
-        raise ValueError("record holds no events")
-    e = sign_sum(counts) / total
-    return e, np.sqrt(np.maximum(1.0 - e * e, 0.0) / total)
-
-
-def propagated_sigma_s(sigma: np.ndarray) -> np.ndarray:
-    """sigma_S = sqrt(sum sigma_i^2) over the last (context) axis."""
-    # np.float_power squares with the C pow, as the pinned outputs were computed;
-    # np.square can differ from it in the last ulp
-    return np.sqrt(np.float_power(sigma, 2.0).sum(axis=-1))
-
-
 def count_statistics(
     counts: np.ndarray, seeds: np.ndarray, bootstrap: int | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """E (..., context), epsilon (...) and sigma_S (...) of (..., context, detector) counts.
 
-    The default sigma_S is analytic propagation over independent contexts,
-    sqrt(sum sigma_i^2).  With ``bootstrap=B`` it is instead the standard
-    deviation of S over B replicates of each group, drawn from
-    ``default_rng(derive_seed(*seeds of the group))``; ``seeds`` is shaped
-    (..., context) and only read for the bootstrap.
+    One pass: each record's total N and its fractions n_i/N are computed
+    once, E = (n1 - n2 - n3 + n4)/N and epsilon from them.  The default
+    sigma_S is analytic propagation over independent contexts,
+    sqrt(sum sigma_i^2), where sigma_i^2 = (1 - E_i^2)/N_i exactly, since the
+    observable takes values +-1.  With ``bootstrap=B`` it is instead the
+    standard deviation of S over B replicates of each group, drawn from its
+    fractions and N by ``default_rng(derive_seed(*seeds of the group))``;
+    ``seeds`` is shaped (..., context) and only read for the bootstrap.
     """
-    e, sigma = expectation_estimates(counts)
-    eps = epsilon_value(counts / counts.sum(axis=-1, keepdims=True))
+    totals = counts.sum(axis=-1)
+    if (totals < 1).any():
+        raise ValueError("record holds no events")
+    e = sign_sum(counts) / totals
+    fractions = counts / totals[..., None]
+    eps = epsilon_value(fractions)
     if bootstrap is None:
-        return e, eps, propagated_sigma_s(sigma)
+        sigma = np.sqrt(np.maximum(1.0 - e * e, 0.0) / totals)
+        # np.float_power squares with the C pow, as the pinned outputs were computed;
+        # np.square can differ from it in the last ulp
+        return e, eps, np.sqrt(np.float_power(sigma, 2.0).sum(axis=-1))
     group_seeds = derive_seeds(*seeds.reshape(-1, seeds.shape[-1]).T)
-    sigma_s = _bootstrap_sigma_s(counts.reshape(-1, *counts.shape[-2:]), group_seeds, bootstrap)
+    sigma_s = _bootstrap_sigma_s(fractions.reshape(-1, *counts.shape[-2:]),
+                                 totals.reshape(-1, totals.shape[-1]), group_seeds, bootstrap)
     return e, eps, sigma_s.reshape(counts.shape[:-2])
 
 
@@ -340,9 +334,9 @@ def _share_out(work: Callable[[int, threading.Event], None], items: Sequence[int
     started = []
     try:
         for _ in range(min(threads, len(items)) - 1):
-            thread = threading.Thread(target=take_items, name="chipctx-worker")
-            thread.start()
-            started.append(thread)
+            # listed before it starts, so an interrupt within start() still joins it
+            started.append(threading.Thread(target=take_items, name="chipctx-worker"))
+            started[-1].start()
         take_items()
     except BaseException as exc:  # an interrupt while the threads start
         errors.append(exc)
@@ -358,13 +352,16 @@ def _share_out(work: Callable[[int, threading.Event], None], items: Sequence[int
         raise errors[0]
 
 
-def _bootstrap_sigma_s(counts: np.ndarray, seeds: np.ndarray, bootstrap: int) -> np.ndarray:
-    """Standard deviation of S over ``bootstrap`` replicates of each (context, detector) group.
+def _bootstrap_sigma_s(fractions: np.ndarray, totals: np.ndarray, seeds: np.ndarray,
+                       bootstrap: int) -> np.ndarray:
+    """Standard deviation of S over ``bootstrap`` replicates of each group of records.
 
-    ``counts`` is shaped (group, context, detector).  Group g is redrawn from
-    ``default_rng(seeds[g])``: each context from its empirical fractions, in
-    context order.  Groups are drawn a block at a time, and S and its
-    standard deviation are reduced over the whole block.
+    ``fractions`` is shaped (group, context, detector) and ``totals``, the N
+    of each record, (group, context), as :func:`count_statistics` computes
+    them.  Group g is redrawn from ``default_rng(seeds[g])``: each context
+    from ``multinomial(N, fractions)``, in context order.  Groups are drawn a
+    block at a time, and S and its standard deviation are reduced over the
+    whole block.
 
     The blocks are shared out (:func:`_share_out`) among at most
     :func:`_worker_threads` threads, and at most as many as the groups that
@@ -376,9 +373,7 @@ def _bootstrap_sigma_s(counts: np.ndarray, seeds: np.ndarray, bootstrap: int) ->
     """
     if bootstrap < 2:
         raise ValueError(f"bootstrap needs at least 2 replicates, got {bootstrap}")
-    n_groups, n_contexts = counts.shape[:2]
-    totals = counts.sum(axis=-1)
-    fractions = counts / totals[..., None]
+    n_groups, n_contexts = totals.shape
     words = _key_state([seeds], 4)  # the PCG64 state words of each group, as in seeded_generators
     group_bytes = 8 * n_contexts * bootstrap
     workers = min(_worker_threads(), max(1, _BOOTSTRAP_BLOCK_BYTES // group_bytes))

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import chipctx
+from chipctx import chips
 from chipctx.analysis import CONTEXTS
 from chipctx.chips import (
     DEFAULT_MEASUREMENT_PHASES,
@@ -295,6 +296,47 @@ class TestCalibration:
         with pytest.raises(CalibrationError) as err:
             calibrate_phases(target, always_nan, max_restarts=1)
         assert err.value.residual == math.inf
+
+    def test_calibrated_phases_configure_a_measurement(self):
+        # calibrate, then configure: calibrate_phases returns an array, which the config
+        # stores as a tuple of floats
+        ts = {"digit_12": 0.5, "digit_34": 0.5}
+        target = ideal_context_unitary("XZ")
+        phases = calibrate_phases(target, measurement_skeleton("XZ", ts))
+        cfg = MeasurementConfig("XZ", "physical", ts, calibration_phases=phases)
+        assert type(cfg.calibration_phases) is tuple
+        assert all(type(phase) is float for phase in cfg.calibration_phases)
+        assert cfg.calibration_phases == tuple(phases.tolist())
+        for state in random_states(20, seed=29):
+            assert np.max(np.abs(outcome_probabilities(state, measurement_unitary(cfg))
+                                 - outcome_probabilities(state, target))) < 1e-9
+        message = "context XZ calibration_phases entry must be a number, got [0.0]"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            MeasurementConfig("XZ", "physical", ts, calibration_phases=np.zeros((4, 1)))
+
+
+class TestLevenbergMarquardtExits:
+    """The fit's early exits, each on a hand-made residual: the point, residual and evaluations."""
+
+    def fit(self, residual, x, budget=100):
+        x = np.array([x])
+        return chips._levenberg_marquardt(residual, x, residual(x), budget)
+
+    def test_a_non_finite_jacobian_ends_the_fit(self):
+        # finite at the start, NaN at the forward-difference point above it
+        x, f, evaluations = self.fit(lambda x: np.array([1.0 if x[0] <= 0.0 else math.nan]), 0.0)
+        assert (x.tolist(), f.tolist(), evaluations) == ([0.0], [1.0], 1)
+
+    def test_a_singular_damped_system_ends_the_fit(self):
+        # a constant residual: J = 0, and the damping scale d is 0 with it
+        x, f, evaluations = self.fit(lambda x: np.array([1.0]), 0.5)
+        assert (x.tolist(), f.tolist(), evaluations) == ([0.5], [1.0], 1)
+
+    def test_a_stalled_step_after_worse_trials_ends_the_fit(self):
+        # a kink at the start: every trial is worse, and the damping grows until the
+        # step falls below _STALL of the point
+        x, f, evaluations = self.fit(lambda x: np.array([abs(x[0] - 0.3) + 1.0]), 0.3)
+        assert (x.tolist(), f.tolist(), evaluations) == ([0.3], [1.0], 20)
 
 
 REPO = Path(__file__).resolve().parents[1]

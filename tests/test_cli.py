@@ -6,6 +6,8 @@ import hashlib
 import io
 import json
 import os
+import re
+import shlex
 import threading
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -18,7 +20,6 @@ from hypothesis import strategies as st
 from chipctx import cli
 from chipctx.analysis import CONTEXTS, build_report, report_table, significance
 from chipctx.chips import DeviceConfig, MeasurementConfig, PreparationConfig
-from chipctx.errors import ConsistencyError
 from chipctx.galton import GaltonConfig, galton_run
 from chipctx.sampling import CountRecord, write_counts_csv
 from chipctx.sweep import SWEEP_CSV_COLUMNS
@@ -322,15 +323,6 @@ class TestSweepCommand:
     def test_usage_error_exits_one(self):
         assert run_cli("sweep", "--mode", "bogus") == 1
         assert run_cli("bogus-command") == 1
-
-    def test_internal_consistency_exits_three(self, tmp_path, monkeypatch):
-        from chipctx import sweep as sweep_mod
-
-        def broken(device):
-            raise ConsistencyError("assembled circuit for context XX is not unitary")
-
-        monkeypatch.setattr(sweep_mod, "_checked_unitaries", broken)
-        assert run_cli("sweep", "--steps", 3, "--out", tmp_path / "s.csv") == 3
 
     @pytest.mark.parametrize("name,broken,message", [
         ("context_unitaries", lambda real: lambda device: {**real(device), "ZX": 1.01 * np.eye(4)},
@@ -696,6 +688,33 @@ class TestOutputPaths:
         assert (f"wrote 3 sweep rows to {os.devnull}\n"
                 f"wrote 12 count records to {os.devnull}\n") in captured.out
         assert captured.out.endswith(f"wrote report to {os.devnull}\n")
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_blocks(language):
+    """The text of each fenced README block in ``language``, in order."""
+    return re.findall(rf"^```{language}\n(.*?)^```$", README.read_text(encoding="utf-8"),
+                      re.M | re.S)
+
+
+class TestReadmeExamples:
+    """The README's examples run as written, so they cannot drift from the code."""
+
+    def test_every_command_runs_in_order(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "configs").symlink_to(README.parent / "configs", target_is_directory=True)
+        monkeypatch.chdir(tmp_path)
+        commands = [shlex.split(line, comments=True)[1:] for block in readme_blocks("sh")
+                    for line in block.splitlines() if line.startswith("chipctx ")]
+        assert {argv[0] for argv in commands} == {"sweep", "hv", "analyze"}
+        for argv in commands:
+            assert cli.main(argv) == 0, (argv, capsys.readouterr().err)
+
+    def test_device_config_example_loads(self):
+        [example] = readme_blocks("json")
+        device = DeviceConfig.from_json_dict(json.loads(example))
+        assert device.measurements["XX"].coupler_ts["digit_12"] == 0.48
 
 
 def captured_cli(argv):

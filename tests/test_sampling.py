@@ -3,6 +3,7 @@
 import re
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from chipctx.sampling import (
     derive_seed,
     derive_seeds,
     estimate_s,
-    expectation_estimates,
     read_counts_csv,
     sample_counts,
     write_counts_csv,
@@ -85,12 +85,22 @@ class TestSampleCounts:
 
 
 class TestEstimateExpectation:
+    """E and its standard error sigma_i through count_statistics, one context repeated four times.
+
+    The four contexts hold the same counts, so sigma_S = sqrt(4 sigma_i^2) = 2 sigma_i.
+    """
+
+    def statistics(self, counts):
+        counts = np.repeat(np.asarray(counts)[..., None, :], 4, axis=-2)
+        e, _, sigma_s = count_statistics(counts, np.zeros(counts.shape[:-1], dtype=np.uint64))
+        return e[..., 3], sigma_s / 2.0
+
     def test_extremal_counts(self):
-        value, sigma = expectation_estimates(np.array([1000, 0, 0, 0]))
+        value, sigma = self.statistics([1000, 0, 0, 0])
         assert value == 1.0 and sigma == 0.0
 
     def test_uniform_counts(self):
-        value, sigma = expectation_estimates(np.array([250, 250, 250, 250]))
+        value, sigma = self.statistics([250, 250, 250, 250])
         assert value == 0.0
         assert abs(sigma - 1.0 / np.sqrt(1000)) < 1e-12
 
@@ -101,7 +111,7 @@ class TestEstimateExpectation:
         n = 10**5
         counts = np.array([sample_counts(p, n, derive_seed(606, rep), context="ZZ").counts
                            for rep in range(500)])
-        values, sigmas = expectation_estimates(counts)
+        values, sigmas = self.statistics(counts)
         empirical = np.std(values, ddof=1)
         assert abs(empirical - np.mean(sigmas)) / np.mean(sigmas) < 0.10
 
@@ -229,6 +239,12 @@ class TestCountStatistics:
         assert (e.shape, eps.shape, sigma_s.shape) == ((0, 4), (0,), (0,))
 
 
+def bootstrap_kernel(counts, group_seeds, bootstrap):
+    """The bootstrap kernel's sigma_S of (group, context, detector) counts, given the group seeds."""
+    totals = counts.sum(axis=-1)
+    return sampling._bootstrap_sigma_s(counts / totals[..., None], totals, group_seeds, bootstrap)
+
+
 def random_groups(n_groups, seed):
     """Counts (group, context, detector) of up to 1e5 events a context, and record seeds (group, context)."""
     rng = np.random.default_rng(seed)
@@ -272,7 +288,7 @@ class TestBootstrapThreads:
             several_blocks = n_groups > 6 // workers
             threads = self.draw_threads(monkeypatch, wait=workers > 1 and several_blocks)
             monkeypatch.setattr(sampling, "_worker_threads", lambda workers=workers: workers)
-            sigma_s[workers] = sampling._bootstrap_sigma_s(counts, group_seeds, bootstrap)
+            sigma_s[workers] = bootstrap_kernel(counts, group_seeds, bootstrap)
             if workers > 1 and several_blocks:
                 assert set(threads) - {threading.current_thread()}
             else:
@@ -290,13 +306,13 @@ class TestBootstrapThreads:
         counts, seeds = random_groups(200, seed=8)
         group_seeds = derive_seeds(*seeds.T)
         monkeypatch.setattr(sampling, "_worker_threads", lambda: 1)
-        expected = sampling._bootstrap_sigma_s(counts, group_seeds, bootstrap)
+        expected = bootstrap_kernel(counts, group_seeds, bootstrap)
         threads = self.draw_threads(monkeypatch)
         monkeypatch.setattr(sampling, "_worker_threads", lambda: 8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            sigma_s = sampling._bootstrap_sigma_s(counts, group_seeds, bootstrap)
+            sigma_s = bootstrap_kernel(counts, group_seeds, bootstrap)
         finally:
             sys.setswitchinterval(interval)
         assert len(threads) == 200
@@ -345,11 +361,11 @@ class TestBootstrapThreads:
         counts, seeds = random_groups(24, seed=16)
         group_seeds = derive_seeds(*seeds.T)
         monkeypatch.setattr(sampling, "_worker_threads", lambda: 1)
-        alone = sampling._bootstrap_sigma_s(counts, group_seeds, bootstrap)
+        alone = bootstrap_kernel(counts, group_seeds, bootstrap)
         columns = traced_peak(count_statistics, counts, seeds, 2)
         threads = self.draw_threads(monkeypatch, wait=True)
         monkeypatch.setattr(sampling, "_worker_threads", lambda: 16)
-        sigma_s = sampling._bootstrap_sigma_s(counts, group_seeds, bootstrap)
+        sigma_s = bootstrap_kernel(counts, group_seeds, bootstrap)
         drawing = sampling._BOOTSTRAP_BLOCK_BYTES // (8 * 4 * bootstrap)
         assert 1 < len(set(threads)) <= drawing == 8
         assert sigma_s.tobytes() == alone.tobytes()
@@ -358,6 +374,14 @@ class TestBootstrapThreads:
         peak = traced_peak(count_statistics, counts, seeds, bootstrap)
         assert peak <= columns + sampling._BOOTSTRAP_BLOCK_BYTES + slack
 
+
+
+@pytest.mark.parametrize("cpus", [3, None])
+def test_worker_threads_without_cpu_affinity_count_the_cpus(monkeypatch, cpus):
+    # a platform without sched_getaffinity: every CPU, or one when the count is unknown
+    monkeypatch.delattr(sampling.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(sampling.os, "cpu_count", lambda: cpus)
+    assert sampling._worker_threads() == (cpus or 1)
 
 
 def test_an_interrupt_in_the_calling_thread_stops_every_thread():
@@ -377,6 +401,108 @@ def test_an_interrupt_in_the_calling_thread_stops_every_thread():
         sampling._share_out(work, range(5), 2)
     assert stopped == [True]
     assert sorted(items_seen) == [0, 1]  # no thread takes an item after the stop
+    assert threading.active_count() == baseline
+
+
+@pytest.fixture
+def interrupted_threads(monkeypatch):
+    """A Thread class, put in place of threading.Thread, whose start or join raises KeyboardInterrupt.
+
+    ``start`` raises from the ``interrupt_start``-th thread made on, once the
+    thread runs and holds an item (``holds_item``, which the work sets);
+    ``join`` raises on its first ``interrupt_joins`` calls, before it waits.
+    Every thread made is joined at the end.
+    """
+    Thread = threading.Thread
+
+    class Interrupted(Thread):
+        made, interrupt_start, interrupt_joins = [], 0, 0
+
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.holds_item = threading.Event()
+            Interrupted.made.append(self)
+
+        def start(self):
+            super().start()
+            if len(self.made) >= self.interrupt_start > 0:
+                assert self.holds_item.wait(timeout=60)
+                raise KeyboardInterrupt
+
+        def join(self, timeout=None):
+            if Interrupted.interrupt_joins > 0:
+                Interrupted.interrupt_joins -= 1
+                raise KeyboardInterrupt
+            super().join(timeout)
+
+    monkeypatch.setattr(threading, "Thread", Interrupted)
+    yield Interrupted
+    for thread in Interrupted.made:
+        Thread.join(thread, timeout=60)
+
+
+def worker_item(threads, stops, finished, error=None):
+    """Work for _share_out: a worker thread holds its item until the stop, then finishes it.
+
+    The calling thread returns from each item once the first worker holds
+    one.  A worker records whether the stop came, sleeps so that it is still
+    running when a caller that does not join it raises, then appends its
+    item to ``finished``, or raises ``error`` when given.
+    """
+    caller = threading.current_thread()
+
+    def work(item, stop):
+        thread = threading.current_thread()
+        if thread is caller:
+            assert threads.made[0].holds_item.wait(timeout=60)
+            return
+        thread.holds_item.set()
+        stops.append(stop.wait(timeout=60))
+        time.sleep(0.1)
+        if error is not None:
+            raise error
+        finished.append(item)
+
+    return work
+
+
+def test_an_interrupt_as_a_worker_starts_joins_that_worker(interrupted_threads):
+    # start() is interrupted after the thread runs: the thread must still be joined
+    interrupted_threads.interrupt_start = 1
+    stops, finished = [], []
+    baseline = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        sampling._share_out(worker_item(interrupted_threads, stops, finished),
+                            range(3), 2)
+    assert stops == [True]
+    assert finished == [0]  # the worker's item ended before _share_out raised
+    assert threading.active_count() == baseline
+
+
+def test_an_interrupt_while_the_workers_start_stops_and_joins_the_started_ones(
+        interrupted_threads):
+    # the second worker's start is interrupted; both workers raise their own error
+    # after the stop, and the interrupt, the first exception, is the one raised
+    interrupted_threads.interrupt_start = 2
+    stops = []
+    baseline = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        sampling._share_out(worker_item(interrupted_threads, stops, [],
+                                        error=RuntimeError("after the stop")), range(4), 3)
+    assert stops == [True, True]
+    assert threading.active_count() == baseline
+
+
+def test_an_interrupt_while_joining_stops_the_workers_and_waits_on(interrupted_threads):
+    # the caller's items are done; its first join is interrupted, the second waits
+    interrupted_threads.interrupt_joins = 1
+    stops = []
+    baseline = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        sampling._share_out(worker_item(interrupted_threads, stops, [],
+                                        error=RuntimeError("after the stop")), range(2), 2)
+    assert stops == [True]
+    assert interrupted_threads.interrupt_joins == 0
     assert threading.active_count() == baseline
 
 
