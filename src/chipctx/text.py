@@ -4,11 +4,14 @@ A writer hands over columns and formats them a block of at most ``_BLOCK``
 rows at a time, so the text alive at once stays bounded whatever the row
 count.  :func:`column_text` turns a block of one column into its cells with
 one C-level ``map``: ``repr`` of each float (or another float format), ``str``
-of each integer; a sequence of str is already text.  Only a column that holds
-a non-finite value is then mapped cell by cell, through one of the maps of
-non-finite texts below, which are the one place those rules live.  The cells
-become rows with ``map(",".join, zip(*cells))`` (:func:`write_csv`) or with
-one ``str.format`` template per row (the ``analyze`` writers).
+of each integer; a sequence of str is already text.  A float block in which
+at most half the values are distinct (an analytic sweep's E_XZ, E_ZZ, sigma_S
+and significance, the counts CSV's phi) is formatted once per distinct value
+and spread back out by index.  Only the non-finite values are then mapped,
+through one of the maps of non-finite texts below, which are the one place
+those rules live.  The cells become rows with ``map(",".join, zip(*cells))``
+(:func:`write_csv`) or with one ``str.format`` template per row (the
+``analyze`` writers).
 """
 
 from __future__ import annotations
@@ -37,18 +40,32 @@ def column_text(column: np.ndarray | Sequence[str], non_finite: Mapping[str, str
                 fmt: Callable[[float], str] = repr) -> Sequence[str]:
     """The cells of a block of one column.
 
-    A float column is ``fmt`` of each value, with the text of a non-finite
+    A float64 column is ``fmt`` of each value, with the text of a non-finite
     value replaced by its entry in ``non_finite``, if any; an integer column
-    is ``str`` of each value; any other sequence is returned as it is.
+    is ``str`` of each value; any other sequence is returned as it is.  When
+    at most half of a float block's values are distinct, ``fmt`` and
+    ``non_finite`` see each distinct value once, keyed by its bits (so -0.0
+    and 0.0 stay apart), and the texts are spread back out by index.
     """
     if not isinstance(column, np.ndarray):
         return column
     if column.dtype.kind != "f":
         return list(map(str, column.tolist()))
-    cells = list(map(fmt, column.tolist()))
-    for i in np.flatnonzero(~np.isfinite(column)).tolist():
-        cells[i] = non_finite.get(cells[i], cells[i])
-    return cells
+    bits = column.view(np.int64)
+    order = np.argsort(bits, kind="stable")
+    first = np.ones(len(column), dtype=bool)  # the first of each run of equal bits
+    np.not_equal(bits[order[1:]], bits[order[:-1]], out=first[1:])
+    # spreading the texts back out is a second map over the cells: worth it only on repeats
+    repeats = 2 * np.count_nonzero(first) <= len(column)
+    values = column[order[first]] if repeats else column
+    texts = list(map(fmt, values.tolist()))
+    for i in np.flatnonzero(~np.isfinite(values)).tolist():
+        texts[i] = non_finite.get(texts[i], texts[i])
+    if not repeats:
+        return texts
+    inverse = np.empty(len(column), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return list(map(texts.__getitem__, inverse.tolist()))
 
 
 def write_csv(path: str | Path, header: Sequence[str],

@@ -8,6 +8,9 @@ import json
 import os
 import re
 import shlex
+import subprocess
+import sys
+import textwrap
 import threading
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -841,6 +844,27 @@ GOLDEN_ANALYZE_BLOCKS = {
                 "4d88ebfe0246a7420ea69682e1887ce76e591103a3064ab72e28c8a98a306c42",
                 "c6a17473e4b8091fd72c1a0c76539f05110cb10b98466416a872688871ab25b3"),
 }
+
+
+def test_the_commands_do_not_import_numpy_ma(tmp_path):
+    # numpy.ma, which np.unique imports, adds about 1.4 MB to a process's peak RSS
+    script = textwrap.dedent("""
+        import sys
+        from chipctx import cli
+        for argv in (["sweep", "--steps", "1100", "--emit-figure3", "--config", sys.argv[1]],
+                     ["sweep", "--mode", "sampled", "--steps", "600", "--shots", "100",
+                      "--counts-out", "counts.csv", "--bootstrap", "20"],
+                     ["analyze", "counts.csv", "--out", "report.json", "--bootstrap", "20"],
+                     ["hv", "--prep", "0", "1", "0", "0", "--shots", "1000"],
+                     ["hv", "--prep", "0.25", "0.25", "0.25", "0.25", "--exact"]):
+            assert cli.main(argv) == 0, argv
+        assert "numpy.ma" not in sys.modules, "numpy.ma was imported"
+    """)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", script, str(SAMPLE_CONFIG)], env=env,
+                          cwd=tmp_path, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def sha256_of(path):

@@ -212,8 +212,53 @@ def test_counts_writer_rejects_a_phi_its_reader_rejects(tmp_path, phi):
     assert not path.exists()
 
 
-@pytest.mark.parametrize("write", ["sweep_csv", "report"])
-def test_memory_does_not_grow_with_the_rows(tmp_path, write):
+# The maps and float formats the writers pass to column_text.
+WRITER_FORMATS = {"csv": (text.CSV_NON_FINITE, repr), "json": (text.JSON_NON_FINITE, repr),
+                  "json-significance": (text.JSON_SIGNIFICANCE, repr),
+                  "stdout-significance": (text.STDOUT_SIGNIFICANCE, "{:.3f}".format)}
+
+
+def reference_cells(column, non_finite, fmt):
+    return [fmt(x) if math.isfinite(x) else non_finite.get(fmt(x), fmt(x)) for x in column.tolist()]
+
+
+def block_of(length, n_distinct, seed=0):
+    """A shuffled block of ``length`` values, ``n_distinct`` of them distinct, the edge values first."""
+    pool = np.array([*EDGE_VALUES, *(1.0 + np.arange(length) / 7)])[:n_distinct]
+    rng = np.random.default_rng(seed)
+    return rng.permutation(np.concatenate([pool, rng.choice(pool, length - n_distinct)]))
+
+
+@pytest.mark.parametrize("length", sorted({0, 1, text._BLOCK - 1, text._BLOCK, text._BLOCK + 1}))
+@pytest.mark.parametrize("over_half", [0, 1], ids=["half-distinct", "one-over-half"])
+@pytest.mark.parametrize("writer", list(WRITER_FORMATS))
+def test_column_text_of_repeated_values_equals_the_per_cell_format(length, over_half, writer):
+    # a block of one value has no half; a block of none, nothing over half
+    n_distinct = min(max(length // 2 + over_half, 1), length)
+    column = block_of(length, n_distinct)
+    assert len(set(column.view(np.int64).tolist())) == n_distinct
+    non_finite, fmt = WRITER_FORMATS[writer]
+    assert text.column_text(column, non_finite, fmt) == reference_cells(column, non_finite, fmt)
+
+
+@pytest.mark.parametrize("n_distinct", [6, text._BLOCK])
+def test_column_text_formats_each_distinct_value_once(n_distinct):
+    calls = []
+
+    def counting_repr(x):
+        calls.append(x)
+        return repr(x)
+
+    column = block_of(text._BLOCK, n_distinct)
+    assert text.column_text(column, fmt=counting_repr) == reference_cells(
+        column, text.CSV_NON_FINITE, repr)
+    assert len(calls) == n_distinct
+
+
+@pytest.mark.parametrize("write,shape", [("sweep_csv", "random"), ("report", "random"),
+                                         ("sweep_csv", "analytic"), ("report", "analytic")],
+                         ids=["sweep_csv", "report", "sweep_csv-analytic", "report-analytic"])
+def test_memory_does_not_grow_with_the_rows(tmp_path, write, shape):
     # the whole report of 40 blocks would be about 7 MB of text, the CSV about 4 MB
     def write_out(columns):
         table = table_of(columns)
@@ -225,8 +270,15 @@ def test_memory_does_not_grow_with_the_rows(tmp_path, write):
         with open(tmp_path / "report.json", "w", encoding="utf-8") as fh:
             fh.writelines(cli._report_json(table, None))
 
+    def columns(n_rows):
+        columns = rng.random((n_rows, 10))
+        if shape == "analytic":  # E of 6 values, sigma_S 0.0 and an undefined significance
+            columns[:, 1:5] = rng.choice(np.linspace(-1.0, 1.0, 6), (n_rows, 4))
+            columns[:, 8], columns[:, 9] = 0.0, math.nan
+        return columns
+
     rng = np.random.default_rng(5)
-    one_block = traced_peak(write_out, rng.random((text._BLOCK, 10)))
-    many_blocks = traced_peak(write_out, rng.random((40 * text._BLOCK, 10)))
+    one_block = traced_peak(write_out, columns(text._BLOCK))
+    many_blocks = traced_peak(write_out, columns(40 * text._BLOCK))
     assert many_blocks <= one_block + 64 * 1024
     assert many_blocks < 1 << 20
