@@ -29,7 +29,7 @@ from .chips import DeviceConfig, load_device_config
 from .errors import CalibrationError, ConsistencyError
 from .galton import _check_preparation, galton_s, galton_s_exact
 from .sampling import (
-    DEFAULT_BOOTSTRAP_REPLICATES, count_statistics, read_counts_csv, write_counts_columns,
+    DEFAULT_BOOTSTRAP_REPLICATES, _write_counts, count_statistics, read_counts_csv,
 )
 from .sweep import (
     SweepSpec, run_sweep, write_figure_curves_csv, write_sweep_csv,
@@ -250,9 +250,8 @@ def cmd_sweep(args) -> int:
     print(f"wrote {len(table)} sweep rows to {args.out}")
     if spec.mode == "sampled":
         counts_path = _counts_path(args)
-        write_counts_columns(counts_path, np.repeat(table.phi, len(CONTEXTS)),
-                             CONTEXTS * len(table), table.counts.reshape(-1, 4),
-                             table.seeds.ravel())
+        _write_counts(counts_path, np.repeat(table.phi, len(CONTEXTS)), CONTEXTS * len(table),
+                      table.counts.reshape(-1, 4), table.seeds.ravel())
         print(f"wrote {4 * len(table)} count records to {counts_path}")
     best = int(table.s.argmax())
     print(f"max S = {table.s[best]:.6f} at phi = {table.phi[best]:.6f}")

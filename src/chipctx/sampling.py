@@ -28,10 +28,13 @@ blocks and for the classical board's contexts alike: it hands out items
 under a lock, stops every thread once one raises, and joins them all before
 it returns or raises.  :func:`read_counts_csv` reads a counts CSV straight
 into phase groups, checking its rows a block at a time and then its groups.
-The CSV is written from columns by :func:`write_counts_columns` (or
-:func:`write_counts_csv`, from (phi, record) rows), which checks each column
-once and formats it with :func:`chipctx.text.write_csv`, the one column-wise
-formatter.
+Each count record is checked once, where it enters: an API caller's by
+:class:`CountRecord` (count arrays by :func:`count_statistics`, only for an
+event per record); a file's by :func:`read_counts_csv`; the sweep's draws by
+its :class:`~chipctx.sweep.SweepSpec`, as a multinomial draw of 1 <= shots <
+2**63 events is a valid record.  The CSV's one writer, ``_write_counts``
+(behind :func:`write_counts_csv` and ``chipctx sweep``), checks nothing
+again and formats with :func:`chipctx.text.write_csv`.
 """
 
 from __future__ import annotations
@@ -231,9 +234,13 @@ def _check_probabilities(probabilities: Sequence[float]) -> np.ndarray:
         raise ValueError(f"need exactly four probabilities, got shape {p.shape}")
     if np.any(p < -PROB_SUM_TOL) or abs(float(p.sum()) - 1.0) > PROB_SUM_TOL:
         raise ValueError(f"invalid probability vector {probabilities!r}")
-    # renormalize away the tolerance slack so multinomial sampling is exact
+    return _renormalized(p)
+
+
+def _renormalized(p: np.ndarray) -> np.ndarray:
+    """(..., detector) probabilities clipped at 0 and renormalized: exact multinomial weights."""
     p = np.clip(p, 0.0, None)
-    return p / p.sum()
+    return p / p.sum(axis=-1, keepdims=True)
 
 
 def sample_counts(
@@ -398,54 +405,20 @@ def _bootstrap_sigma_s(fractions: np.ndarray, totals: np.ndarray, seeds: np.ndar
 
 
 def write_counts_csv(path: str | Path, rows: Iterable[tuple[float, CountRecord]]) -> None:
-    """Write (phi, record) rows as a counts CSV: the row-wise entry of :func:`write_counts_columns`."""
+    """Write (phi, record) rows as a counts CSV; only phi is checked, the records were."""
     rows = list(rows)
-    write_counts_columns(
-        path,
-        np.array([phi for phi, _ in rows], dtype=float),
-        [rec.context for _, rec in rows],
-        np.array([rec.counts for _, rec in rows], dtype=np.int64).reshape(-1, 4),
-        np.array([rec.seed for _, rec in rows], dtype=np.uint64),
-    )
-
-
-def write_counts_columns(path: str | Path, phi: np.ndarray, contexts: Sequence[str],
-                         counts: np.ndarray, seeds: np.ndarray) -> None:
-    """Write the counts CSV from columns; row r holds phi[r], contexts[r], counts[r] and seeds[r].
-
-    ``counts`` is shaped (rows, detector) and N is each row's sum.  Every row
-    meets the conditions of :class:`CountRecord`, checked once per array.
-    """
-    phi, counts, seeds = (np.asarray(phi, dtype=float), np.asarray(counts, dtype=np.int64),
-                          np.asarray(seeds))
-    if not len(phi) == len(contexts) == len(counts) == len(seeds) or counts.shape[1:] != (4,):
-        raise ValueError("counts columns differ in length or shape")
-    if not np.isfinite(phi).all():  # read_counts_csv rejects a non-finite phi
+    phi = np.array([phi for phi, _ in rows], dtype=float)
+    if not np.isfinite(phi).all():
         raise ValueError("phi must be finite")
-    for context in set(contexts):
-        check_context(context)
-    bad, totals = _bad_count_rows(counts)
-    if bad.any():
-        raise ValueError("counts must be non-negative integers whose total lies in [1, 2**63)")
-    if not ((seeds >= 0) & (seeds < 2**64)).all():
-        raise ValueError("seeds must lie in [0, 2**64)")
-    write_csv(path, COUNTS_CSV_COLUMNS, [phi, contexts, *counts.T, totals, seeds])
+    _write_counts(path, phi, [rec.context for _, rec in rows],
+                  np.array([rec.counts for _, rec in rows], dtype=np.int64).reshape(-1, 4),
+                  np.array([rec.seed for _, rec in rows], dtype=np.uint64))
 
 
-def _bad_count_rows(counts: np.ndarray,
-                    totals: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Which rows of (rows, detector) int64 counts break a CountRecord condition, and their sums.
-
-    A row is bad if a count is negative, if its running int64 sum wraps past
-    2**63 - 1, if its sum differs from its entry of ``totals`` when given, or
-    if its sum is 0.
-    """
-    partial = np.cumsum(counts, axis=-1)  # a sum past 2**63 - 1 wraps negative
-    sums = partial[:, -1]
-    bad = (counts < 0).any(axis=-1) | (partial < 0).any(axis=-1) | (sums < 1)
-    if totals is not None:
-        bad |= sums != totals
-    return bad, sums
+def _write_counts(path: str | Path, phi: np.ndarray, contexts: Sequence[str],
+                  counts: np.ndarray, seeds: np.ndarray) -> None:
+    """Write checked records as a counts CSV: phi[r], contexts[r], counts[r], its N and seeds[r]."""
+    write_csv(path, COUNTS_CSV_COLUMNS, [phi, contexts, *counts.T, counts.sum(axis=-1), seeds])
 
 
 def read_counts_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -532,7 +505,10 @@ def _parse_rows(path: str | Path, block: list[tuple[int, list[str]]]):
             pass
         else:
             counts = numbers[:, :4]
-            bad = ~np.isfinite(phi) | (context < 0) | _bad_count_rows(counts, numbers[:, 4])[0]
+            partial = np.cumsum(counts, axis=-1)  # a sum past 2**63 - 1 wraps negative
+            bad = (~np.isfinite(phi) | (context < 0) | (counts < 0).any(axis=-1)
+                   | (partial < 0).any(axis=-1) | (partial[:, -1] != numbers[:, 4])
+                   | (numbers[:, 4] < 1))
             if not bad.any():
                 return phi, context, counts, seeds
             first = int(bad.argmax())

@@ -28,7 +28,7 @@ from .analysis import CONTEXTS, PROB_SUM_TOL, ReportTable, epsilon_value, report
 from .chips import DeviceConfig, context_unitaries, prepare_states
 from .errors import ConsistencyError
 from .optics import TransferMatrix, is_unitary
-from .sampling import count_statistics, derive_seeds, seeded_generators
+from .sampling import _renormalized, count_statistics, derive_seeds, seeded_generators
 from .text import write_csv
 
 SWEEP_CSV_COLUMNS = (
@@ -68,6 +68,8 @@ class SweepSpec:
             raise ValueError(f"mode must be 'analytic' or 'sampled', got {self.mode!r}")
         if self.shots < 1:
             raise ValueError(f"shots must be positive, got {self.shots}")
+        if self.shots >= 2**63:  # a record's total is int64
+            raise ValueError(f"shots must be below 2**63, got {self.shots}")
 
     def phis(self) -> np.ndarray:
         return np.linspace(self.phi_start, self.phi_end, self.steps)
@@ -104,9 +106,7 @@ def _draw_counts(counts: np.ndarray, seeds: np.ndarray, start: int, p: np.ndarra
     seeds and the generators' state words are computed for the whole block
     at once.
     """
-    # the renormalization sample_counts applies to each record
-    p = np.clip(p, 0.0, None)
-    p = p / p.sum(axis=-1, keepdims=True)
+    p = _renormalized(p)
     n_contexts = len(CONTEXTS)
     points = np.arange(start, start + len(counts), dtype=np.uint64)
     seeds[:] = derive_seeds(spec.master_seed, np.repeat(points, n_contexts),

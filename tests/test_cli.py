@@ -24,8 +24,8 @@ from chipctx import cli
 from chipctx.analysis import CONTEXTS, build_report, report_table, significance
 from chipctx.chips import DeviceConfig, MeasurementConfig, PreparationConfig
 from chipctx.galton import GaltonConfig, galton_run
-from chipctx.sampling import CountRecord, write_counts_csv
-from chipctx.sweep import SWEEP_CSV_COLUMNS
+from chipctx.sampling import CountRecord, read_counts_csv, write_counts_csv
+from chipctx.sweep import SWEEP_CSV_COLUMNS, SweepSpec, run_sweep
 
 from conftest import oracle_s
 
@@ -111,6 +111,17 @@ class TestSweepCommand:
         c1 = (tmp_path / "s1_counts.csv").read_bytes()
         c2 = (tmp_path / "s2_counts.csv").read_bytes()
         assert c1 == c2
+
+    def test_the_largest_total_reads_back_from_the_counts_csv(self, tmp_path):
+        shots = 2**63 - 1  # each record's total, the largest an int64 holds
+        assert run_cli("sweep", "--steps", 2, "--mode", "sampled", "--shots", shots,
+                       "--out", tmp_path / "s.csv") == 0
+        table = run_sweep(SweepSpec(0.0, 2.0 * np.pi, 2, mode="sampled", shots=shots))
+        phi, counts, seeds = read_counts_csv(tmp_path / "s_counts.csv")
+        assert phi.tolist() == table.phi.tolist()
+        assert counts.tolist() == table.counts.tolist()
+        assert seeds.tolist() == table.seeds.tolist()
+        assert (counts.sum(axis=-1) == shots).all()
 
     def test_seed_changes_sampled_output(self, tmp_path):
         out1, out2 = tmp_path / "s1.csv", tmp_path / "s2.csv"

@@ -46,6 +46,11 @@ class TestSampleCounts:
         rec = sample_counts((1.0, 0.0, 0.0, 0.0), 1000, seed=4)
         assert rec.counts == (1000, 0, 0, 0)
 
+    def test_slack_within_the_tolerance_is_renormalized_away(self):
+        # a probability just below 0, within PROB_SUM_TOL, draws no events
+        rec = sample_counts((-5e-10, 0.5, 0.5 + 5e-10, 0.0), 1000, seed=4)
+        assert rec.counts[0] == rec.counts[3] == 0
+
     def test_uniform_counts_within_five_sigma(self):
         rec = sample_counts((0.25,) * 4, 10**6, seed=8)
         sigma = np.sqrt(10**6 * 0.25 * 0.75)
@@ -598,6 +603,7 @@ class TestCountsCsv:
         "0.0,XX,60,20,10,10,99,1",
         "0.0,XX,0,0,0,0,0,1",
         f"0.0,XX,{2**62},{2**62},{2**62},{2**62},0,1",
+        f"0.0,XX,{2**63 - 1},{2**63 - 1},5,0,3,1",
         f"0.0,XX,{2**63},0,0,0,{2**63},1",
         "0.0,XX,60,20,10,10,100,-1",
         f"0.0,XX,60,20,10,10,100,{2**64}",
@@ -605,8 +611,9 @@ class TestCountsCsv:
         "0.0,XX,6O,20,10,10,100,1",
         " 0.5 , ZZ ,6_0, 20,10,10,1_00, 7",
     ], ids=["unknown-context", "nan-phi", "infinite-phi", "negative-count", "sum-not-total",
-            "no-events", "sum-past-int64", "total-past-int64", "negative-seed",
-            "seed-past-uint64", "seven-fields", "letter-in-count", "spaces-and-underscores"])
+            "no-events", "sum-past-int64", "sum-wraps-to-the-total", "total-past-int64",
+            "negative-seed", "seed-past-uint64", "seven-fields", "letter-in-count",
+            "spaces-and-underscores"])
     def test_row_errors_equal_the_row_reader(self, tmp_path, line):
         path = tmp_path / "counts.csv"
         write_counts_csv(path, [(0.0, rec) for rec in sample_all_contexts(0.0, 100, 1)])

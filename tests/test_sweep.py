@@ -164,7 +164,9 @@ def test_large_master_seeds_follow_the_seed_contract(master_seed, bootstrap):
     ({"steps": 1}, "steps must be at least 2, got 1"),
     ({"mode": "exact"}, "mode must be 'analytic' or 'sampled', got 'exact'"),
     ({"shots": 0}, "shots must be positive, got 0"),
-], ids=["nan-start", "infinite-end", "empty-range", "one-step", "unknown-mode", "no-shots"])
+    ({"shots": 2**63}, f"shots must be below 2**63, got {2**63}"),
+], ids=["nan-start", "infinite-end", "empty-range", "one-step", "unknown-mode", "no-shots",
+        "shots-past-int64"])
 def test_a_bad_spec_is_rejected(kwargs, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         SweepSpec(**{"phi_start": 0.0, "phi_end": 1.0, "steps": 3, **kwargs})

@@ -22,10 +22,8 @@ from hypothesis.extra import numpy as hnp
 
 from chipctx import cli, text
 from chipctx.analysis import CONTEXTS, ReportTable
-from chipctx.sampling import (
-    CountRecord, write_counts_columns, write_counts_csv,
-)
-from chipctx.sweep import SWEEP_CSV_COLUMNS, write_sweep_csv
+from chipctx.sampling import CountRecord, write_counts_csv
+from chipctx.sweep import SWEEP_CSV_COLUMNS, SweepSpec, run_sweep, write_sweep_csv
 
 from conftest import read_outcome, record_rows, traced_peak
 
@@ -131,76 +129,78 @@ def test_report_stdout_equals_the_row_format(columns, summary):
                      reference_stdout(columns.tolist(), summary))
 
 
+# What may break one row of a counts CSV: its phi (the writer rejects it), or a count, its
+# total or its seed (CountRecord rejects them).
+FLAWS = ("phi", "negative-count", "no-events", "total-past-int64", "seed-past-uint64")
+
+
 @st.composite
-def count_columns(draw):
-    """Columns the counts writer accepts: finite phi, totals in [1, 2**63), any uint64 seed."""
-    n = draw(LENGTHS)
-    phi = draw(hnp.arrays(np.float64, n, elements=finite_cells))
-    contexts = [CONTEXTS[c] for c in draw(hnp.arrays(np.int64, n, elements=st.integers(0, 3)))]
+def count_fields(draw, lengths=LENGTHS, flaw=None):
+    """phi, context, counts and seed lists of rows, one of which has ``flaw`` if given.
+
+    Every other row is valid: a finite phi, a total in [1, 2**63), one row's total the
+    largest an int64 holds, and any uint64 seed.
+    """
+    n = draw(lengths)
+    phi = draw(hnp.arrays(np.float64, n, elements=finite_cells)).tolist()
+    contexts = draw(hnp.arrays(np.int64, n, elements=st.integers(0, 3))).tolist()
     counts = draw(hnp.arrays(np.int64, (n, 4), elements=st.integers(0, 2**61 - 1)))
     no_events = ~counts.any(axis=1)  # a record holds at least one event
     counts[no_events, draw(st.integers(0, 3))] = draw(st.integers(1, 2**61 - 1))
+    seeds = draw(hnp.arrays(np.uint64, n, elements=st.integers(0, 2**64 - 1)
+                            | st.sampled_from([0, 2**63, 2**64 - 1]))).tolist()
     if n:  # a row whose total is the largest an int64 holds
         counts[draw(st.integers(0, n - 1))] = draw(st.permutations([2**63 - 1, 0, 0, 0]))
-    seeds = draw(hnp.arrays(np.uint64, n, elements=st.integers(0, 2**64 - 1)
-                            | st.sampled_from([0, 2**63, 2**64 - 1])))
+    counts = counts.tolist()
+    row = draw(st.integers(0, n - 1)) if flaw else None
+    if flaw == "phi":
+        phi[row] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    elif flaw == "negative-count":
+        counts[row] = draw(st.permutations([-1, 1, 0, 0]))
+    elif flaw == "no-events":
+        counts[row] = [0, 0, 0, 0]
+    elif flaw == "total-past-int64":
+        counts[row] = draw(st.permutations([2**63 - 1, 1, 0, 0]))
+    elif flaw == "seed-past-uint64":
+        seeds[row] = draw(st.sampled_from([-1, 2**64]))
     return phi, contexts, counts, seeds
 
 
-@PROPERTY
-@given(count_columns())
-def test_counts_csv_equals_csv_writer(columns):
-    phi, contexts, counts, seeds = columns
-    rows = [(repr(x), context, *n, sum(n), seed) for x, context, n, seed
-            in zip(phi.tolist(), contexts, counts.tolist(), seeds.tolist())]
-    assert_same_text(written(write_counts_columns, *columns),
-                     reference_csv(("phi", "context", "n1", "n2", "n3", "n4", "N", "seed"), rows))
-
-
-@st.composite
-def any_count_columns(draw):
-    """Columns the counts writer may reject: any phi, counts that may be negative or overflow."""
-    n = draw(st.sampled_from([0, 1, 2, 5, text._BLOCK + 1]))
-    phi = draw(hnp.arrays(np.float64, n, elements=cells))
-    contexts = [CONTEXTS[c] for c in draw(hnp.arrays(np.int64, n, elements=st.integers(0, 3)))]
-    counts = draw(hnp.arrays(np.int64, (n, 4), elements=st.integers(-1, 2**62)
-                             | st.sampled_from([0, 1, 2**63 - 1])))
-    seeds = draw(hnp.arrays(np.int64, n, elements=st.integers(-1, 2**63 - 1))
-                 | hnp.arrays(np.uint64, n, elements=st.integers(0, 2**64 - 1)))
-    return phi, contexts, counts, seeds
+def count_rows(phi, contexts, counts, seeds):
+    return [(x, CountRecord(CONTEXTS[c], tuple(n), sum(n), seed))
+            for x, c, n, seed in zip(phi, contexts, counts, seeds)]
 
 
 @PROPERTY
-@given(any_count_columns())
-def test_every_counts_csv_written_reads_back_to_its_columns(columns):
-    phi, contexts, counts, seeds = columns
+@given(count_fields())
+def test_counts_csv_equals_csv_writer(fields):
+    rows = count_rows(*fields)
+    expected = [(repr(x), rec.context, *rec.counts, rec.total, rec.seed) for x, rec in rows]
+    header = ("phi", "context", "n1", "n2", "n3", "n4", "N", "seed")
+    assert_same_text(written(write_counts_csv, rows), reference_csv(header, expected))
+
+
+@pytest.mark.parametrize("flaw", [None, *FLAWS], ids=["valid", *FLAWS])
+@PROPERTY
+@given(data=st.data())
+def test_every_counts_csv_written_reads_back_to_its_rows(flaw, data):
+    fields = data.draw(count_fields(st.sampled_from([1, 2, 5, text._BLOCK + 1]), flaw))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "counts.csv"
-        try:
-            write_counts_columns(path, *columns)
-        except ValueError:
+        if flaw not in (None, "phi"):  # CountRecord rejects the row before any writer sees it
+            with pytest.raises(ValueError):
+                count_rows(*fields)
+            return
+        rows = count_rows(*fields)
+        if flaw == "phi":
+            with pytest.raises(ValueError, match="^phi must be finite$"):
+                write_counts_csv(path, rows)
             assert not path.exists()
             return
-        rows = record_rows(path)
+        write_counts_csv(path, rows)
+        read = record_rows(path)
         assert read_outcome(path) == read_outcome(path, reference=True)
-    assert [repr(x) for x, _ in rows] == list(map(repr, phi.tolist()))
-    assert [rec.context for _, rec in rows] == contexts
-    assert [list(rec.counts) for _, rec in rows] == counts.tolist()
-    assert [rec.seed for _, rec in rows] == seeds.tolist()
-
-
-@pytest.mark.parametrize("columns,message", [
-    (([0.0], ["XX", "XZ"], [[1, 0, 0, 0]], [0]), "counts columns differ in length or shape"),
-    (([0.0], ["XX"], [[1, 0, 0, 0]], [0, 1]), "counts columns differ in length or shape"),
-    (([0.0], ["XX"], [[1, 0, 0]], [0]), "counts columns differ in length or shape"),
-    (([0.0], ["XX"], [[1, 0, 0, 0]], [-1]), r"seeds must lie in \[0, 2\*\*64\)"),
-    (([0.0], ["XX"], [[1, 0, 0, 0]], [2**64]), r"seeds must lie in \[0, 2\*\*64\)"),
-], ids=["extra-context", "extra-seed", "three-detectors", "negative-seed", "seed-past-uint64"])
-def test_counts_writer_rejects_unequal_columns_and_bad_seeds(tmp_path, columns, message):
-    path = tmp_path / "counts.csv"
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        write_counts_columns(path, *columns)
-    assert not path.exists()
+    assert [(repr(x), rec) for x, rec in read] == [(repr(x), rec) for x, rec in rows]
 
 
 @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
@@ -282,3 +282,15 @@ def test_memory_does_not_grow_with_the_rows(tmp_path, write, shape):
     many_blocks = traced_peak(write_out, columns(40 * text._BLOCK))
     assert many_blocks <= one_block + 64 * 1024
     assert many_blocks < 1 << 20
+
+
+def test_the_sweeps_counts_write_holds_few_bytes_per_record(tmp_path, monkeypatch, capsys):
+    # the phi column (np.repeat) and the context tuple hold 16 B a record, N 8 more; the
+    # blocks of text a bounded amount
+    steps = 20_000
+    table = run_sweep(SweepSpec(0.0, 1.0, steps, mode="sampled", shots=1000))
+    monkeypatch.setattr(cli, "run_sweep", lambda spec: table)
+    peak = traced_peak(cli.main, ["sweep", "--mode", "sampled", "--steps", str(steps),
+                                  "--shots", "1000", "--out", str(tmp_path / "sweep.csv")])
+    assert (tmp_path / "sweep_counts.csv").stat().st_size > 0
+    assert peak <= 40 * len(CONTEXTS) * steps
