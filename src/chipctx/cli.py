@@ -27,9 +27,9 @@ import numpy as np
 from .analysis import CONTEXTS, ReportTable, report_table, significance
 from .chips import DeviceConfig, load_device_config
 from .errors import CalibrationError, ConsistencyError
-from .galton import _check_preparation, galton_s, galton_s_exact
+from .galton import _board_counts, _check_preparation, galton_s_exact
 from .sampling import (
-    DEFAULT_BOOTSTRAP_REPLICATES, _write_counts, count_statistics, read_counts_csv,
+    DEFAULT_BOOTSTRAP_REPLICATES, _count_statistics, _write_counts, read_counts_csv,
 )
 from .sweep import (
     SweepSpec, run_sweep, write_figure_curves_csv, write_sweep_csv,
@@ -280,14 +280,14 @@ def cmd_hv(args) -> int:
         return 0
     shots = _HV_SHOTS if args.shots is None else args.shots
     seed = _HV_SEED if args.seed is None else args.seed
-    s, sigma_s = galton_s(args.prep, shots, seed, x_flip_probability=args.flip_prob)
-    z = significance(s, 0.0, sigma_s) if sigma_s > 0.0 else math.nan  # the board has epsilon = 0
-    print(f"S = {s:.6f} +- {sigma_s:.6f} ({shots} shots per context)")
-    if not math.isnan(z):
-        print(f"classical bound: 2; (S - 2)/sigma_S = {z:.3f}")
-    else:
-        print("classical bound: 2; sigma_S = 0, comparing S directly")
-    print(f"verdict: {_verdict(z, s, 2.0)}")
+    counts, seeds = _board_counts(args.prep, shots, seed, x_flip_probability=args.flip_prob)
+    # the board has no phase: one group, reported as analyze reports each of its groups
+    table = report_table(np.zeros(1), *_count_statistics(counts[None], seeds[None]))
+    s, bound, z = table.s, table.bound, table.significance
+    print(f"S = {s[0]:.6f} +- {table.sigma_s[0]:.6f} ({shots} shots per context)")
+    print(_BOUND_FIELDS.format(table.epsilon[0], bound[0],
+                               *column_text(z, STDOUT_SIGNIFICANCE, "{:.3f}".format)))
+    print(f"verdict: {_verdict(z[0], s[0], bound[0])}")
     return 0
 
 
@@ -300,7 +300,7 @@ def cmd_analyze(args) -> int:
     if not len(phi) and args.summary is None:
         print(f"error: {args.counts_csv} holds no count records", file=sys.stderr)
         return 2
-    table = report_table(phi, *count_statistics(counts, seeds, args.bootstrap))
+    table = report_table(phi, *_count_statistics(counts, seeds, args.bootstrap))
     summary = None
     if args.summary is not None:
         s, bound, sigma = args.summary
@@ -314,8 +314,9 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-# One group of analyze's stdout.
-_GROUP_LINE = "phi={!r}: S={:.6f} +- {:.6f} epsilon={:.6f} bound={:.6f} significance={} [{}]\n"
+# A group's epsilon, bound and significance on stdout, and one group of analyze's stdout.
+_BOUND_FIELDS = "epsilon={:.6f} bound={:.6f} significance={}"
+_GROUP_LINE = "phi={!r}: S={:.6f} +- {:.6f} " + _BOUND_FIELDS + " [{}]\n"
 
 
 def _json_template(doc: dict, indent: str) -> str:

@@ -11,9 +11,9 @@ A run draws its balls in chunks of ``_CHUNK`` into one reused set of
 buffers, so its memory does not grow with the shot count.  Each draw (the
 channels, then each X section) reads its own run of the seed's PCG64 stream
 from a generator advanced to it, so the counts are those of drawing every
-ball at once.  The four contexts of :func:`galton_s` run on one thread per
-available CPU; each runs on its own seed, so the output does not depend on
-the thread count.
+ball at once.  The four contexts of a sampled board (:func:`galton_s`,
+``chipctx hv``) run on one thread per available CPU; each runs on its own
+seed, so the output does not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .analysis import CONTEXTS, s_value, sign_sum
-from .sampling import CountRecord, _share_out, _worker_threads, derive_seed, estimate_s
+from .sampling import CountRecord, _count_statistics, _share_out, _worker_threads, derive_seed
 
 MEASUREMENTS = ("Z", "X")
 
@@ -129,14 +129,27 @@ def galton_s(
     master_seed: int,
     x_flip_probability: float = 0.5,
 ) -> tuple[float, float]:
-    """Sampled S of the board over all four section configurations.
+    """Sampled S and its propagated sigma_S of the board over all four section configurations."""
+    e, _, sigma_s = _count_statistics(
+        *_board_counts(preparation, shots, master_seed, x_flip_probability))
+    return float(s_value(e)), float(sigma_s)
+
+
+def _board_counts(
+    preparation: Sequence[float],
+    shots: int,
+    master_seed: int,
+    x_flip_probability: float = 0.5,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sampled (context, detector) int64 counts and (context,) uint64 seeds of the board.
 
     Each configuration runs on its own seed substream derived from the
     master seed and the context index.  The runs are shared out among
     :func:`~chipctx.sampling._worker_threads` threads, the calling one
     included; their draws release the GIL.  An exception raised in any
     run stops the others before their next chunk, and is raised here once
-    every thread has stopped.
+    every thread has stopped.  Each run's record is a checked
+    :class:`~chipctx.sampling.CountRecord`, in CONTEXTS order.
     """
     configs = [
         GaltonConfig(preparation=tuple(preparation), m12=ctx[0], nab=ctx[1], shots=shots,
@@ -149,7 +162,8 @@ def galton_s(
         records[idx] = galton_run(configs[idx], derive_seed(master_seed, idx), stop)
 
     _share_out(run, range(len(configs)), _worker_threads())
-    return estimate_s(records)
+    return (np.array([rec.counts for rec in records], dtype=np.int64),
+            np.array([rec.seed for rec in records], dtype=np.uint64))
 
 
 def galton_s_exact(

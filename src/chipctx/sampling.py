@@ -14,27 +14,33 @@ many keys at once, once for a block's child seeds (:func:`derive_seeds`) and
 once for the PCG64 state words that ``default_rng`` would derive from each of
 them (:func:`seeded_generators`).
 
-Counts become statistics in one place, :func:`count_statistics`: E, epsilon
-and sigma_S (propagated, or bootstrapped on each group's seeds) of any stack
-of (context, detector) count arrays, in one pass that sums each record into
-its N and divides it into fractions once; E, epsilon and the bootstrap's
-draws all read those.  The sampled sweep calls it once per
-block, ``chipctx analyze`` once per counts CSV, and :func:`estimate_s` once
-per record group.  Its bootstrap draws blocks of groups on one thread per
-available CPU; each group draws from its own seed, so the output does not
-depend on the thread count, and there is no flag to set it.  One helper,
+Counts become statistics in one place, the core ``_count_statistics``: E,
+epsilon and sigma_S (propagated, or bootstrapped on each group's seeds) of
+any stack of (context, detector) count arrays, in one pass that sums each
+record into its N and divides it into fractions once; E, epsilon and the
+bootstrap's draws all read those.  The core checks nothing.  The sampled
+sweep calls it once per block, ``chipctx analyze`` once per counts CSV, and
+:func:`estimate_s` and the classical board once per record group; the public
+:func:`count_statistics` checks an API caller's arrays and then calls it.
+The core's bootstrap draws blocks of groups on one thread per available CPU;
+each group draws from its own seed, so the output does not depend on the
+thread count, and there is no flag to set it.  One helper,
 :func:`_share_out`, shares such work out among threads, for the bootstrap's
 blocks and for the classical board's contexts alike: it hands out items
 under a lock, stops every thread once one raises, and joins them all before
 it returns or raises.  :func:`read_counts_csv` reads a counts CSV straight
 into phase groups, checking its rows a block at a time and then its groups.
 Each count record is checked once, where it enters: an API caller's by
-:class:`CountRecord` (count arrays by :func:`count_statistics`, only for an
-event per record); a file's by :func:`read_counts_csv`; the sweep's draws by
-its :class:`~chipctx.sweep.SweepSpec`, as a multinomial draw of 1 <= shots <
-2**63 events is a valid record.  The CSV's one writer, ``_write_counts``
-(behind :func:`write_counts_csv` and ``chipctx sweep``), checks nothing
-again and formats with :func:`chipctx.text.write_csv`.
+:class:`CountRecord`, or in count arrays by :func:`count_statistics`; a
+file's by :func:`read_counts_csv`; the sweep's draws by its
+:class:`~chipctx.sweep.SweepSpec`, as a multinomial draw of 1 <= shots <
+2**63 events is a valid record.  The record rules live in two places:
+CountRecord, which checks one record and words every message, and the array
+predicate ``_bad_records``, which the reader and :func:`count_statistics`
+share; either door raises CountRecord's message for the first bad record.
+The CSV's one writer, ``_write_counts`` (behind :func:`write_counts_csv` and
+``chipctx sweep``), checks nothing again and formats with
+:func:`chipctx.text.write_csv`.
 """
 
 from __future__ import annotations
@@ -61,8 +67,9 @@ COUNTS_CSV_COLUMNS = ("phi", "context", "n1", "n2", "n3", "n4", "N", "seed")
 
 DEFAULT_BOOTSTRAP_REPLICATES = 1000
 
-# Rows parsed at a time when a counts CSV is read.
-_CSV_BLOCK = 1024
+# Records checked at a time: rows parsed when a counts CSV is read, or records
+# of the count arrays that enter count_statistics.
+_RECORD_BLOCK = 1024
 
 # Bytes of bootstrap replicates held at once: a block of groups is drawn into
 # one (group, replicate, context) float64 array of at most this size, or of
@@ -264,18 +271,81 @@ def count_statistics(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """E (..., context), epsilon (...) and sigma_S (...) of (..., context, detector) counts.
 
-    One pass: each record's total N and its fractions n_i/N are computed
-    once, E = (n1 - n2 - n3 + n4)/N and epsilon from them.  The default
-    sigma_S is analytic propagation over independent contexts,
-    sqrt(sum sigma_i^2), where sigma_i^2 = (1 - E_i^2)/N_i exactly, since the
-    observable takes values +-1.  With ``bootstrap=B`` it is instead the
-    standard deviation of S over B replicates of each group, drawn from its
-    fractions and N by ``default_rng(derive_seed(*seeds of the group))``;
-    ``seeds`` is shaped (..., context) and only read for the bootstrap.
+    The door for an API caller's count arrays.  ``counts`` must be integers
+    shaped (..., context, detector) and ``seeds`` integers shaped (...,
+    context), and every record (counts[i], context i[-1], seeds[i]) must be
+    one that :class:`CountRecord` accepts.  Otherwise it raises a one-line
+    ValueError: a shape or dtype message, or CountRecord's own message for the
+    first bad record, after ``record [i]:``.  The records are checked a block
+    at a time, with the predicate the counts CSV reader uses; no dtype
+    conversion copies an int64 count or any seed array.
+
+    E = (n1 - n2 - n3 + n4)/N and epsilon come from each record's N and
+    fractions n_i/N, each computed once.  The default sigma_S is analytic
+    propagation over independent contexts, sqrt(sum sigma_i^2), where
+    sigma_i^2 = (1 - E_i^2)/N_i exactly, since the observable takes values
+    +-1.  With ``bootstrap=B`` it is instead the standard deviation of S over
+    B replicates of each group, drawn from its fractions and N by
+    ``default_rng(derive_seed(*seeds of the group))``.
+    """
+    counts, seeds = np.asarray(counts), np.asarray(seeds)
+    if counts.dtype.kind not in "iu" or counts.shape[-2:] != (len(CONTEXTS), 4):
+        raise ValueError(f"counts must be integers shaped (..., {len(CONTEXTS)}, 4), "
+                         f"got {counts.dtype} shaped {counts.shape}")
+    if seeds.dtype.kind not in "iu" or seeds.shape != counts.shape[:-1]:
+        raise ValueError(f"seeds must be integers shaped {counts.shape[:-1]}, "
+                         f"got {seeds.dtype} shaped {seeds.shape}")
+    # a uint64 count of 2**63 or more reads negative as int64, which the predicate rejects
+    checked = (counts.view(np.int64) if counts.dtype == np.uint64
+               else counts.astype(np.int64, copy=False))
+    _check_records(counts, checked, seeds)
+    return _count_statistics(checked, seeds, bootstrap)
+
+
+def _check_records(counts: np.ndarray, checked: np.ndarray, seeds: np.ndarray) -> None:
+    """Raise CountRecord's message for the first bad record of the arrays, after its index.
+
+    ``checked`` is ``counts`` as int64, checked a block at a time; the
+    message quotes ``counts`` itself.  The flat view of a non-contiguous
+    array is a copy, freed on return, before the statistics allocate theirs.
+    """
+    records, record_seeds = checked.reshape(-1, 4), seeds.reshape(-1)
+    for start in range(0, len(records), _RECORD_BLOCK):
+        block = records[start:start + _RECORD_BLOCK]
+        bad = (_bad_records(block, block.sum(axis=-1))
+               | (record_seeds[start:start + _RECORD_BLOCK] < 0))
+        if bad.any():
+            index = np.unravel_index(start + int(bad.argmax()), seeds.shape)
+            values = counts[index].tolist()
+            try:
+                CountRecord(CONTEXTS[index[-1]], tuple(values), sum(values), int(seeds[index]))
+            except ValueError as exc:
+                raise ValueError(f"record [{', '.join(map(str, index))}]: {exc}") from None
+            raise ConsistencyError("the array checks reject a record that CountRecord accepts")
+
+
+def _bad_records(counts: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """Which records of (record, detector) int64 counts and their int64 totals CountRecord rejects.
+
+    A record is bad if a count is negative, its running sum passes 2**63 - 1
+    (and wraps negative), the sum is not its total, or it holds no events.
+    """
+    bad, partial = totals < 1, np.zeros_like(totals)
+    for column in counts.T:  # column by column: a reduction over 4 detectors is slow in numpy
+        partial += column
+        bad |= (column < 0) | (partial < 0)
+    return bad | (partial != totals)
+
+
+def _count_statistics(
+    counts: np.ndarray, seeds: np.ndarray, bootstrap: int | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`count_statistics` of records already checked where they entered, unchecked.
+
+    ``counts`` is int64 and every record one that CountRecord accepts;
+    ``seeds`` is only read for the bootstrap.
     """
     totals = counts.sum(axis=-1)
-    if (totals < 1).any():
-        raise ValueError("record holds no events")
     e = sign_sum(counts) / totals
     fractions = counts / totals[..., None]
     eps = epsilon_value(fractions)
@@ -301,7 +371,7 @@ def estimate_s(
     ordered = in_context_order(records, "record")
     counts = np.array([rec.counts for rec in ordered], dtype=np.int64)
     seeds = np.array([rec.seed for rec in ordered], dtype=np.uint64)
-    e, _, sigma_s = count_statistics(counts, seeds, bootstrap)
+    e, _, sigma_s = _count_statistics(counts, seeds, bootstrap)
     return float(s_value(e)), float(sigma_s)
 
 
@@ -475,7 +545,7 @@ def _count_blocks(path: str | Path) -> Iterator[tuple]:
             for row in reader:
                 if row:
                     block.append((lineno, row))
-                if len(block) == _CSV_BLOCK:
+                if len(block) == _RECORD_BLOCK:
                     yield _parse_rows(path, block)
                     block = []
                 lineno = reader.line_num + 1  # the line the next row starts on
@@ -505,10 +575,7 @@ def _parse_rows(path: str | Path, block: list[tuple[int, list[str]]]):
             pass
         else:
             counts = numbers[:, :4]
-            partial = np.cumsum(counts, axis=-1)  # a sum past 2**63 - 1 wraps negative
-            bad = (~np.isfinite(phi) | (context < 0) | (counts < 0).any(axis=-1)
-                   | (partial < 0).any(axis=-1) | (partial[:, -1] != numbers[:, 4])
-                   | (numbers[:, 4] < 1))
+            bad = ~np.isfinite(phi) | (context < 0) | _bad_records(counts, numbers[:, 4])
             if not bad.any():
                 return phi, context, counts, seeds
             first = int(bad.argmax())

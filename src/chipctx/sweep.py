@@ -7,8 +7,9 @@ stacked matrix product, and reduced to E and epsilon by the statistics core
 of :mod:`chipctx.analysis`.  Analytic mode reports the exact probabilities;
 sampled mode draws one multinomial record per (phase, context) from its own
 derived seed and reduces the block's counts to E, epsilon and sigma_S with
-:func:`chipctx.sampling.count_statistics`, the one count reduction
-``chipctx analyze`` also uses.  Once the grid is done, one call of
+``chipctx.sampling._count_statistics``, the one count reduction
+``chipctx analyze`` also uses; the spec's shot count makes each draw a valid
+record, so the draws are not checked again.  Once the grid is done, one call of
 :func:`chipctx.analysis.report_table` adds S, the bound and the significance,
 as it does for ``analyze``; every analytic value equals the one
 :func:`report_from_probabilities` gives at that phase, bit for bit.  The
@@ -28,7 +29,7 @@ from .analysis import CONTEXTS, PROB_SUM_TOL, ReportTable, epsilon_value, report
 from .chips import DeviceConfig, context_unitaries, prepare_states
 from .errors import ConsistencyError
 from .optics import TransferMatrix, is_unitary
-from .sampling import _renormalized, count_statistics, derive_seeds, seeded_generators
+from .sampling import _count_statistics, _renormalized, derive_seeds, seeded_generators
 from .text import write_csv
 
 SWEEP_CSV_COLUMNS = (
@@ -133,7 +134,7 @@ def run_sweep(spec: SweepSpec) -> ReportTable:
         block = slice(start, min(start + _BLOCK, spec.steps))
         p = _context_probabilities(stacked, prepare_states(spec.device.preparation, phi[block]))
         if counts is not None:
-            e[block], eps[block], sigma_s[block] = count_statistics(
+            e[block], eps[block], sigma_s[block] = _count_statistics(
                 _draw_counts(counts[block], seeds[block], start, p, spec), seeds[block],
                 spec.bootstrap)
         else:

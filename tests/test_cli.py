@@ -414,7 +414,7 @@ class TestHvCommand:
         assert run_cli("hv", "--prep", 0.1, 0.2, 0.3, 0.4, "--shots", 100000, "--seed", 3) == 0
         assert capsys.readouterr().out == (
             "S = -0.003200 +- 0.006325 (100000 shots per context)\n"
-            "classical bound: 2; (S - 2)/sigma_S = -316.735\n"
+            "epsilon=0.017120 bound=2.017120 significance=-319.442\n"
             "verdict: no violation\n"
         )
 
@@ -424,7 +424,7 @@ class TestHvCommand:
                        "--flip-prob", 0.3) == 0
         assert capsys.readouterr().out == (
             "S = -0.000688 +- 0.002000 (1000003 shots per context)\n"
-            "classical bound: 2; (S - 2)/sigma_S = -1000.346\n"
+            "epsilon=0.005842 bound=2.005842 significance=-1003.267\n"
             "verdict: no violation\n"
         )
 
@@ -452,7 +452,7 @@ class TestHvCommand:
         assert run_cli("hv", "--prep", 1, 0, 0, 0, "--flip-prob", 0) == 0
         assert capsys.readouterr() == (
             "S = 2.000000 +- 0.000000 (1000000 shots per context)\n"
-            "classical bound: 2; sigma_S = 0, comparing S directly\n"
+            "epsilon=0.000000 bound=2.000000 significance=n/a\n"
             "verdict: no violation\n", "")
 
     def test_sampled_defaults_are_a_million_balls_and_seed_zero(self, capsys):
@@ -463,11 +463,17 @@ class TestHvCommand:
         assert capsys.readouterr().out == defaults
 
     def test_never_reports_violation(self, capsys):
+        # against the bound 2 + epsilon of the board's own counts, which the board prints
         rng = np.random.default_rng(81)
         for seed in range(100):
-            prep = rng.dirichlet(np.ones(4))
-            assert run_cli("hv", "--prep", *prep, "--shots", 2000, "--seed", seed) == 0
-            assert "verdict: no violation" in capsys.readouterr().out
+            prep, flip, shots = rng.dirichlet(np.ones(4)), rng.uniform(), rng.integers(10, 2001)
+            assert run_cli("hv", "--prep", *prep, "--shots", shots, "--flip-prob", flip,
+                           "--seed", seed) == 0
+            _, bound_line, verdict = capsys.readouterr().out.splitlines()
+            eps, bound = re.fullmatch(r"epsilon=(\S+) bound=(\S+) significance=\S+",
+                                      bound_line).groups()
+            assert float(bound) == pytest.approx(2.0 + float(eps), abs=1e-6)
+            assert verdict == "verdict: no violation"
 
     def test_negative_seed_is_a_usage_error(self, capsys):
         assert run_cli("hv", "--prep", 0, 1, 0, 0, "--seed", -1) == 1

@@ -11,6 +11,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -41,6 +42,7 @@ from chipctx.galton import galton_s_exact
 from chipctx.optics import is_unitary
 from chipctx.sampling import (
     CountRecord,
+    count_statistics,
     derive_seeds,
     read_counts_csv,
     seed_sequence_state,
@@ -178,6 +180,40 @@ def test_scalar_report_equals_the_array_core_row_by_row(p, sigma_s):
 @given(preparations(), st.floats(0.0, 1.0))
 def test_board_s_never_exceeds_two(prep, flip):
     assert galton_s_exact(prep, x_flip_probability=flip) <= 2.0 + 1e-12
+
+
+# int64 counts at and around the limits of CountRecord's rules
+INT64_EXTREMES = (-2**63, -1, 0, 1, 2**62, 2**63 - 1)
+int64_counts = st.one_of(st.sampled_from(INT64_EXTREMES), st.integers(-2**63, 2**63 - 1))
+count_rows = st.one_of(st.lists(st.integers(0, 9), min_size=4, max_size=4),
+                       st.lists(st.one_of(st.integers(0, 9), int64_counts), min_size=4, max_size=4))
+
+
+@st.composite
+def int64_count_arrays(draw):
+    """int64 counts shaped (group, context, detector), each record drawn on its own, and seeds."""
+    groups = draw(st.integers(0, 3))
+    rows = draw(st.lists(count_rows, min_size=4 * groups, max_size=4 * groups))
+    seeds = draw(st.lists(st.integers(-1, 2**63 - 1), min_size=4 * groups, max_size=4 * groups))
+    return (np.array(rows, dtype=np.int64).reshape(groups, len(CONTEXTS), 4),
+            np.array(seeds, dtype=np.int64).reshape(groups, len(CONTEXTS)))
+
+
+@settings(PROPERTY, max_examples=400)
+@given(int64_count_arrays())
+def test_count_statistics_rejects_what_count_record_rejects(arrays):
+    # the first record, in index order, that CountRecord rejects raises its message
+    counts, seeds = arrays
+    for index in np.ndindex(seeds.shape):
+        values = counts[index].tolist()
+        try:
+            CountRecord(CONTEXTS[index[-1]], tuple(values), sum(values), int(seeds[index]))
+        except ValueError as exc:
+            with pytest.raises(ValueError) as info:
+                count_statistics(counts, seeds)
+            assert str(info.value) == f"record [{', '.join(map(str, index))}]: {exc}"
+            return
+    count_statistics(counts, seeds)
 
 
 @PROPERTY

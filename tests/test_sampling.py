@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from chipctx import sampling
+from chipctx import cli, sampling
 from chipctx.analysis import CONTEXTS, s_value
 from chipctx.sampling import (
     COUNTS_CSV_COLUMNS,
@@ -230,8 +230,79 @@ class TestCountStatistics:
     def test_zero_event_record_fails_before_any_division(self):
         counts, seeds = count_arrays(self.groups())
         counts[1, 2] = 0
-        with np.errstate(all="raise"), pytest.raises(ValueError, match="record holds no events"):
+        with np.errstate(all="raise"), pytest.raises(
+                ValueError, match=r"^record \[1, 2\]: total must be at least 1, got 0$"):
             count_statistics(counts, seeds)
+
+    @pytest.mark.parametrize("bootstrap", [None, 20])
+    @pytest.mark.parametrize("record, message", [
+        ([-5, 10, 0, 0], "counts must be four non-negative integers, got (-5, 10, 0, 0)"),
+        ([10, -5, 0, 0], "counts must be four non-negative integers, got (10, -5, 0, 0)"),
+        ([2**63 - 1, 2**63 - 1, 5, 0], f"total must be below 2**63, got {2**64 + 3}"),
+    ], ids=["negative-first", "negative-later", "wrapped-sum"])
+    def test_a_record_that_count_record_rejects_raises_its_message(self, record, message,
+                                                                   bootstrap):
+        # the first bad record raises CountRecord's own message, after the record's index
+        counts, seeds = count_arrays(self.groups())
+        counts[1, 2], counts[2, 0] = record, [-1, 1, 1, 1]
+        with pytest.raises(ValueError) as info:
+            count_statistics(counts, seeds, bootstrap)
+        assert str(info.value) == f"record [1, 2]: {message}"
+
+    def test_a_uint64_count_past_int64_raises_count_records_message(self):
+        counts, seeds = count_arrays(self.groups())
+        counts = counts.astype(np.uint64)
+        counts[0, 3, 0] = 2**63
+        with pytest.raises(ValueError) as info:
+            count_statistics(counts, seeds)
+        total = 2**63 + int(counts[0, 3, 1:].sum())
+        assert str(info.value) == f"record [0, 3]: total must be below 2**63, got {total}"
+
+    def test_a_negative_seed_raises_count_records_message(self):
+        counts, _ = count_arrays(self.groups())
+        seeds = np.zeros(counts.shape[:-1], dtype=np.int64)
+        seeds[2, 1] = -1
+        with pytest.raises(ValueError) as info:
+            count_statistics(counts, seeds, bootstrap=20)
+        assert str(info.value) == "record [2, 1]: seed must lie in [0, 2**64), got -1"
+
+    @pytest.mark.parametrize("bootstrap", [None, 20])
+    @pytest.mark.parametrize("counts, seeds, message", [
+        (np.array([[0.5, 0.5, 0, 0]] * 4), np.zeros(4, dtype=np.uint64),
+         "counts must be integers shaped (..., 4, 4), got float64 shaped (4, 4)"),
+        (np.ones((4, 5), dtype=np.int64), np.zeros(4, dtype=np.uint64),
+         "counts must be integers shaped (..., 4, 4), got int64 shaped (4, 5)"),
+        (np.ones((3, 4), dtype=np.int64), np.zeros(3, dtype=np.uint64),
+         "counts must be integers shaped (..., 4, 4), got int64 shaped (3, 4)"),
+        (np.ones((1, 4, 4), dtype=np.int64), np.zeros(1, dtype=np.uint64),
+         "seeds must be integers shaped (1, 4), got uint64 shaped (1,)"),
+        (np.ones((4, 4), dtype=np.int64), np.zeros(4),
+         "seeds must be integers shaped (4,), got float64 shaped (4,)"),
+    ], ids=["float-counts", "five-detectors", "three-contexts", "seed-per-group",
+            "float-seeds"])
+    def test_arrays_of_the_wrong_dtype_or_shape_raise_one_line(self, counts, seeds, message,
+                                                               bootstrap):
+        with pytest.raises(ValueError) as info:
+            count_statistics(counts, seeds, bootstrap)
+        assert str(info.value) == message
+
+    def test_any_integer_dtype_gives_the_int64_statistics(self):
+        counts, seeds = count_arrays(self.groups())
+        seeds >>= np.uint64(1)  # each seed also an int64
+        expected = count_statistics(counts, seeds, 20)
+        for dtype in (np.uint64, np.int32, np.uint16):
+            for column, value in zip(count_statistics(counts.astype(dtype), seeds, 20), expected):
+                assert column.tobytes() == value.tobytes()
+        for column, value in zip(count_statistics(counts, seeds.astype(np.int64), 20), expected):
+            assert column.tobytes() == value.tobytes()
+
+    def test_the_checks_add_no_table_to_the_peak(self):
+        # a strided table's flat records are a copy, freed before the statistics allocate
+        counts, seeds = random_groups(20_000, seed=5)
+        strided = np.ascontiguousarray(counts.transpose(1, 0, 2)).transpose(1, 0, 2)
+        core = traced_peak(sampling._count_statistics, counts, seeds)
+        for table in (counts, strided, counts.astype(np.uint64)):
+            assert traced_peak(count_statistics, table, seeds) <= core + 65_536
 
     def test_bootstrap_needs_two_replicates(self):
         counts, seeds = count_arrays(self.groups())
@@ -242,6 +313,35 @@ class TestCountStatistics:
         counts, seeds = count_arrays([])
         e, eps, sigma_s = count_statistics(counts, seeds, bootstrap=20)
         assert (e.shape, eps.shape, sigma_s.shape) == ((0, 4), (0,), (0,))
+
+
+def test_each_record_is_checked_once_where_it_enters(monkeypatch, tmp_path, capsys):
+    # the record predicate sees a file's records and an API caller's arrays; records
+    # that were checked where they entered (the sweep's draws, CountRecords) skip it
+    seen = []
+    bad_records = sampling._bad_records
+
+    def counting(counts, totals):
+        seen.append(len(counts))
+        return bad_records(counts, totals)
+
+    def records_seen(call):
+        seen.clear()
+        call()
+        return sum(seen)
+
+    monkeypatch.setattr(sampling, "_bad_records", counting)
+    counts_csv = tmp_path / "counts.csv"
+    sweep = ["sweep", "--mode", "sampled", "--steps", "300", "--shots", "100",
+             "--out", str(tmp_path / "sweep.csv"), "--counts-out", str(counts_csv)]
+    assert records_seen(lambda: cli.main(sweep)) == 0
+    assert records_seen(lambda: cli.main(["analyze", str(counts_csv)])) == 1200
+    assert records_seen(lambda: estimate_s(sample_all_contexts(0.0, 100, master_seed=1))) == 0
+    assert records_seen(lambda: cli.main(["hv", "--prep", "0.1", "0.2", "0.3", "0.4",
+                                          "--shots", "100"])) == 0
+    counts, seeds = random_groups(700, seed=3)
+    assert records_seen(lambda: count_statistics(counts, seeds)) == 2800
+    capsys.readouterr()
 
 
 def bootstrap_kernel(counts, group_seeds, bootstrap):
