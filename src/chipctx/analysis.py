@@ -7,6 +7,9 @@ sweep and ``chipctx analyze`` both report through :func:`report_table`, the
 one place that turns E, epsilon and sigma_S columns into S, the bound and the
 significance; :func:`build_report` is its scalar reference.
 
+Every probability vector of the API and the CLI, outcome probabilities and
+the board's preparation alike, is checked by :func:`check_distribution`.
+
 Outcome signs follow the detector formula E = p1 - p2 - p3 + p4: the product
 of the two measurement outcomes is +1 on modes 1 and 4 and -1 on modes 2 and
 3.  That product factorizes as letter outcome +1 on the left half (modes 1
@@ -17,16 +20,21 @@ factorization leaves S and epsilon unchanged.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from .errors import check_number
+
 CONTEXTS = ("XX", "XZ", "ZX", "ZZ")
 
 # Input probability vectors may come from empirically normalized counts, so
-# the sum check is looser than the internal 1e-12 unitarity tolerance.
-PROB_SUM_TOL = 1e-9
+# the sum check is looser than the internal 1e-12 unitarity tolerance.  Messages
+# quote it as written here.
+_PROB_SUM_TOL_TEXT = "1e-9"
+PROB_SUM_TOL = float(_PROB_SUM_TOL_TEXT)
 
 
 def check_context(context: str) -> str:
@@ -34,6 +42,24 @@ def check_context(context: str) -> str:
     if context not in CONTEXTS:
         raise ValueError(f"unknown context {context!r}, expected one of {CONTEXTS}")
     return context
+
+
+def check_distribution(p, name: str, low: float) -> tuple[float, float, float, float]:
+    """A list, tuple or 1-d array of four numbers, each at least ``low``, summing to 1, as floats.
+
+    The sum may miss 1 by ``PROB_SUM_TOL``; ``name`` names the vector in errors.
+    """
+    if isinstance(p, np.ndarray):
+        p = p.tolist()
+    if not isinstance(p, (list, tuple)):
+        raise ValueError(f"{name} must be a list of four numbers, got {p!r}")
+    if len(p) != 4:
+        raise ValueError(f"need exactly four probabilities, got {len(p)}")
+    values = tuple(check_number(x, f"{name} entry", low) for x in p)
+    if abs(sum(values) - 1.0) > PROB_SUM_TOL:
+        raise ValueError(f"{name} must sum to 1 within {_PROB_SUM_TOL_TEXT}, "
+                         f"got sum {sum(values)!r}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -45,14 +71,7 @@ class ContextProbabilities:
 
     def __post_init__(self):
         check_context(self.context)
-        p = tuple(float(x) for x in self.p)
-        if len(p) != 4:
-            raise ValueError(f"need exactly four probabilities, got {len(p)}")
-        if any(x < -PROB_SUM_TOL or x > 1.0 + PROB_SUM_TOL for x in p):
-            raise ValueError(f"probabilities must lie in [0, 1], got {p!r}")
-        if abs(sum(p) - 1.0) > PROB_SUM_TOL:
-            raise ValueError(f"probabilities must sum to 1 within {PROB_SUM_TOL}, got sum {sum(p)!r}")
-        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "p", check_distribution(self.p, "probabilities", -PROB_SUM_TOL))
 
 
 @dataclass(frozen=True)
@@ -60,7 +79,8 @@ class InequalityReport:
     """One complete evaluation of the inequality.
 
     ``sigma_s`` is zero for analytic inputs; ``significance`` is None
-    whenever ``sigma_s`` is not positive.
+    whenever ``sigma_s`` is not positive.  Each range check is written so
+    that a NaN fails it, so a NaN in any float field raises.
     """
 
     expectations: Mapping[str, float]
@@ -73,14 +93,18 @@ class InequalityReport:
     def __post_init__(self):
         for ctx, e in self.expectations.items():
             check_context(ctx)
-            if abs(e) > 1.0 + PROB_SUM_TOL:
+            if not abs(e) <= 1.0 + PROB_SUM_TOL:
                 raise ValueError(f"expectation for {ctx} out of [-1, 1]: {e!r}")
-        if abs(self.s) > 4.0 + PROB_SUM_TOL:
+        if not abs(self.s) <= 4.0 + PROB_SUM_TOL:
             raise ValueError(f"|S| cannot exceed 4, got {self.s!r}")
-        if self.epsilon < -PROB_SUM_TOL:
+        if not self.epsilon >= -PROB_SUM_TOL:
             raise ValueError(f"epsilon must be non-negative, got {self.epsilon!r}")
-        if self.sigma_s < 0.0:
+        if not self.sigma_s >= 0.0:
             raise ValueError(f"sigma_s must be non-negative, got {self.sigma_s!r}")
+        if math.isnan(self.bound) or (self.significance is not None
+                                      and math.isnan(self.significance)):
+            raise ValueError(f"bound and significance must not be NaN, "
+                             f"got {self.bound!r} and {self.significance!r}")
         object.__setattr__(self, "expectations", dict(self.expectations))
 
     def to_json_dict(self) -> dict:

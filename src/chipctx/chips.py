@@ -23,7 +23,6 @@ import functools
 import itertools
 import json
 import math
-import numbers
 from collections.abc import Callable, Collection, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import CONTEXTS, check_context
-from .errors import CalibrationError
+from .errors import CalibrationError, check_number
 from .optics import (
     CouplerSpec,
     ModeVector,
@@ -73,28 +72,14 @@ _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / _SQRT2
 _EYE2 = np.eye(2, dtype=np.complex128)
 
 
-def _number(value, name: str, low: float = -math.inf, high: float = math.inf) -> float:
-    """A real number that is not a bool (numpy scalars included) as a float in [low, high]."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:
-        raise ValueError(f"{name} must lie in the float range, got a larger integer") from None
-    if not (math.isfinite(number) and low <= number <= high):
-        limit = "finite" if low == -math.inf else f"in [{low:g}, {high:g}]"
-        raise ValueError(f"{name} must be {limit}, got {value!r}")
-    return number
-
-
 def _numbers(value, length: int, name: str, low: float = -math.inf,
              high: float = math.inf) -> tuple[float, ...]:
-    """A list, tuple or 1-d array of ``length`` numbers, each checked by :func:`_number`."""
+    """A list, tuple or 1-d array of ``length`` numbers, each checked by :func:`check_number`."""
     if isinstance(value, np.ndarray):
         value = value.tolist()
     if not isinstance(value, (list, tuple)) or len(value) != length:
         raise ValueError(f"{name} must be an array of {length} numbers, got {value!r}")
-    return tuple(_number(x, f"{name} entry", low, high) for x in value)
+    return tuple(check_number(x, f"{name} entry", low, high) for x in value)
 
 
 def _mapping(value, name: str) -> dict:
@@ -136,7 +121,7 @@ class PreparationConfig:
     calibration_phases: tuple[float, float, float] = DEFAULT_PREPARATION_PHASES
 
     def __post_init__(self):
-        object.__setattr__(self, "phi", _number(self.phi, "preparation phi"))
+        object.__setattr__(self, "phi", check_number(self.phi, "preparation phi"))
         object.__setattr__(self, "coupler_ts",
                            _numbers(self.coupler_ts, 3, "preparation coupler_ts", 0.0, 1.0))
         object.__setattr__(self, "calibration_phases",
@@ -181,8 +166,8 @@ class MeasurementConfig:
         ts = _object(self.coupler_ts, f"{name} coupler_ts", MEASUREMENT_COUPLER_SLOTS[self.context])
         if self.mode == "ideal" and (ts or self.calibration_phases is not None):
             raise ValueError(f"{name}: coupler_ts and calibration_phases need mode 'physical'")
-        object.__setattr__(self, "coupler_ts", {
-            slot: _number(t, f"transmissivity for {slot!r}", 0.0, 1.0) for slot, t in ts.items()})
+        object.__setattr__(self, "coupler_ts", {slot: check_number(
+            t, f"transmissivity for {slot!r}", 0.0, 1.0) for slot, t in ts.items()})
         if self.calibration_phases is not None:
             object.__setattr__(self, "calibration_phases",
                                _numbers(self.calibration_phases, 4, f"{name} calibration_phases"))
@@ -258,7 +243,8 @@ def load_device_config(path: str | Path) -> DeviceConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        # not JSON, not UTF-8 (UnicodeDecodeError is a ValueError), or nested too deep to parse
+        except (ValueError, RecursionError) as exc:
             raise ValueError(f"invalid device config {path}: {exc}") from exc
     try:
         return DeviceConfig.from_json_dict(data)
@@ -272,8 +258,7 @@ def prepare_state_direct(phi: float) -> ModeVector:
     Amplitudes (exp(i*phi), (1+sqrt 2)*exp(i*phi), 1+sqrt 2, -1) over modes
     1..4, normalized by 2*sqrt(2+sqrt 2).
     """
-    if not math.isfinite(phi):
-        raise ValueError(f"phi must be finite, got {phi!r}")
+    phi = check_number(phi, "phi")
     k = 1.0 + _SQRT2
     amps = np.array([np.exp(1j * phi), k * np.exp(1j * phi), k, -1.0], dtype=np.complex128)
     return amps / (2.0 * math.sqrt(2.0 + _SQRT2))

@@ -24,26 +24,21 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .analysis import CONTEXTS, ReportTable, report_table, significance
+from .analysis import CONTEXTS, ReportTable, check_distribution, report_table, significance
 from .chips import DeviceConfig, load_device_config
-from .errors import CalibrationError, ConsistencyError
-from .galton import _board_counts, _check_preparation, galton_s_exact
+from .errors import CalibrationError, ConsistencyError, check_integer, check_number
+from .galton import _board_counts, galton_s_exact
 from .sampling import (
-    DEFAULT_BOOTSTRAP_REPLICATES, _count_statistics, _write_counts, read_counts_csv,
+    BOOTSTRAP_LIMIT, DEFAULT_BOOTSTRAP_REPLICATES, SHOTS_LIMIT, _count_statistics, _write_counts,
+    read_counts_csv,
 )
 from .sweep import (
-    SweepSpec, run_sweep, write_figure_curves_csv, write_sweep_csv,
+    STEPS_LIMIT, SweepSpec, run_sweep, write_figure_curves_csv, write_sweep_csv,
 )
 from .text import JSON_NON_FINITE, JSON_SIGNIFICANCE, STDOUT_SIGNIFICANCE, blocks, column_text
 
 # z-score above which a printed verdict reads "violation"
 VERDICT_SIGMAS = 5.0
-
-# Size limits keep every array within numpy's 2**63 bytes, so that numpy can
-# shape it and an allocation that fails is its one-line MemoryError, a data error.
-SHOTS_LIMIT = 2**63  # a record's int64 total; neither sampler nor board holds anything per event
-STEPS_LIMIT = 2**60  # float64 phases; np.linspace fails just below 2**63 points
-BOOTSTRAP_LIMIT = 2**58  # a replicate holds four float64 expectations
 
 # hv's sampled board without --shots and --seed
 _HV_SHOTS = 1_000_000
@@ -64,35 +59,33 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def int_at_least(minimum: int, below: int | None = None) -> Callable[[str], int]:
-    """argparse type of an integer flag in [minimum, below), e.g. a seed or a count."""
+def _flag_type(convert: Callable, check: Callable, low: float, high: float) -> Callable:
+    """argparse type that converts a flag's text and checks the value as the API doors do.
 
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < minimum:
-            limit = "non-negative" if minimum == 0 else f"at least {minimum}"
-            raise argparse.ArgumentTypeError(f"must be {limit}, got {value}")
-        if below is not None and value >= below:
-            raise argparse.ArgumentTypeError(f"must be below {below}, got {value}")
-        return value
+    A text that does not convert is argparse's "invalid <type> value" error;
+    the check's ValueError becomes an ArgumentTypeError without the value's
+    name, since argparse names the flag.
+    """
 
-    parse.__name__ = "int"  # argparse names the type in its "invalid ... value" message
+    def parse(text: str):
+        value = convert(text)
+        try:
+            return check(value, "", low, high)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc).lstrip()) from None
+
+    parse.__name__ = convert.__name__  # argparse names the type in its "invalid ... value" message
     return parse
+
+
+def int_at_least(minimum: int, below: float = math.inf) -> Callable[[str], int]:
+    """argparse type of an integer flag in [minimum, below), e.g. a seed or a count."""
+    return _flag_type(int, check_integer, minimum, below)
 
 
 def float_within(low: float = -math.inf, high: float = math.inf) -> Callable[[str], float]:
     """argparse type of a finite float flag in [low, high], e.g. a phase limit or a probability."""
-    limit = {(-math.inf, math.inf): "finite", (0.0, math.inf): "finite and non-negative"}.get(
-        (low, high), f"in [{low:g}, {high:g}]")
-
-    def parse(text: str) -> float:
-        value = float(text)
-        if not (math.isfinite(value) and low <= value <= high):
-            raise argparse.ArgumentTypeError(f"must be {limit}, got {text}")
-        return value
-
-    parse.__name__ = "float"
-    return parse
+    return _flag_type(float, check_number, low, high)
 
 
 class _SummaryAction(argparse.Action):
@@ -109,7 +102,7 @@ class _PreparationAction(argparse.Action):
 
     def __call__(self, parser, namespace, values, option_string=None):
         try:
-            setattr(namespace, self.dest, _check_preparation(values))
+            setattr(namespace, self.dest, check_distribution(values, "preparation", 0.0))
         except ValueError as exc:
             raise argparse.ArgumentError(self, str(exc)) from None
 

@@ -18,15 +18,17 @@ seed, so the output does not depend on the thread count.
 
 from __future__ import annotations
 
-import math
 import threading
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .analysis import CONTEXTS, s_value, sign_sum
-from .sampling import CountRecord, _count_statistics, _share_out, _worker_threads, derive_seed
+from .analysis import CONTEXTS, check_distribution, s_value, sign_sum
+from .errors import check_integer, check_number
+from .sampling import (
+    SHOTS_LIMIT, CountRecord, _count_statistics, _share_out, _worker_threads, derive_seed,
+)
 
 MEASUREMENTS = ("Z", "X")
 
@@ -34,25 +36,9 @@ MEASUREMENTS = ("Z", "X")
 _CHUNK = 1 << 16
 
 
-def _check_preparation(preparation: Sequence[float]) -> tuple[float, ...]:
-    """Four finite non-negative weights summing to 1, as floats."""
-    prep = tuple(float(p) for p in preparation)
-    if len(prep) != 4 or not all(math.isfinite(p) and p >= 0.0 for p in prep):
-        raise ValueError(f"preparation must be four finite non-negative weights, got {preparation!r}")
-    if abs(sum(prep) - 1.0) > 1e-9:
-        raise ValueError(f"preparation must sum to 1 within 1e-9, got sum {sum(prep)!r}")
-    return prep
-
-
-def _check_flip_probability(f: float) -> float:
-    if not (0.0 <= f <= 1.0):
-        raise ValueError(f"flip probability must lie in [0, 1], got {f!r}")
-    return f
-
-
 @dataclass(frozen=True)
 class GaltonConfig:
-    """One board run: channel distribution, section choices, shot count."""
+    """One board run: channel distribution, section choices, shot count, checked as hv's flags."""
 
     preparation: tuple[float, float, float, float]
     m12: str = "Z"
@@ -61,13 +47,13 @@ class GaltonConfig:
     x_flip_probability: float = 0.5
 
     def __post_init__(self):
-        prep = _check_preparation(self.preparation)
+        prep = check_distribution(self.preparation, "preparation", 0.0)
         if self.m12 not in MEASUREMENTS or self.nab not in MEASUREMENTS:
             raise ValueError(f"sections must be 'Z' or 'X', got {self.m12!r}, {self.nab!r}")
-        if self.shots < 1:
-            raise ValueError(f"shots must be positive, got {self.shots}")
-        _check_flip_probability(self.x_flip_probability)
         object.__setattr__(self, "preparation", prep)
+        object.__setattr__(self, "shots", check_integer(self.shots, "shots", 1, SHOTS_LIMIT))
+        object.__setattr__(self, "x_flip_probability",
+                           check_number(self.x_flip_probability, "flip probability", 0.0, 1.0))
 
     @property
     def context(self) -> str:
@@ -90,13 +76,14 @@ def galton_run(config: GaltonConfig, seed: int,
     k*shots, a chunk at a time.  Deterministic per seed.
 
     With ``stop``, the run checks it before each chunk and returns None
-    once it is set.
+    once it is set.  ``seed`` is a non-negative integer.
     """
+    seed = check_integer(seed, "seed", 0)
     shots = config.shots
     cdf = np.cumsum(config.preparation)
     cdf /= cdf[-1]  # as Generator.choice normalizes it
     flip_bits = [bit for section, bit in ((config.m12, 1), (config.nab, 2)) if section == "X"]
-    draws = [np.random.Generator(np.random.PCG64(int(seed)).advance(k * shots))
+    draws = [np.random.Generator(np.random.PCG64(seed).advance(k * shots))
              for k in range(1 + len(flip_bits))]
     size = min(shots, _CHUNK)
     u, channels, hits, flips = (np.empty(size), np.empty(size, dtype=np.uint8),
@@ -120,7 +107,7 @@ def galton_run(config: GaltonConfig, seed: int,
         for k in range(3):
             counts[k] += int(np.count_nonzero(np.equal(channels_n, k, out=hits_n)))
     counts.append(shots - sum(counts))
-    return CountRecord(context=config.context, counts=tuple(counts), total=shots, seed=int(seed))
+    return CountRecord(context=config.context, counts=tuple(counts), total=shots, seed=seed)
 
 
 def galton_s(
@@ -152,14 +139,15 @@ def _board_counts(
     :class:`~chipctx.sampling.CountRecord`, in CONTEXTS order.
     """
     configs = [
-        GaltonConfig(preparation=tuple(preparation), m12=ctx[0], nab=ctx[1], shots=shots,
+        GaltonConfig(preparation=preparation, m12=ctx[0], nab=ctx[1], shots=shots,
                      x_flip_probability=x_flip_probability)
         for ctx in CONTEXTS
     ]
+    seeds = [derive_seed(master_seed, idx) for idx in range(len(configs))]
     records: list[CountRecord | None] = [None] * len(configs)
 
     def run(idx: int, stop: threading.Event) -> None:
-        records[idx] = galton_run(configs[idx], derive_seed(master_seed, idx), stop)
+        records[idx] = galton_run(configs[idx], seeds[idx], stop)
 
     _share_out(run, range(len(configs)), _worker_threads())
     return (np.array([rec.counts for rec in records], dtype=np.int64),
@@ -177,8 +165,8 @@ def galton_s_exact(
     contributes exactly zero and S reduces bit-exactly to the negated
     ZZ-context expectation of the preparation.
     """
-    zz = zz_expectation(_check_preparation(preparation))
-    scale = 1.0 - 2.0 * _check_flip_probability(x_flip_probability)
+    zz = zz_expectation(check_distribution(preparation, "preparation", 0.0))
+    scale = 1.0 - 2.0 * check_number(x_flip_probability, "flip probability", 0.0, 1.0)
     e = [zz * (scale if digit == "X" else 1.0) * (scale if letter == "X" else 1.0)
          for digit, letter in CONTEXTS]
     return float(s_value(np.array(e)))

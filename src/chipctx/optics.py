@@ -29,6 +29,8 @@ from typing import Iterable, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
+from .errors import check_integer, check_number
+
 # Type aliases for readability; both are plain complex ndarrays.
 ModeVector = NDArray[np.complex128]     # shape (4,)
 TransferMatrix = NDArray[np.complex128]  # shape (4, 4)
@@ -41,9 +43,7 @@ ATOL = 1e-12
 
 
 def _check_mode(mode: int) -> int:
-    if not isinstance(mode, (int, np.integer)) or not 1 <= mode <= N_MODES:
-        raise ValueError(f"mode index must be an integer in 1..{N_MODES}, got {mode!r}")
-    return int(mode)
+    return check_integer(mode, "mode index", 1, N_MODES + 1)
 
 
 @dataclass(frozen=True)
@@ -62,11 +62,9 @@ class CouplerSpec:
         a, b = (_check_mode(m) for m in self.mode_pair)
         if a == b:
             raise ValueError(f"coupler modes must be distinct, got {self.mode_pair}")
-        t = self.transmissivity
-        if not (math.isfinite(t) and 0.0 <= t <= 1.0):
-            raise ValueError(f"transmissivity must lie in [0, 1], got {t!r}")
         object.__setattr__(self, "mode_pair", (a, b))
-        object.__setattr__(self, "transmissivity", float(t))
+        object.__setattr__(self, "transmissivity",
+                           check_number(self.transmissivity, "transmissivity", 0.0, 1.0))
 
 
 def basis_state(mode: int) -> ModeVector:
@@ -121,8 +119,7 @@ def phase_shifter(modes: Iterable[int], theta: float) -> TransferMatrix:
     idx = sorted({_check_mode(m) for m in modes})
     if not idx:
         raise ValueError("phase shifter needs at least one mode")
-    if not math.isfinite(theta):
-        raise ValueError(f"phase must be finite, got {theta!r}")
+    theta = check_number(theta, "phase")
     diag = np.ones(N_MODES, dtype=np.complex128)
     for m in idx:
         diag[m - 1] = np.exp(1j * theta)

@@ -58,14 +58,20 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from .analysis import (
-    CONTEXTS, PROB_SUM_TOL, check_context, epsilon_value, in_context_order, s_value, sign_sum,
+    CONTEXTS, PROB_SUM_TOL, check_context, check_distribution, epsilon_value, in_context_order,
+    s_value, sign_sum,
 )
-from .errors import ConsistencyError
+from .errors import ConsistencyError, check_integer
 from .text import write_csv
 
 COUNTS_CSV_COLUMNS = ("phi", "context", "n1", "n2", "n3", "n4", "N", "seed")
 
 DEFAULT_BOOTSTRAP_REPLICATES = 1000
+
+# Size limits keep every array within numpy's 2**63 bytes, so that numpy can
+# shape it and an allocation that fails is its one-line MemoryError, a data error.
+SHOTS_LIMIT = 2**63  # a record's int64 total; neither sampler nor board holds anything per event
+BOOTSTRAP_LIMIT = 2**58  # a replicate holds four float64 expectations
 
 # Records checked at a time: rows parsed when a counts CSV is read, or records
 # of the count arrays that enter count_statistics.
@@ -90,14 +96,15 @@ class CountRecord:
 
     def __post_init__(self):
         check_context(self.context)
-        counts, total, seed = tuple(int(n) for n in self.counts), int(self.total), int(self.seed)
+        counts = tuple(check_integer(n, "count") for n in self.counts)
+        total, seed = check_integer(self.total, "total"), check_integer(self.seed, "seed")
         if len(counts) != 4 or any(n < 0 for n in counts):
             raise ValueError(f"counts must be four non-negative integers, got {self.counts!r}")
         if sum(counts) != total:
             raise ValueError(f"counts sum {sum(counts)} != total {total}")
         if total < 1:  # a record without events has no estimate
             raise ValueError(f"total must be at least 1, got {total}")
-        if total >= 2**63:  # the estimators count in int64
+        if total >= SHOTS_LIMIT:  # the estimators count in int64
             raise ValueError(f"total must be below 2**63, got {total}")
         if not 0 <= seed < 2**64:
             raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
@@ -107,8 +114,9 @@ class CountRecord:
 
 
 def derive_seed(master_seed: int, *key: int) -> int:
-    """Collapse (master_seed, *key) to a reproducible 64-bit child seed."""
-    ss = np.random.SeedSequence((int(master_seed),) + tuple(int(k) for k in key))
+    """Collapse (master_seed, *key), non-negative integers, to a reproducible 64-bit child seed."""
+    ss = np.random.SeedSequence((check_integer(master_seed, "master_seed", 0),
+                                 *(check_integer(k, "key", 0) for k in key)))
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -213,10 +221,11 @@ def _key_state(key: Sequence[int | np.ndarray], n_words: int) -> np.ndarray:
 def derive_seeds(*key: int | np.ndarray) -> np.ndarray:
     """``derive_seed(*column)`` for every column of ``key``, as a uint64 array.
 
-    A part of ``key`` is an int shared by every column, of any size, or an
-    array of values in [0, 2**64), one per column.
+    A part of ``key`` is a non-negative integer shared by every column, of
+    any size, or an array of values in [0, 2**64), one per column.
     """
-    return _key_state(key, 1)[:, 0]
+    return _key_state([check_integer(part, "key", 0) if np.ndim(part) == 0 else part
+                       for part in key], 1)[:, 0]
 
 
 class _PresetState(ISeedSequence):
@@ -235,15 +244,6 @@ def seeded_generators(seeds: np.ndarray) -> Iterator[np.random.Generator]:
     return (np.random.Generator(np.random.PCG64(_PresetState(w))) for w in words)
 
 
-def _check_probabilities(probabilities: Sequence[float]) -> np.ndarray:
-    p = np.asarray(probabilities, dtype=float)
-    if p.shape != (4,):
-        raise ValueError(f"need exactly four probabilities, got shape {p.shape}")
-    if np.any(p < -PROB_SUM_TOL) or abs(float(p.sum()) - 1.0) > PROB_SUM_TOL:
-        raise ValueError(f"invalid probability vector {probabilities!r}")
-    return _renormalized(p)
-
-
 def _renormalized(p: np.ndarray) -> np.ndarray:
     """(..., detector) probabilities clipped at 0 and renormalized: exact multinomial weights."""
     p = np.clip(p, 0.0, None)
@@ -257,13 +257,12 @@ def sample_counts(
 
     Deterministic for fixed (probabilities, n_events, seed).
     """
-    if n_events < 1:
-        raise ValueError(f"need at least one event, got {n_events}")
-    p = _check_probabilities(probabilities)
-    rng = np.random.default_rng(int(seed))
-    counts = rng.multinomial(int(n_events), p)
-    return CountRecord(context=context, counts=tuple(int(c) for c in counts),
-                       total=int(n_events), seed=int(seed))
+    n_events = check_integer(n_events, "n_events", 1, SHOTS_LIMIT)
+    p = _renormalized(np.array(check_distribution(probabilities, "probabilities",
+                                                  -PROB_SUM_TOL)))
+    seed = check_integer(seed, "seed", 0)
+    counts = np.random.default_rng(seed).multinomial(n_events, p)
+    return CountRecord(context=context, counts=tuple(counts.tolist()), total=n_events, seed=seed)
 
 
 def count_statistics(
@@ -448,8 +447,7 @@ def _bootstrap_sigma_s(fractions: np.ndarray, totals: np.ndarray, seeds: np.ndar
     group's draws depend on its seed alone, so sigma_S is the same whatever
     the thread count.
     """
-    if bootstrap < 2:
-        raise ValueError(f"bootstrap needs at least 2 replicates, got {bootstrap}")
+    bootstrap = check_integer(bootstrap, "bootstrap", 2, BOOTSTRAP_LIMIT)
     n_groups, n_contexts = totals.shape
     words = _key_state([seeds], 4)  # the PCG64 state words of each group, as in seeded_generators
     group_bytes = 8 * n_contexts * bootstrap
@@ -531,10 +529,11 @@ def _count_blocks(path: str | Path) -> Iterator[tuple]:
     array.  Every row is checked as a :class:`CountRecord` would check it, a
     block at a time; the first bad row, in file order, raises its
     ``path:line:`` error, where the line is the one the row starts on.  A
-    read error of the csv module, or an undecodable byte, raises once the
-    rows before it have been checked.
+    byte that is not UTF-8 is decoded to a lone surrogate (``surrogateescape``),
+    which no field parses, so it fails its own row.  A read error of the csv
+    module raises once the rows before it have been checked.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         reader = csv.reader(fh)
         block = []  # (line number, row) of the records not yet checked
         try:
@@ -549,12 +548,10 @@ def _count_blocks(path: str | Path) -> Iterator[tuple]:
                     yield _parse_rows(path, block)
                     block = []
                 lineno = reader.line_num + 1  # the line the next row starts on
-        except (csv.Error, UnicodeDecodeError) as exc:  # e.g. a field past the csv module's limit
+        except csv.Error as exc:  # e.g. a field past the csv module's limit
             if block:
                 _parse_rows(path, block)
-            if isinstance(exc, csv.Error):
-                raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
-            raise
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
     if block:
         yield _parse_rows(path, block)
 
@@ -585,7 +582,12 @@ def _parse_rows(path: str | Path, block: list[tuple[int, list[str]]]):
 
 
 def _check_row(path: str | Path, lineno: int, row: list[str]) -> None:
-    """ValueError with the row's ``path:line:`` if it is not a finite phi and a CountRecord."""
+    """ValueError with the row's ``path:line:`` unless it is UTF-8, a finite phi and CountRecord."""
+    try:
+        "".join(row).encode("utf-8")
+    except UnicodeEncodeError as exc:  # a byte that surrogateescape decoded to U+DC80..U+DCFF
+        byte = ord(exc.object[exc.start]) - 0xDC00
+        raise ValueError(f"{path}:{lineno}: 'utf-8' codec can't decode byte {byte:#04x}") from None
     if len(row) != len(COUNTS_CSV_COLUMNS):
         raise ValueError(f"{path}:{lineno}: expected {len(COUNTS_CSV_COLUMNS)} fields")
     try:

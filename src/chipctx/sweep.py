@@ -27,9 +27,12 @@ import numpy as np
 
 from .analysis import CONTEXTS, PROB_SUM_TOL, ReportTable, epsilon_value, report_table, sign_sum
 from .chips import DeviceConfig, context_unitaries, prepare_states
-from .errors import ConsistencyError
+from .errors import ConsistencyError, check_integer, check_number
 from .optics import TransferMatrix, is_unitary
-from .sampling import _count_statistics, _renormalized, derive_seeds, seeded_generators
+from .sampling import (
+    BOOTSTRAP_LIMIT, SHOTS_LIMIT, _count_statistics, _renormalized, derive_seeds,
+    seeded_generators,
+)
 from .text import write_csv
 
 SWEEP_CSV_COLUMNS = (
@@ -38,6 +41,9 @@ SWEEP_CSV_COLUMNS = (
 
 FIGURE3_CSV_COLUMNS = ("phi", "S_ideal", "S_device", "epsilon_device", "bound_device")
 
+# Grid size limit: float64 phases, and np.linspace fails just below 2**63 points.
+STEPS_LIMIT = 2**60
+
 # Phases evaluated at a time: bounds the engine's temporaries to a few hundred
 # kB whatever the grid size.
 _BLOCK = 1024
@@ -45,7 +51,7 @@ _BLOCK = 1024
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Grid, evaluation mode and device of one sweep."""
+    """Grid, evaluation mode and device of one sweep; each field is checked as its CLI flag is."""
 
     phi_start: float
     phi_end: float
@@ -57,20 +63,24 @@ class SweepSpec:
     bootstrap: int | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.phi_start) and math.isfinite(self.phi_end)):
-            raise ValueError("phase limits must be finite")
-        if not self.phi_start < self.phi_end:
-            raise ValueError(f"phi_start must be below phi_end, got {self.phi_start} >= {self.phi_end}")
-        if not math.isfinite(self.phi_end - self.phi_start):
-            raise ValueError(f"phase span must be finite, got {self.phi_end} - {self.phi_start}")
-        if self.steps < 2:
-            raise ValueError(f"steps must be at least 2, got {self.steps}")
+        start = check_number(self.phi_start, "phi_start")
+        end = check_number(self.phi_end, "phi_end")
+        if not start < end:
+            raise ValueError(f"phi_start must be below phi_end, got {start} >= {end}")
+        if not math.isfinite(end - start):
+            raise ValueError(f"phase span must be finite, got {end} - {start}")
         if self.mode not in ("analytic", "sampled"):
             raise ValueError(f"mode must be 'analytic' or 'sampled', got {self.mode!r}")
-        if self.shots < 1:
-            raise ValueError(f"shots must be positive, got {self.shots}")
-        if self.shots >= 2**63:  # a record's total is int64
-            raise ValueError(f"shots must be below 2**63, got {self.shots}")
+        checked = {"phi_start": start, "phi_end": end,
+                   "steps": check_integer(self.steps, "steps", 2, STEPS_LIMIT),
+                   "shots": check_integer(self.shots, "shots", 1, SHOTS_LIMIT),
+                   "master_seed": check_integer(self.master_seed, "master_seed", 0)}
+        if self.bootstrap is not None:
+            if self.mode != "sampled":
+                raise ValueError("bootstrap applies only to sampled mode")
+            checked["bootstrap"] = check_integer(self.bootstrap, "bootstrap", 2, BOOTSTRAP_LIMIT)
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
 
     def phis(self) -> np.ndarray:
         return np.linspace(self.phi_start, self.phi_end, self.steps)
@@ -154,6 +164,6 @@ def write_figure_curves_csv(path: str | Path, spec: SweepSpec) -> None:
     Columns: phi, S of the ideal pipeline, S of the device pipeline, the
     device epsilon and the corrected bound 2 + epsilon.
     """
-    ideal = run_sweep(replace(spec, mode="analytic", device=DeviceConfig.ideal()))
-    dev = run_sweep(replace(spec, mode="analytic"))
+    ideal = run_sweep(replace(spec, mode="analytic", bootstrap=None, device=DeviceConfig.ideal()))
+    dev = run_sweep(replace(spec, mode="analytic", bootstrap=None))
     write_csv(path, FIGURE3_CSV_COLUMNS, [ideal.phi, ideal.s, dev.s, dev.epsilon, dev.bound])

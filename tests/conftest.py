@@ -205,9 +205,10 @@ def reference_read_counts_csv(path) -> list[tuple[float, CountRecord]]:
     """(phi, record) rows of a counts CSV, read and checked one row at a time.
 
     The row-by-row reference of ``read_counts_csv``: the same checks, in the
-    same order, with the same ``path:line:`` errors.
+    same order, with the same ``path:line:`` errors.  A byte that is not
+    UTF-8 fails the row it is in.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as fh:
         reader = csv.reader(fh)
         try:
             return _reference_rows(path, reader)
@@ -227,6 +228,10 @@ def _reference_rows(path, reader) -> list[tuple[float, CountRecord]]:
             break
         if not row:
             continue
+        escaped = [ch for ch in "".join(row) if "\udc80" <= ch <= "\udcff"]
+        if escaped:
+            raise ValueError(f"{path}:{lineno}: 'utf-8' codec can't decode byte "
+                             f"{ord(escaped[0]) - 0xDC00:#04x}")
         if len(row) != len(COUNTS_CSV_COLUMNS):
             raise ValueError(f"{path}:{lineno}: expected {len(COUNTS_CSV_COLUMNS)} fields")
         try:

@@ -1,5 +1,7 @@
 """Expectations, marginals, S, epsilon, significance, assignment enumeration."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -207,6 +209,16 @@ class TestReport:
         with pytest.raises(ValueError, match=f"^{message}$"):
             InequalityReport(**{"expectations": {}, "s": 0.0, "epsilon": 0.0, "bound": 2.0,
                                 field: value})
+
+    @pytest.mark.parametrize("field", ["s", "epsilon", "bound", "sigma_s", "significance"])
+    def test_nan_in_any_float_field_rejected(self, field):
+        with pytest.raises(ValueError, match="nan"):
+            InequalityReport(**{"expectations": {"XX": 0.5}, "s": 0.0, "epsilon": 0.0,
+                                "bound": 2.0, field: math.nan})
+
+    def test_nan_expectation_rejected(self):
+        with pytest.raises(ValueError, match="^expectation for XX out of"):
+            InequalityReport(expectations={"XX": math.nan}, s=0.0, epsilon=0.0, bound=2.0)
 
     def test_json_dict_uses_spec_keys(self):
         doc = report_from_probabilities(ideal_probabilities(0.0)).to_json_dict()

@@ -153,6 +153,19 @@ class TestSweepCommand:
         assert run_cli("sweep", "--device", "imperfect", "--config", broken,
                        "--out", tmp_path / "s.csv") == 2
 
+    @pytest.mark.parametrize("text", [b"[" * 100_000, b'{"preparation": {"phi": 0.\xff}}'],
+                             ids=["too-deep", "not-utf-8"])
+    def test_config_the_parser_cannot_read_is_a_one_line_data_error(self, tmp_path, capsys,
+                                                                     text):
+        config = tmp_path / "device.json"
+        config.write_bytes(text)
+        assert run_cli("sweep", "--device", "imperfect", "--config", config,
+                       "--out", tmp_path / "s.csv") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: invalid device config {config}: ")
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("flag,value", [
         ("--bootstrap", "5"),
         ("--counts-out", "c.csv"),
@@ -209,7 +222,7 @@ class TestSweepCommand:
         (("sweep", "--phi-start", "1", "--phi-end", "0"),
          "error: --phi-start must be below --phi-end, got 1.0 >= 0.0\n"),
         (("hv", "--prep", "0", "1", "0", "0", "--flip-prob", "2"),
-         "chipctx hv: error: argument --flip-prob: must be in [0, 1], got 2\n"),
+         "chipctx hv: error: argument --flip-prob: must be in [0, 1], got 2.0\n"),
         (("hv", "--prep", "0", "1", "0", "0", "--shots", str(10**21)),
          f"chipctx hv: error: argument --shots: must be below {2**63}, got {10**21}\n"),
         (("sweep", "--mode", "sampled", "--shots", str(2**63)),
@@ -630,6 +643,22 @@ class TestAnalyzeCommand:
         assert run_cli("analyze", counts, "--bootstrap", 20) == 2
         err = capsys.readouterr().err
         assert err == f"error: {counts}:4: seed must lie in [0, 2**64), got -5\n"
+
+    @pytest.mark.parametrize("bad_row", [True, False])
+    def test_undecodable_byte_is_a_data_error_after_earlier_rows(self, tmp_path, capsys, bad_row):
+        # the byte and the bad row share one decode chunk; the earlier row is reported first
+        counts = tmp_path / "counts.csv"
+        write_counts_csv(counts, [(0.0, CountRecord(ctx, (60, 20, 10, 10), 100, seed=i))
+                                  for i, ctx in enumerate(("XX", "XZ", "ZX", "ZZ"))])
+        lines = counts.read_bytes().splitlines()
+        if bad_row:
+            lines[1] = b"0.0,XX,-60,20,10,10,100,0"
+        lines[3] = lines[3].replace(b"ZX", b"Z\xff")
+        counts.write_bytes(b"\n".join(lines) + b"\n")
+        assert run_cli("analyze", counts) == 2
+        expected = (f"{counts}:2: counts must be four non-negative integers, got (-60, 20, 10, 10)"
+                    if bad_row else f"{counts}:4: 'utf-8' codec can't decode byte 0xff")
+        assert capsys.readouterr().err == f"error: {expected}\n"
 
     def test_field_beyond_the_csv_limit_is_a_data_error(self, tmp_path, capsys):
         counts = tmp_path / "counts.csv"

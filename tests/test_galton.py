@@ -175,7 +175,7 @@ class TestGaltonRun:
     @pytest.mark.parametrize("kwargs,message", [
         ({"m12": "Y"}, "sections must be 'Z' or 'X', got 'Y', 'Z'"),
         ({"nab": "z"}, "sections must be 'Z' or 'X', got 'Z', 'z'"),
-        ({"shots": 0}, "shots must be positive, got 0"),
+        ({"shots": 0}, "shots must be at least 1, got 0"),
     ], ids=["m12", "nab", "shots"])
     def test_rejects_bad_sections_and_shots(self, kwargs, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -183,7 +183,7 @@ class TestGaltonRun:
 
     @pytest.mark.parametrize("flip", [-0.1, 1.5])
     def test_exact_rejects_a_flip_probability_outside_zero_one(self, flip):
-        message = f"flip probability must lie in [0, 1], got {flip}"
+        message = f"flip probability must be in [0, 1], got {flip}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             galton_s_exact((1.0, 0.0, 0.0, 0.0), x_flip_probability=flip)
 

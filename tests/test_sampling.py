@@ -70,7 +70,7 @@ class TestSampleCounts:
 
     @pytest.mark.parametrize("p", [(0.5, 0.5, 0.0), (0.25,) * 5, ((0.5, 0.5), (0.0, 0.0))])
     def test_rejects_other_than_four_probabilities(self, p):
-        message = f"need exactly four probabilities, got shape {np.shape(p)}"
+        message = f"need exactly four probabilities, got {len(p)}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             sample_counts(p, 10, seed=1)
 
@@ -306,7 +306,7 @@ class TestCountStatistics:
 
     def test_bootstrap_needs_two_replicates(self):
         counts, seeds = count_arrays(self.groups())
-        with pytest.raises(ValueError, match="^bootstrap needs at least 2 replicates, got 1$"):
+        with pytest.raises(ValueError, match="^bootstrap must be at least 2, got 1$"):
             count_statistics(counts, seeds, bootstrap=1)
 
     def test_no_groups_give_empty_columns(self):

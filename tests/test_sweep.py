@@ -158,13 +158,13 @@ def test_large_master_seeds_follow_the_seed_contract(master_seed, bootstrap):
 
 
 @pytest.mark.parametrize("kwargs,message", [
-    ({"phi_start": np.nan}, "phase limits must be finite"),
-    ({"phi_end": np.inf}, "phase limits must be finite"),
+    ({"phi_start": np.nan}, "phi_start must be finite, got nan"),
+    ({"phi_end": np.inf}, "phi_end must be finite, got inf"),
     ({"phi_start": 1.0}, "phi_start must be below phi_end, got 1.0 >= 1.0"),
     ({"steps": 1}, "steps must be at least 2, got 1"),
     ({"mode": "exact"}, "mode must be 'analytic' or 'sampled', got 'exact'"),
-    ({"shots": 0}, "shots must be positive, got 0"),
-    ({"shots": 2**63}, f"shots must be below 2**63, got {2**63}"),
+    ({"shots": 0}, "shots must be at least 1, got 0"),
+    ({"shots": 2**63}, f"shots must be below {2**63}, got {2**63}"),
 ], ids=["nan-start", "infinite-end", "empty-range", "one-step", "unknown-mode", "no-shots",
         "shots-past-int64"])
 def test_a_bad_spec_is_rejected(kwargs, message):
