@@ -26,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import check_number
+from .errors import check_iterable, check_number, check_vector
 
 CONTEXTS = ("XX", "XZ", "ZX", "ZZ")
 
@@ -45,17 +45,11 @@ def check_context(context: str) -> str:
 
 
 def check_distribution(p, name: str, low: float) -> tuple[float, float, float, float]:
-    """A list, tuple or 1-d array of four numbers, each at least ``low``, summing to 1, as floats.
+    """A vector (:func:`check_vector`) of four numbers, each at least ``low``, summing to 1.
 
     The sum may miss 1 by ``PROB_SUM_TOL``; ``name`` names the vector in errors.
     """
-    if isinstance(p, np.ndarray):
-        p = p.tolist()
-    if not isinstance(p, (list, tuple)):
-        raise ValueError(f"{name} must be a list of four numbers, got {p!r}")
-    if len(p) != 4:
-        raise ValueError(f"need exactly four probabilities, got {len(p)}")
-    values = tuple(check_number(x, f"{name} entry", low) for x in p)
+    values = check_vector(p, 4, name, check_number, low)
     if abs(sum(values) - 1.0) > PROB_SUM_TOL:
         raise ValueError(f"{name} must sum to 1 within {_PROB_SUM_TOL_TEXT}, "
                          f"got sum {sum(values)!r}")
@@ -165,10 +159,15 @@ def significance(s, eps, sigma_s):
     return (s - corrected_bound(eps)) / sigma_s
 
 
-def in_context_order(items: Iterable, what: str) -> list:
-    """The items, one per ``context`` tag, in CONTEXTS order; ``what`` names them in errors."""
+def in_context_order(items: Iterable, what: str, kind: type = object) -> list:
+    """The items, each a ``kind`` with one ``context`` tag, in CONTEXTS order.
+
+    ``what`` names an item in errors.
+    """
     seen: dict = {}
-    for item in items:
+    for item in check_iterable(items, f"{what} list"):
+        if not isinstance(item, kind):
+            raise ValueError(f"{what} must be a {kind.__name__}, got {item!r}")
         if item.context in seen:
             raise ValueError(f"duplicate {what} for context {item.context}")
         seen[item.context] = item
@@ -180,11 +179,11 @@ def in_context_order(items: Iterable, what: str) -> list:
 
 def build_report(e: Sequence[float], eps: float, sigma_s: float = 0.0) -> InequalityReport:
     """Report from E (CONTEXTS order), epsilon and sigma_S; significance only if sigma_S > 0."""
-    e = np.asarray(e, dtype=float)
-    s = float(s_value(e))
+    e = check_vector(e, len(CONTEXTS), "expectations", check_number)
+    s = float(s_value(np.array(e)))
     eps, sigma_s = float(eps), float(sigma_s)
     return InequalityReport(
-        expectations=dict(zip(CONTEXTS, e.tolist())), s=s, epsilon=eps,
+        expectations=dict(zip(CONTEXTS, e)), s=s, epsilon=eps,
         bound=corrected_bound(eps), sigma_s=sigma_s,
         significance=significance(s, eps, sigma_s) if sigma_s > 0.0 else None,
     )
@@ -226,7 +225,7 @@ def report_table(phi: np.ndarray, e: np.ndarray, eps: np.ndarray,
 
 
 def _probability_array(cps: Iterable[ContextProbabilities]) -> np.ndarray:
-    return np.array([cp.p for cp in in_context_order(cps, "probabilities")])
+    return np.array([cp.p for cp in in_context_order(cps, "probabilities", ContextProbabilities)])
 
 
 def epsilon(cps: Iterable[ContextProbabilities]) -> float:

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import CONTEXTS, check_context
-from .errors import CalibrationError, check_number
+from .errors import CalibrationError, check_number, check_vector
 from .optics import (
     CouplerSpec,
     ModeVector,
@@ -70,16 +70,6 @@ DEFAULT_MEASUREMENT_PHASES: dict[str, tuple[float, float, float, float]] = {
 
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / _SQRT2
 _EYE2 = np.eye(2, dtype=np.complex128)
-
-
-def _numbers(value, length: int, name: str, low: float = -math.inf,
-             high: float = math.inf) -> tuple[float, ...]:
-    """A list, tuple or 1-d array of ``length`` numbers, each checked by :func:`check_number`."""
-    if isinstance(value, np.ndarray):
-        value = value.tolist()
-    if not isinstance(value, (list, tuple)) or len(value) != length:
-        raise ValueError(f"{name} must be an array of {length} numbers, got {value!r}")
-    return tuple(check_number(x, f"{name} entry", low, high) for x in value)
 
 
 def _mapping(value, name: str) -> dict:
@@ -122,10 +112,10 @@ class PreparationConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "phi", check_number(self.phi, "preparation phi"))
-        object.__setattr__(self, "coupler_ts",
-                           _numbers(self.coupler_ts, 3, "preparation coupler_ts", 0.0, 1.0))
-        object.__setattr__(self, "calibration_phases",
-                           _numbers(self.calibration_phases, 3, "preparation calibration_phases"))
+        object.__setattr__(self, "coupler_ts", check_vector(
+            self.coupler_ts, 3, "preparation coupler_ts", check_number, 0.0, 1.0))
+        object.__setattr__(self, "calibration_phases", check_vector(
+            self.calibration_phases, 3, "preparation calibration_phases", check_number))
 
     def to_json_dict(self) -> dict:
         return {
@@ -169,8 +159,8 @@ class MeasurementConfig:
         object.__setattr__(self, "coupler_ts", {slot: check_number(
             t, f"transmissivity for {slot!r}", 0.0, 1.0) for slot, t in ts.items()})
         if self.calibration_phases is not None:
-            object.__setattr__(self, "calibration_phases",
-                               _numbers(self.calibration_phases, 4, f"{name} calibration_phases"))
+            object.__setattr__(self, "calibration_phases", check_vector(
+                self.calibration_phases, 4, f"{name} calibration_phases", check_number))
 
     def slot_t(self, slot: str) -> float:
         return self.coupler_ts.get(slot, 0.5)
@@ -209,6 +199,9 @@ class DeviceConfig:
     measurements: Mapping[str, MeasurementConfig] = field(default_factory=dict)
 
     def __post_init__(self):
+        if not isinstance(self.preparation, (PreparationConfig, type(None))):
+            raise ValueError(f"preparation must be a PreparationConfig or None, "
+                             f"got {self.preparation!r}")
         meas = _object(self.measurements, "measurements", CONTEXTS)  # a misspelled key stays ideal
         for ctx in CONTEXTS:
             cfg = meas.setdefault(ctx, MeasurementConfig(context=ctx))
@@ -297,7 +290,11 @@ def prepare_states(preparation: PreparationConfig | None, phis: np.ndarray) -> n
     at a time, in the order :func:`compose` multiplies them.  Folding the
     fixed sections into one matrix first would change the last ulp.
     """
-    phis = np.asarray(phis, dtype=float)
+    phis = np.asarray(phis)
+    if phis.ndim != 1 or phis.dtype.kind not in "iuf":
+        raise ValueError(f"phis must be a 1-d array of numbers, "
+                         f"got {phis.dtype} shaped {phis.shape}")
+    phis = phis.astype(float, copy=False)
     if not np.all(np.isfinite(phis)):
         raise ValueError("phases must be finite")
     rotation = np.exp(1j * phis)
@@ -389,7 +386,7 @@ def preparation_skeleton(
     C1, R1(phi), C2 and C3 do not depend on the trims, so their product is
     formed once; ``build`` scales its mode-2..4 rows by the trim phases.
     """
-    config = PreparationConfig(phi=phi, coupler_ts=tuple(coupler_ts))
+    config = PreparationConfig(phi=phi, coupler_ts=coupler_ts)
     fixed = compose(_preparation_sections(config)[:-1])
 
     def build(phases: Sequence[float]) -> TransferMatrix:
@@ -471,15 +468,6 @@ def _residual_function(target: np.ndarray,
     else:
         raise ValueError(f"target must be a 4x4 matrix or a length-4 state, got shape {target.shape}")
     return residual
-
-
-def _start_phases(phases: Sequence[float], n_phases: int, name: str) -> np.ndarray:
-    start = np.array(phases, dtype=float)
-    if start.shape != (n_phases,):
-        raise ValueError(f"{name} has shape {start.shape}, the skeleton expects {n_phases} phases")
-    if not np.all(np.isfinite(start)):
-        raise ValueError(f"{name} must be finite, got {start.tolist()}")
-    return start
 
 
 def _random_starts(n_phases: int, seed: int, count: int) -> Iterator[np.ndarray]:
@@ -607,8 +595,8 @@ def calibrate_phases(
         Array of calibrated phases, one per free parameter.
 
     Raises:
-        ValueError: If the target has the wrong shape, or a seed has the
-            wrong length or a non-finite phase.
+        ValueError: If the target has the wrong shape, or a seed is not a
+            vector of ``n_phases`` finite numbers.
         CalibrationError: If no start reaches the tolerance; carries the best
             residual achieved, the starts tried and the residual evaluations.
     """
@@ -616,9 +604,10 @@ def calibrate_phases(
     n = skeleton.n_phases
     starts: list[np.ndarray] = []
     if seed_phases is not None:
-        starts.append(_start_phases(seed_phases, n, "seed_phases"))
+        starts.append(np.array(check_vector(seed_phases, n, "seed_phases", check_number)))
     if skeleton.seed_phases is not None:
-        starts.append(_start_phases(skeleton.seed_phases, n, "skeleton seed_phases"))
+        starts.append(np.array(check_vector(skeleton.seed_phases, n, "skeleton seed_phases",
+                                            check_number)))
     starts.append(np.zeros(n))
 
     best_residual = math.inf

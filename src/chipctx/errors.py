@@ -1,8 +1,11 @@
-"""Exception types, and the one rule for a real and for an integer parameter.
+"""Exception types, and the one rule for each kind of parameter.
 
 Every door, a CLI flag or an API argument, checks a real parameter with
 :func:`check_number` and an integer one with :func:`check_integer`, so a flag
-and the argument it feeds accept the same values.  Each raises a one-line
+and the argument it feeds accept the same values.  A vector of a fixed
+length, such as four probabilities or a mode pair, is checked by
+:func:`check_vector`, each entry by one of those two rules, and any other
+collection of items by :func:`check_iterable`.  Each raises a one-line
 ValueError naming the parameter, never a TypeError or an OverflowError.
 """
 
@@ -42,6 +45,30 @@ def check_integer(value, name: str, low: float = -math.inf, below: float = math.
     if value >= below:
         raise ValueError(f"{name} must be below {below}, got {value}")
     return value
+
+
+def check_vector(value, length: int, name: str, check, *limits) -> tuple:
+    """A list, tuple or 1-d array of ``length`` entries, each checked by ``check``.
+
+    ``check`` is a scalar rule, :func:`check_number` or :func:`check_integer`,
+    called with ``limits``; the checked entries are returned as a tuple.
+    """
+    if hasattr(value, "tolist"):  # a numpy array: a 0-d one becomes a scalar, a 2-d one lists
+        value = value.tolist()
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{name} must be a list of {length} entries, got {value!r}")
+    if len(value) != length:
+        raise ValueError(f"{name} must have {length} entries, got {len(value)}")
+    entry = f"{name} entry"
+    return tuple([check(x, entry, *limits) for x in value])
+
+
+def check_iterable(value, name: str):
+    """An iterator over ``value``; a one-line ValueError naming it if it is not iterable."""
+    try:
+        return iter(value)
+    except TypeError:
+        raise ValueError(f"{name} must be iterable, got {value!r}") from None
 
 
 class CalibrationError(RuntimeError):

@@ -27,7 +27,8 @@ import numpy as np
 from .analysis import CONTEXTS, check_distribution, s_value, sign_sum
 from .errors import check_integer, check_number
 from .sampling import (
-    SHOTS_LIMIT, CountRecord, _count_statistics, _share_out, _worker_threads, derive_seed,
+    SEED_LIMIT, SHOTS_LIMIT, CountRecord, _count_statistics, _share_out, _worker_threads,
+    derive_seed,
 )
 
 MEASUREMENTS = ("Z", "X")
@@ -76,9 +77,9 @@ def galton_run(config: GaltonConfig, seed: int,
     k*shots, a chunk at a time.  Deterministic per seed.
 
     With ``stop``, the run checks it before each chunk and returns None
-    once it is set.  ``seed`` is a non-negative integer.
+    once it is set.  ``seed`` is an integer in [0, 2**64), checked before any draw.
     """
-    seed = check_integer(seed, "seed", 0)
+    seed = check_integer(seed, "seed", 0, SEED_LIMIT)
     shots = config.shots
     cdf = np.cumsum(config.preparation)
     cdf /= cdf[-1]  # as Generator.choice normalizes it
@@ -107,7 +108,7 @@ def galton_run(config: GaltonConfig, seed: int,
         for k in range(3):
             counts[k] += int(np.count_nonzero(np.equal(channels_n, k, out=hits_n)))
     counts.append(shots - sum(counts))
-    return CountRecord(context=config.context, counts=tuple(counts), total=shots, seed=seed)
+    return CountRecord(context=config.context, counts=counts, total=shots, seed=seed)
 
 
 def galton_s(

@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import check_integer, check_number
+from .errors import check_integer, check_iterable, check_number, check_vector
 
 # Type aliases for readability; both are plain complex ndarrays.
 ModeVector = NDArray[np.complex128]     # shape (4,)
@@ -46,6 +46,14 @@ def _check_mode(mode: int) -> int:
     return check_integer(mode, "mode index", 1, N_MODES + 1)
 
 
+def _mode_pair(pair, what: str) -> tuple[int, int]:
+    """Two distinct mode indices; ``what`` names the element in errors."""
+    a, b = check_vector(pair, 2, f"{what} mode_pair", check_integer, 1, N_MODES + 1)
+    if a == b:
+        raise ValueError(f"{what} modes must be distinct, got {pair}")
+    return a, b
+
+
 @dataclass(frozen=True)
 class CouplerSpec:
     """Parameters of one directional coupler.
@@ -59,10 +67,7 @@ class CouplerSpec:
     transmissivity: float
 
     def __post_init__(self):
-        a, b = (_check_mode(m) for m in self.mode_pair)
-        if a == b:
-            raise ValueError(f"coupler modes must be distinct, got {self.mode_pair}")
-        object.__setattr__(self, "mode_pair", (a, b))
+        object.__setattr__(self, "mode_pair", _mode_pair(self.mode_pair, "coupler"))
         object.__setattr__(self, "transmissivity",
                            check_number(self.transmissivity, "transmissivity", 0.0, 1.0))
 
@@ -116,7 +121,7 @@ def phase_shifter(modes: Iterable[int], theta: float) -> TransferMatrix:
     Returns:
         4x4 diagonal unitary.
     """
-    idx = sorted({_check_mode(m) for m in modes})
+    idx = sorted({_check_mode(m) for m in check_iterable(modes, "modes")})
     if not idx:
         raise ValueError("phase shifter needs at least one mode")
     theta = check_number(theta, "phase")
@@ -128,9 +133,7 @@ def phase_shifter(modes: Iterable[int], theta: float) -> TransferMatrix:
 
 def crossing(mode_pair: tuple[int, int]) -> TransferMatrix:
     """Permutation unitary swapping two waveguides."""
-    a, b = (_check_mode(m) for m in mode_pair)
-    if a == b:
-        raise ValueError(f"crossing modes must be distinct, got {mode_pair}")
+    a, b = _mode_pair(mode_pair, "crossing")
     u = np.eye(N_MODES, dtype=np.complex128)
     u[[a - 1, b - 1]] = u[[b - 1, a - 1]]
     return u
@@ -144,6 +147,6 @@ def compose(sections: Sequence[TransferMatrix]) -> TransferMatrix:
     unitary sections; the product of unitaries is then unitary.
     """
     u = np.eye(N_MODES, dtype=np.complex128)
-    for section in sections:
+    for section in check_iterable(sections, "sections"):
         u = np.asarray(section, dtype=np.complex128) @ u
     return u

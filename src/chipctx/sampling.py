@@ -61,7 +61,7 @@ from .analysis import (
     CONTEXTS, PROB_SUM_TOL, check_context, check_distribution, epsilon_value, in_context_order,
     s_value, sign_sum,
 )
-from .errors import ConsistencyError, check_integer
+from .errors import ConsistencyError, check_integer, check_iterable, check_vector
 from .text import write_csv
 
 COUNTS_CSV_COLUMNS = ("phi", "context", "n1", "n2", "n3", "n4", "N", "seed")
@@ -71,6 +71,7 @@ DEFAULT_BOOTSTRAP_REPLICATES = 1000
 # Size limits keep every array within numpy's 2**63 bytes, so that numpy can
 # shape it and an allocation that fails is its one-line MemoryError, a data error.
 SHOTS_LIMIT = 2**63  # a record's int64 total; neither sampler nor board holds anything per event
+SEED_LIMIT = 2**64  # a record's seed is stored as uint64
 BOOTSTRAP_LIMIT = 2**58  # a replicate holds four float64 expectations
 
 # Records checked at a time: rows parsed when a counts CSV is read, or records
@@ -96,17 +97,17 @@ class CountRecord:
 
     def __post_init__(self):
         check_context(self.context)
-        counts = tuple(check_integer(n, "count") for n in self.counts)
+        counts = check_vector(self.counts, 4, "counts", check_integer)
         total, seed = check_integer(self.total, "total"), check_integer(self.seed, "seed")
-        if len(counts) != 4 or any(n < 0 for n in counts):
-            raise ValueError(f"counts must be four non-negative integers, got {self.counts!r}")
+        if any(n < 0 for n in counts):
+            raise ValueError(f"counts must be four non-negative integers, got {counts!r}")
         if sum(counts) != total:
             raise ValueError(f"counts sum {sum(counts)} != total {total}")
         if total < 1:  # a record without events has no estimate
             raise ValueError(f"total must be at least 1, got {total}")
         if total >= SHOTS_LIMIT:  # the estimators count in int64
             raise ValueError(f"total must be below 2**63, got {total}")
-        if not 0 <= seed < 2**64:
+        if not 0 <= seed < SEED_LIMIT:
             raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "total", total)
@@ -222,10 +223,22 @@ def derive_seeds(*key: int | np.ndarray) -> np.ndarray:
     """``derive_seed(*column)`` for every column of ``key``, as a uint64 array.
 
     A part of ``key`` is a non-negative integer shared by every column, of
-    any size, or an array of values in [0, 2**64), one per column.
+    any size, or a 1-d integer array of non-negative values, one per column.
+    At least one part is an array, and every array part has the same length.
     """
-    return _key_state([check_integer(part, "key", 0) if np.ndim(part) == 0 else part
-                       for part in key], 1)[:, 0]
+    parts = [check_integer(part, "key", 0) if np.ndim(part) == 0 else np.asarray(part)
+             for part in key]
+    arrays = [part for part in parts if not isinstance(part, int)]
+    for part in arrays:
+        if part.ndim != 1 or part.dtype.kind not in "iu":
+            raise ValueError(f"key arrays must be 1-d integers, "
+                             f"got {part.dtype} shaped {part.shape}")
+        if part.dtype.kind == "i" and (part < 0).any():
+            raise ValueError(f"key must be non-negative, got {part.min()}")
+    if len({len(part) for part in arrays}) != 1:
+        raise ValueError(f"key must hold one or more arrays of one length, "
+                         f"got lengths {[len(part) for part in arrays]}")
+    return _key_state(parts, 1)[:, 0]
 
 
 class _PresetState(ISeedSequence):
@@ -260,9 +273,9 @@ def sample_counts(
     n_events = check_integer(n_events, "n_events", 1, SHOTS_LIMIT)
     p = _renormalized(np.array(check_distribution(probabilities, "probabilities",
                                                   -PROB_SUM_TOL)))
-    seed = check_integer(seed, "seed", 0)
+    seed = check_integer(seed, "seed", 0, SEED_LIMIT)
     counts = np.random.default_rng(seed).multinomial(n_events, p)
-    return CountRecord(context=context, counts=tuple(counts.tolist()), total=n_events, seed=seed)
+    return CountRecord(context=context, counts=counts, total=n_events, seed=seed)
 
 
 def count_statistics(
@@ -367,7 +380,7 @@ def estimate_s(
     sigma_S is propagated, or with ``bootstrap=B`` drawn from the records'
     own seeds, as in :func:`count_statistics`.
     """
-    ordered = in_context_order(records, "record")
+    ordered = in_context_order(records, "record", CountRecord)
     counts = np.array([rec.counts for rec in ordered], dtype=np.int64)
     seeds = np.array([rec.seed for rec in ordered], dtype=np.uint64)
     e, _, sigma_s = _count_statistics(counts, seeds, bootstrap)
@@ -473,8 +486,12 @@ def _bootstrap_sigma_s(fractions: np.ndarray, totals: np.ndarray, seeds: np.ndar
 
 
 def write_counts_csv(path: str | Path, rows: Iterable[tuple[float, CountRecord]]) -> None:
-    """Write (phi, record) rows as a counts CSV; only phi is checked, the records were."""
-    rows = list(rows)
+    """Write (phi, CountRecord) pairs as a counts CSV; a record was checked when it was made."""
+    rows = list(check_iterable(rows, "rows"))
+    for row in rows:
+        if not (isinstance(row, (tuple, list)) and len(row) == 2
+                and isinstance(row[1], CountRecord)):
+            raise ValueError(f"rows entry must be a (phi, CountRecord) pair, got {row!r}")
     phi = np.array([phi for phi, _ in rows], dtype=float)
     if not np.isfinite(phi).all():
         raise ValueError("phi must be finite")

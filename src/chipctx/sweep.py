@@ -69,6 +69,8 @@ class SweepSpec:
             raise ValueError(f"phi_start must be below phi_end, got {start} >= {end}")
         if not math.isfinite(end - start):
             raise ValueError(f"phase span must be finite, got {end} - {start}")
+        if not isinstance(self.device, DeviceConfig):
+            raise ValueError(f"device must be a DeviceConfig, got {self.device!r}")
         if self.mode not in ("analytic", "sampled"):
             raise ValueError(f"mode must be 'analytic' or 'sampled', got {self.mode!r}")
         checked = {"phi_start": start, "phi_end": end,

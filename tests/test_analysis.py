@@ -64,7 +64,7 @@ class TestExpectation:
 
     @pytest.mark.parametrize("p", [(0.5, 0.5, 0.0), (0.5, 0.5, 0.0, 0.0, 0.0)])
     def test_rejects_other_than_four_probabilities(self, p):
-        with pytest.raises(ValueError, match=f"^need exactly four probabilities, got {len(p)}$"):
+        with pytest.raises(ValueError, match=f"^probabilities must have 4 entries, got {len(p)}$"):
             ContextProbabilities("ZZ", p)
 
     def test_bounded_for_valid_inputs(self, rng):

@@ -258,9 +258,9 @@ class TestCalibration:
         assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.parametrize("seed,message", [
-        ((0.0, 0.0, 0.0), r"seed_phases has shape \(3,\), the skeleton expects 4 phases"),
-        ((0.0, math.nan, 0.0, 0.0), "seed_phases must be finite"),
-        ((0.0, 0.0, math.inf, 0.0), "seed_phases must be finite"),
+        ((0.0, 0.0, 0.0), "seed_phases must have 4 entries, got 3"),
+        ((0.0, math.nan, 0.0, 0.0), "seed_phases entry must be finite, got nan"),
+        ((0.0, 0.0, math.inf, 0.0), "seed_phases entry must be finite, got inf"),
     ], ids=["wrong-length", "nan", "inf"])
     def test_bad_seed_is_rejected_before_any_fit(self, seed, message):
         counted, calls = counting(measurement_skeleton("XZ"))

@@ -5,24 +5,34 @@ values (bools, signs, each limit and its neighbours, values past int64 and
 uint64, non-integral, non-finite and numpy scalars) a door raises a one-line
 ValueError exactly when the flag rejects the value's text, never a TypeError
 or an OverflowError, and every text raises at every door.
+
+``BAD_CALLS`` holds one malformed call per row, each a one-line ValueError;
+every public door is called by some row or exempt with a reason.
 """
 
 import io
 import math
 import numbers
+import os
+import threading
 from contextlib import redirect_stderr
 
 import numpy as np
 import pytest
 
+import chipctx
 from chipctx import cli
-from chipctx.analysis import ContextProbabilities, build_report
-from chipctx.chips import prepare_state_direct
+from chipctx.analysis import (
+    ContextProbabilities, build_report, epsilon, report_from_probabilities,
+)
+from chipctx.chips import (
+    DeviceConfig, calibrate_phases, measurement_skeleton, prepare_state_direct, prepare_states,
+)
 from chipctx.galton import GaltonConfig, galton_run, galton_s, galton_s_exact
-from chipctx.optics import CouplerSpec, phase_shifter
+from chipctx.optics import CouplerSpec, compose, crossing, phase_shifter
 from chipctx.sampling import (
     BOOTSTRAP_LIMIT, SHOTS_LIMIT, CountRecord, count_statistics, derive_seed, derive_seeds,
-    estimate_s, sample_counts,
+    estimate_s, sample_counts, write_counts_csv,
 )
 from chipctx.sweep import STEPS_LIMIT, SweepSpec
 
@@ -174,9 +184,84 @@ BAD_CALLS = {
 }
 
 
+STOPPED = threading.Event()
+STOPPED.set()
+
+# row: (the parameter its message names, the call)
+NAMED_BAD_CALLS = {
+    "derive-seeds-negative-array": ("key", lambda: derive_seeds(0, np.array([-1]))),
+    "derive-seeds-float-array": ("key", lambda: derive_seeds(0, np.array([1.5]))),
+    "derive-seeds-no-array": ("key", lambda: derive_seeds(0, 1)),
+    "derive-seeds-unequal-arrays": ("key", lambda: derive_seeds(0, np.arange(2), np.arange(3))),
+    "record-counts-not-a-vector": ("counts", lambda: CountRecord("XX", 5, 5, 0)),
+    "calibration-seed-not-a-vector": ("seed_phases", lambda: calibrate_phases(
+        np.eye(4), measurement_skeleton("XZ"), seed_phases=object())),
+    "coupler-modes-not-a-pair": ("mode_pair", lambda: CouplerSpec(5, 0.5)),
+    "coupler-three-modes": ("mode_pair", lambda: CouplerSpec((1, 2, 3), 0.5)),
+    "crossing-modes-not-a-pair": ("mode_pair", lambda: crossing(2)),
+    "crossing-three-modes": ("mode_pair", lambda: crossing((1, 2, 3))),
+    "report-three-expectations": ("expectations", lambda: build_report([0.5] * 3, 0.0)),
+    "report-five-expectations": ("expectations", lambda: build_report([0.5] * 5, 0.0)),
+    # a set stop returns before the first chunk, so only a seed checked up front raises
+    "board-run-seed-past-uint64": ("seed", lambda: galton_run(GaltonConfig(PREP, shots=10),
+                                                               2**64, STOPPED)),
+    # the seed is checked before the draw, so before the record checks its context
+    "sample-seed-past-uint64": ("seed", lambda: sample_counts(UNIFORM, 10, 2**64, "XY")),
+    "spec-device-not-a-config": ("device", lambda: SweepSpec(**GRID, device="x")),
+    "device-preparation-not-a-config": ("preparation", lambda: DeviceConfig(preparation=5)),
+    "phase-shifter-modes-not-a-collection": ("modes", lambda: phase_shifter(3, 0.1)),
+    "prepare-scalar-phis": ("phis", lambda: prepare_states(None, 0.5)),
+    "prepare-2d-phis": ("phis", lambda: prepare_states(None, np.zeros((2, 2)))),
+    "estimate-items-not-records": ("record", lambda: estimate_s([1, 2])),
+    "estimate-records-not-iterable": ("record", lambda: estimate_s(5)),
+    "write-counts-row-without-a-record": ("rows", lambda: write_counts_csv(os.devnull,
+                                                                          [(0.0, 5)])),
+    "epsilon-items-not-probabilities": ("probabilities", lambda: epsilon([1, 2])),
+    "report-probabilities-not-iterable": ("probabilities",
+                                          lambda: report_from_probabilities(5)),
+    "compose-sections-not-iterable": ("sections", lambda: compose(5)),
+}
+BAD_CALLS.update({row: call for row, (_, call) in NAMED_BAD_CALLS.items()})
+
+# Public doors that no BAD_CALLS row calls, and why.
+EXEMPT_DOORS = {
+    "CalibrationError": "an exception type, raised by the package",
+    "ConsistencyError": "an exception type, raised by the package",
+    "classical_bound_enumeration": "takes no argument",
+    "InequalityReport": "a result record that build_report makes; its range checks are "
+                        "tested in tests/test_analysis.py",
+    "MeasurementConfig": "each field is checked and tested in tests/test_chips.py",
+    "PreparationConfig": "each field is checked and tested in tests/test_chips.py",
+    "load_device_config": "takes a path; malformed documents are tested in tests/test_cli.py",
+    "coupler": "takes a CouplerSpec, which checks its fields",
+    "measurement_unitary": "takes a MeasurementConfig, which checks its fields",
+    "prepare_state_circuit": "takes a PreparationConfig, which checks its fields",
+    "run_sweep": "takes a SweepSpec, which checks its fields",
+    "significance": "elementwise over arrays; its sigma_s check is tested in "
+                    "tests/test_analysis.py",
+    "count_statistics": "the --bootstrap pairs above feed it every edge value; its shape and "
+                        "record checks are tested in tests/test_sampling.py",
+}
+
+
 @pytest.mark.parametrize("call", list(BAD_CALLS))
 def test_a_bad_argument_is_a_one_line_value_error(call):
     assert door_raises(lambda _: BAD_CALLS[call](), None)
+
+
+@pytest.mark.parametrize("call", list(NAMED_BAD_CALLS))
+def test_the_error_names_the_parameter(call):
+    parameter, door = NAMED_BAD_CALLS[call]
+    with pytest.raises(ValueError, match=parameter):
+        door()
+
+
+def test_every_door_has_a_bad_call_or_a_reason():
+    doors = {name for name in chipctx.__all__ if callable(getattr(chipctx, name))}
+    doors |= {"derive_seeds", "count_statistics", "prepare_states"}
+    called = set().union(*(call.__code__.co_names for call in BAD_CALLS.values()))
+    assert sorted(doors - called - set(EXEMPT_DOORS)) == []
+    assert sorted(set(EXEMPT_DOORS) & called) == []  # a door with a row needs no reason
 
 
 def test_numpy_integers_are_integers():

@@ -70,7 +70,7 @@ class TestSampleCounts:
 
     @pytest.mark.parametrize("p", [(0.5, 0.5, 0.0), (0.25,) * 5, ((0.5, 0.5), (0.0, 0.0))])
     def test_rejects_other_than_four_probabilities(self, p):
-        message = f"need exactly four probabilities, got {len(p)}"
+        message = f"probabilities must have 4 entries, got {len(p)}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             sample_counts(p, 10, seed=1)
 
