@@ -26,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import check_iterable, check_number, check_vector
+from .errors import check_instance, check_iterable, check_number, check_vector
 
 CONTEXTS = ("XX", "XZ", "ZX", "ZZ")
 
@@ -85,7 +85,7 @@ class InequalityReport:
     significance: float | None = None
 
     def __post_init__(self):
-        for ctx, e in self.expectations.items():
+        for ctx, e in check_instance(self.expectations, Mapping, "expectations").items():
             check_context(ctx)
             if not abs(e) <= 1.0 + PROB_SUM_TOL:
                 raise ValueError(f"expectation for {ctx} out of [-1, 1]: {e!r}")
@@ -153,6 +153,9 @@ def corrected_bound(eps):
 
 def significance(s, eps, sigma_s):
     """Violation z-score (s - (2 + eps)) / sigma_s, elementwise; negative: no violation."""
+    for name, value in (("s", s), ("eps", eps)):
+        if np.asarray(value).dtype.kind not in "iuf":
+            raise ValueError(f"{name} must be a number or an array of numbers, got {value!r}")
     sigma = np.asarray(sigma_s)
     if not ((sigma > 0.0) & np.isfinite(sigma)).all():
         raise ValueError(f"sigma_s must be positive, got {sigma_s!r}")

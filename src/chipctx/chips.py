@@ -23,6 +23,7 @@ import functools
 import itertools
 import json
 import math
+import os
 from collections.abc import Callable, Collection, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import CONTEXTS, check_context
-from .errors import CalibrationError, check_number, check_vector
+from .errors import CalibrationError, check_instance, check_number, check_vector
 from .optics import (
     CouplerSpec,
     ModeVector,
@@ -233,6 +234,8 @@ class DeviceConfig:
 
 def load_device_config(path: str | Path) -> DeviceConfig:
     """Read a device configuration JSON document from disk."""
+    if not isinstance(path, (str, os.PathLike)):  # open() would read an int as a descriptor
+        raise ValueError(f"path must be a str or os.PathLike, got {path!r}")
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -277,6 +280,7 @@ def _preparation_unitary(config: PreparationConfig) -> TransferMatrix:
 
 def prepare_state_circuit(config: PreparationConfig) -> ModeVector:
     """Propagate a photon injected in mode 1 through the preparation chip."""
+    config = check_instance(config, PreparationConfig, "config")
     return _preparation_unitary(config) @ basis_state(1)
 
 
@@ -330,7 +334,7 @@ def measurement_unitary(config: MeasurementConfig) -> TransferMatrix:
     calibration phases, the digit couplers and the crossing-wrapped letter
     couplers.
     """
-    if config.mode == "ideal":
+    if check_instance(config, MeasurementConfig, "config").mode == "ideal":
         return _ideal_unitary(config.context)
     digit_meas, letter_meas = config.context[0], config.context[1]
     sections: list[TransferMatrix] = [
@@ -600,7 +604,7 @@ def calibrate_phases(
         CalibrationError: If no start reaches the tolerance; carries the best
             residual achieved, the starts tried and the residual evaluations.
     """
-    residual = _residual_function(target, skeleton)
+    residual = _residual_function(target, check_instance(skeleton, PhaseSkeleton, "skeleton"))
     n = skeleton.n_phases
     starts: list[np.ndarray] = []
     if seed_phases is not None:

@@ -4,9 +4,11 @@ Every door, a CLI flag or an API argument, checks a real parameter with
 :func:`check_number` and an integer one with :func:`check_integer`, so a flag
 and the argument it feeds accept the same values.  A vector of a fixed
 length, such as four probabilities or a mode pair, is checked by
-:func:`check_vector`, each entry by one of those two rules, and any other
-collection of items by :func:`check_iterable`.  Each raises a one-line
-ValueError naming the parameter, never a TypeError or an OverflowError.
+:func:`check_vector`, each entry by one of those two rules, any other
+collection of items by :func:`check_iterable`, and a parameter of one of the
+package's own types (a spec or a config) by :func:`check_instance`.  Each
+raises a one-line ValueError naming the parameter, never a TypeError, an
+AttributeError or an OverflowError.
 """
 
 import math
@@ -61,6 +63,13 @@ def check_vector(value, length: int, name: str, check, *limits) -> tuple:
         raise ValueError(f"{name} must have {length} entries, got {len(value)}")
     entry = f"{name} entry"
     return tuple([check(x, entry, *limits) for x in value])
+
+
+def check_instance(value, kind: type, name: str):
+    """``value`` itself; a one-line ValueError naming it unless it is a ``kind``."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name} must be a {kind.__name__}, got {value!r}")
+    return value
 
 
 def check_iterable(value, name: str):

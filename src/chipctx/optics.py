@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import check_integer, check_iterable, check_number, check_vector
+from .errors import check_instance, check_integer, check_iterable, check_number, check_vector
 
 # Type aliases for readability; both are plain complex ndarrays.
 ModeVector = NDArray[np.complex128]     # shape (4,)
@@ -103,7 +103,7 @@ def coupler(spec: CouplerSpec) -> TransferMatrix:
     Returns:
         4x4 complex unitary.
     """
-    i, j = (m - 1 for m in spec.mode_pair)
+    i, j = (m - 1 for m in check_instance(spec, CouplerSpec, "spec").mode_pair)
     t = spec.transmissivity
     u = np.eye(N_MODES, dtype=np.complex128)
     u[i, i] = u[j, j] = math.sqrt(t)

@@ -17,16 +17,15 @@ them (:func:`seeded_generators`).
 Counts become statistics in one place, the core ``_count_statistics``: E,
 epsilon and sigma_S (propagated, or bootstrapped on each group's seeds) of
 any stack of (context, detector) count arrays, in one pass that sums each
-record into its N and divides it into fractions once; E, epsilon and the
-bootstrap's draws all read those.  The core checks nothing.  The sampled
-sweep calls it once per block, ``chipctx analyze`` once per counts CSV, and
-:func:`estimate_s` and the classical board once per record group; the public
-:func:`count_statistics` checks an API caller's arrays and then calls it.
-The core's bootstrap draws blocks of groups on one thread per available CPU;
-each group draws from its own seed, so the output does not depend on the
-thread count, and there is no flag to set it.  One helper,
-:func:`_share_out`, shares such work out among threads, for the bootstrap's
-blocks and for the classical board's contexts alike: it hands out items
+record into its N once; E, the fractions behind epsilon and the share
+(n1 + n4)/N behind the bootstrap all read it.  The core checks nothing.  The
+sampled sweep calls it once per block, ``chipctx analyze`` once per counts
+CSV, and :func:`estimate_s` and the classical board once per record group;
+the public :func:`count_statistics` checks an API caller's arrays and then
+calls it.  The bootstrap redraws each context's E from one binomial draw,
+a block of groups at a time, on the calling thread: its draws are short, and
+threads would only queue for the GIL between them.  The classical board runs
+its contexts on threads through :func:`_share_out`, which hands out items
 under a lock, stops every thread once one raises, and joins them all before
 it returns or raises.  :func:`read_counts_csv` reads a counts CSV straight
 into phase groups, checking its rows a block at a time and then its groups.
@@ -72,15 +71,15 @@ DEFAULT_BOOTSTRAP_REPLICATES = 1000
 # shape it and an allocation that fails is its one-line MemoryError, a data error.
 SHOTS_LIMIT = 2**63  # a record's int64 total; neither sampler nor board holds anything per event
 SEED_LIMIT = 2**64  # a record's seed is stored as uint64
-BOOTSTRAP_LIMIT = 2**58  # a replicate holds four float64 expectations
+BOOTSTRAP_LIMIT = 2**58  # a replicate holds four float64 expectations, drawn one int64 at a time
 
 # Records checked at a time: rows parsed when a counts CSV is read, or records
 # of the count arrays that enter count_statistics.
 _RECORD_BLOCK = 1024
 
 # Bytes of bootstrap replicates held at once: a block of groups is drawn into
-# one (group, replicate, context) float64 array of at most this size, or of
-# one group when a group alone needs more.
+# one (group, replicate, context) float64 array of E of at most this size, or
+# of one group when a group alone needs more.
 _BOOTSTRAP_BLOCK_BYTES = 1 << 18
 
 _CONTEXT_INDEX = {context: i for i, context in enumerate(CONTEXTS)}
@@ -297,8 +296,11 @@ def count_statistics(
     propagation over independent contexts, sqrt(sum sigma_i^2), where
     sigma_i^2 = (1 - E_i^2)/N_i exactly, since the observable takes values
     +-1.  With ``bootstrap=B`` it is instead the standard deviation of S over
-    B replicates of each group, drawn from its fractions and N by
-    ``default_rng(derive_seed(*seeds of the group))``.
+    B replicates of each group, drawn by
+    ``default_rng(derive_seed(*seeds of the group))``: each context in turn
+    as ``k = rng.binomial(N, (n1 + n4)/N, size=B)``, and E = (k - (N - k))/N.
+    That k has the law of n1 + n4 under a multinomial redraw of the record,
+    and E reads nothing else.
     """
     counts, seeds = np.asarray(counts), np.asarray(seeds)
     if counts.dtype.kind not in "iu" or counts.shape[-2:] != (len(CONTEXTS), 4):
@@ -359,15 +361,15 @@ def _count_statistics(
     """
     totals = counts.sum(axis=-1)
     e = sign_sum(counts) / totals
-    fractions = counts / totals[..., None]
-    eps = epsilon_value(fractions)
+    eps = epsilon_value(counts / totals[..., None])
     if bootstrap is None:
         sigma = np.sqrt(np.maximum(1.0 - e * e, 0.0) / totals)
         # np.float_power squares with the C pow, as the pinned outputs were computed;
         # np.square can differ from it in the last ulp
         return e, eps, np.sqrt(np.float_power(sigma, 2.0).sum(axis=-1))
     group_seeds = derive_seeds(*seeds.reshape(-1, seeds.shape[-1]).T)
-    sigma_s = _bootstrap_sigma_s(fractions.reshape(-1, *counts.shape[-2:]),
+    plus = (counts[..., 0] + counts[..., 3]) / totals  # the events that sign_sum counts +1
+    sigma_s = _bootstrap_sigma_s(plus.reshape(-1, plus.shape[-1]),
                                  totals.reshape(-1, totals.shape[-1]), group_seeds, bootstrap)
     return e, eps, sigma_s.reshape(counts.shape[:-2])
 
@@ -399,12 +401,14 @@ def _share_out(work: Callable[[int, threading.Event], None], items: Sequence[int
                threads: int) -> None:
     """Call ``work(item, stop)`` for every item, on at most ``threads`` threads.
 
-    The calling thread is one of them, so one item or one thread starts no
-    other.  Each thread takes the next item under a lock until none is left.
-    When any thread raises (a ``KeyboardInterrupt`` in the calling thread
-    too), ``stop`` is set: the others take no further item, and an item that
-    checks ``stop`` may return early, since its result is discarded.  The
-    first exception is raised here once every thread has stopped.
+    The classical board runs its four contexts through it; the bootstrap
+    does not.  The calling thread is one of the threads, so one item or one
+    thread starts no other.  Each thread takes the next item under a lock
+    until none is left.  When any thread raises (a ``KeyboardInterrupt`` in
+    the calling thread too), ``stop`` is set: the others take no further
+    item, and an item that checks ``stop`` may return early, since its
+    result is discarded.  The first exception is raised here once every
+    thread has stopped.
     """
     remaining, lock, errors, stop = iter(items), threading.Lock(), [], threading.Event()
 
@@ -441,45 +445,42 @@ def _share_out(work: Callable[[int, threading.Event], None], items: Sequence[int
         raise errors[0]
 
 
-def _bootstrap_sigma_s(fractions: np.ndarray, totals: np.ndarray, seeds: np.ndarray,
+def _bootstrap_sigma_s(plus: np.ndarray, totals: np.ndarray, seeds: np.ndarray,
                        bootstrap: int) -> np.ndarray:
     """Standard deviation of S over ``bootstrap`` replicates of each group of records.
 
-    ``fractions`` is shaped (group, context, detector) and ``totals``, the N
-    of each record, (group, context), as :func:`count_statistics` computes
-    them.  Group g is redrawn from ``default_rng(seeds[g])``: each context
-    from ``multinomial(N, fractions)``, in context order.  Groups are drawn a
+    ``plus`` is the share (n1 + n4)/N of each record's events that count +1
+    in E, and ``totals`` its N, both shaped (group, context), as
+    :func:`count_statistics` computes them.  Group g is redrawn from
+    ``default_rng(seeds[g])``: each context, in context order, as
+    ``k = binomial(N, plus)`` events that count +1, so E = (k - (N - k))/N.
+    That k has the law of n1 + n4 under a multinomial redraw of the record,
+    and E reads nothing else.  Groups are drawn on the calling thread, a
     block at a time, and S and its standard deviation are reduced over the
     whole block.
-
-    The blocks are shared out (:func:`_share_out`) among at most
-    :func:`_worker_threads` threads, and at most as many as the groups that
-    ``_BOOTSTRAP_BLOCK_BYTES`` of replicates hold, so that the threads'
-    blocks together stay within that budget; a group over the whole budget
-    is drawn alone, on one thread.  The draws release the GIL, and each
-    group's draws depend on its seed alone, so sigma_S is the same whatever
-    the thread count.
     """
     bootstrap = check_integer(bootstrap, "bootstrap", 2, BOOTSTRAP_LIMIT)
     n_groups, n_contexts = totals.shape
     words = _key_state([seeds], 4)  # the PCG64 state words of each group, as in seeded_generators
-    group_bytes = 8 * n_contexts * bootstrap
-    workers = min(_worker_threads(), max(1, _BOOTSTRAP_BLOCK_BYTES // group_bytes))
-    block = max(1, _BOOTSTRAP_BLOCK_BYTES // (workers * group_bytes))
+    block = max(1, _BOOTSTRAP_BLOCK_BYTES // (8 * n_contexts * bootstrap))
+    replicated = np.empty((min(block, n_groups), bootstrap, n_contexts))  # reused by each block
     sigma_s = np.empty(n_groups)
-
-    def draw_block(start: int, stop: threading.Event) -> None:  # a block is short: stop unread
-        end = min(start + block, n_groups)
-        replicated = np.empty((end - start, bootstrap, n_contexts))
-        for out, state, group_fractions, group_totals in zip(
-                replicated, words[start:end], fractions[start:end], totals[start:end].tolist()):
-            rng = np.random.Generator(np.random.PCG64(_PresetState(state)))
-            for c, (p, total) in enumerate(zip(group_fractions, group_totals)):
-                out[:, c] = sign_sum(rng.multinomial(total, p, size=bootstrap)) / total
-        sigma_s[start:end] = np.std(s_value(replicated), axis=1, ddof=1)
-
-    _share_out(draw_block, range(0, n_groups, block), workers)
+    for start in range(0, n_groups, block):
+        group = slice(start, min(start + block, n_groups))
+        drawn = replicated[:group.stop - start]
+        for args in zip(drawn, words[group], plus[group].tolist(), totals[group].tolist()):
+            _redraw_group(*args)
+        sigma_s[group] = np.std(s_value(drawn), axis=1, ddof=1)
     return sigma_s
+
+
+def _redraw_group(out: np.ndarray, state: np.ndarray, plus: list, totals: list) -> None:
+    """Draw one group's E into ``out`` (replicate, context); its draws are freed on return."""
+    rng = np.random.Generator(np.random.PCG64(_PresetState(state)))
+    for c, (p, total) in enumerate(zip(plus, totals)):
+        k = rng.binomial(total, p, size=len(out))
+        k -= total - k  # k - (N - k) stays within int64; 2k passes it once N >= 2**62
+        out[:, c] = k / total
 
 
 # --- CSV serialization -------------------------------------------------------

@@ -27,7 +27,7 @@ import numpy as np
 
 from .analysis import CONTEXTS, PROB_SUM_TOL, ReportTable, epsilon_value, report_table, sign_sum
 from .chips import DeviceConfig, context_unitaries, prepare_states
-from .errors import ConsistencyError, check_integer, check_number
+from .errors import ConsistencyError, check_instance, check_integer, check_number
 from .optics import TransferMatrix, is_unitary
 from .sampling import (
     BOOTSTRAP_LIMIT, SHOTS_LIMIT, _count_statistics, _renormalized, derive_seeds,
@@ -69,8 +69,7 @@ class SweepSpec:
             raise ValueError(f"phi_start must be below phi_end, got {start} >= {end}")
         if not math.isfinite(end - start):
             raise ValueError(f"phase span must be finite, got {end} - {start}")
-        if not isinstance(self.device, DeviceConfig):
-            raise ValueError(f"device must be a DeviceConfig, got {self.device!r}")
+        check_instance(self.device, DeviceConfig, "device")
         if self.mode not in ("analytic", "sampled"):
             raise ValueError(f"mode must be 'analytic' or 'sampled', got {self.mode!r}")
         checked = {"phi_start": start, "phi_end": end,
@@ -133,7 +132,7 @@ def _draw_counts(counts: np.ndarray, seeds: np.ndarray, start: int, p: np.ndarra
 
 def run_sweep(spec: SweepSpec) -> ReportTable:
     """Evaluate every grid point, in grid order."""
-    unitaries = _checked_unitaries(spec.device)
+    unitaries = _checked_unitaries(check_instance(spec, SweepSpec, "spec").device)
     stacked = np.stack([unitaries[ctx] for ctx in CONTEXTS])
     phi = spec.phis()
     e, eps = np.empty((spec.steps, len(CONTEXTS))), np.empty(spec.steps)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from chipctx import sampling
-from chipctx.analysis import CONTEXTS, in_context_order, s_value, sign_sum
+from chipctx.analysis import CONTEXTS, in_context_order, s_value
 from chipctx.chips import PhaseSkeleton
 from chipctx.sampling import COUNTS_CSV_COLUMNS, CountRecord
 
@@ -189,16 +189,18 @@ def counting(skeleton: PhaseSkeleton) -> tuple[PhaseSkeleton, list]:
 def bootstrap_sigma_s(counts: np.ndarray, rng: np.random.Generator, bootstrap: int) -> float:
     """Standard deviation of S over ``bootstrap`` replicates of (context, detector) counts.
 
-    Each context is redrawn from its empirical fractions, in context order,
-    from the one generator ``rng``: the scalar reference of the bootstrap
-    kernel in ``count_statistics``.
+    Each context, in context order and from the one generator ``rng``, is
+    redrawn as k ~ Binomial(N, (n1 + n4)/N) events that count +1, so that
+    E = (k - (N - k))/N: the scalar reference of the bootstrap kernel in
+    ``count_statistics``.
     """
     if bootstrap < 2:
         raise ValueError(f"bootstrap needs at least 2 replicates, got {bootstrap}")
-    replicated = np.stack([sign_sum(rng.multinomial(total, row / float(total), size=bootstrap))
-                           / total for row, total in zip(counts, counts.sum(axis=-1).tolist())],
-                          axis=-1)
-    return float(np.std(s_value(replicated), ddof=1))
+    columns = []
+    for (n1, _, _, n4), total in zip(counts.tolist(), counts.sum(axis=-1).tolist()):
+        k = rng.binomial(total, (n1 + n4) / total, size=bootstrap)
+        columns.append((k - (total - k)) / total)
+    return float(np.std(s_value(np.stack(columns, axis=-1)), ddof=1))
 
 
 def reference_read_counts_csv(path) -> list[tuple[float, CountRecord]]:

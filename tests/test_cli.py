@@ -295,35 +295,6 @@ class TestSweepCommand:
         assert captured.err.count("\n") == 1
         assert not out.exists()
 
-    def test_memory_error_in_a_bootstrap_thread_is_a_one_line_data_error(
-            self, tmp_path, capsys, monkeypatch):
-        from chipctx import sampling
-
-        counts = tmp_path / "counts.csv"
-        write_counts_csv(counts, [(float(g), CountRecord(ctx, (60, 20, 10, 10), 100, seed=4 * g + i))
-                                  for g in range(8) for i, ctx in enumerate(CONTEXTS)])
-        # two threads, blocks of two groups at --bootstrap 20: four blocks
-        monkeypatch.setattr(sampling, "_worker_threads", lambda: 2)
-        monkeypatch.setattr(sampling, "_BOOTSTRAP_BLOCK_BYTES", 2 * 2 * 8 * 4 * 20)
-        caller, worker_failed, s_value = threading.current_thread(), threading.Event(), sampling.s_value
-
-        def failing_s_value(e):  # a worker's block fails before the caller's block is reduced
-            if threading.current_thread() is caller:
-                worker_failed.wait(timeout=60)
-                return s_value(e)
-            worker_failed.set()
-            raise MemoryError("Unable to allocate 8.00 EiB for an array with shape (2, 2**58)")
-
-        monkeypatch.setattr(sampling, "s_value", failing_s_value)
-        baseline = threading.active_count()
-        assert run_cli("analyze", counts, "--bootstrap", 20) == 2
-        assert worker_failed.is_set()
-        assert threading.active_count() == baseline
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == ("error: Unable to allocate 8.00 EiB for an array "
-                                "with shape (2, 2**58)\n")
-
     def test_memory_error_in_a_board_thread_is_a_one_line_data_error(self, capsys, monkeypatch):
         from chipctx import galton
 
@@ -840,8 +811,8 @@ GOLDEN_ANALYZE = {
               "999cf5b7c0b2be3360ba18e0f8ddbb64dd45319a327343df657d51ccfa529e52",
               "7063c40566381b475ab20f9b1952f44773e7985ecf61fd5019bc89aceb2efa70"),
     "bootstrap": (("--bootstrap", "50"),
-                  "758b0dc3fb4f3b9856250dd315c9486864d1c8ce253519872cf0a6e8be6ab3fa",
-                  "f67a78facbab619a939b36cfcf979e2d5f74b7766e2b8b4d80531cf1a543c45b"),
+                  "fc9cdff81a2499d939b2162f8551c8ad328cdd406f46c8836e967c9548e9ce70",
+                  "9836d97f8cd3049af4c01bbfd695ab5f492b6b18bbc4c9d7caae4b4cb8b7ad00"),
     "summary": (("--summary", "2.69", "2.53", "0.012"),
                 "77e6471969f3de169b506ae88241371ce08f7dd56d4f293a51732351088ccbd6",
                 "55fb4f010d2ef31fdb27b8ddefc20803f1ec5a85da05383d82c51316340fd9f2"),
@@ -870,7 +841,7 @@ GOLDEN_SWEEP = {
                  "a86cb45ad3c5005c40f2a382932131e1f92e214cbc00d8c7208a96e6be570475")),
     "bootstrap": (("--steps", "1027", "--mode", "sampled", "--shots", "1000", "--seed", "5",
                    "--bootstrap", "30", "--phi-start", "-1.5", "--phi-end", "1.5"),
-                  ("cf3165506e1e0dead4d97245cb77e034c9fffd4e8976e0123b4d6337fbed9e92",
+                  ("66b6a0573afb2956d7fd4b8bafecd10c7e8aceace4443cd4cbd1b771c6008ccc",
                    "c7751bd75ae7370a953620b987bc3ebae286167b8cf289fc04a95d579f7e6358")),
     "few-shots": (("--steps", "1025", "--mode", "sampled", "--shots", "2", "--seed", "8"),
                   ("ffe768dc7ecb4099a5c27987a24ba6acf66d201f90745e21f033578d307db92c",
@@ -884,8 +855,8 @@ GOLDEN_ANALYZE_BLOCKS = {
               "637069a392a3515650fa7d13a529e135705943e3413c3b11bd1e2479d6ff410a",
               "371aab5931dd1c92d99b7c83eede1b6525bf2366157e2a2a9480c6bf24941ffa"),
     "bootstrap": (("--bootstrap", "20"),
-                  "769e040ff5ef2b35398769d08448eb17bf7729355cf04edb3b4d9da6e7c34515",
-                  "3a64ee6be3555b2565de7318def93b490e7971d44cbae752fb2dff45a29d29f1"),
+                  "14b9958a090ba2629dc6bd611ef08d1e404a4b8fa132e95b7d7d28074e514afe",
+                  "e3f3bbcc6d6a5c674f1d4b30617c72c3a4e1aed27d586c1036913bd0fdc44be6"),
     "summary": (("--summary", "2.69", "2.53", "0.012"),
                 "4d88ebfe0246a7420ea69682e1887ce76e591103a3064ab72e28c8a98a306c42",
                 "c6a17473e4b8091fd72c1a0c76539f05110cb10b98466416a872688871ab25b3"),

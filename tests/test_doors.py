@@ -23,18 +23,20 @@ import pytest
 import chipctx
 from chipctx import cli
 from chipctx.analysis import (
-    ContextProbabilities, build_report, epsilon, report_from_probabilities,
+    ContextProbabilities, InequalityReport, build_report, epsilon, report_from_probabilities,
+    significance,
 )
 from chipctx.chips import (
-    DeviceConfig, calibrate_phases, measurement_skeleton, prepare_state_direct, prepare_states,
+    DeviceConfig, calibrate_phases, load_device_config, measurement_skeleton, measurement_unitary,
+    prepare_state_circuit, prepare_state_direct, prepare_states,
 )
 from chipctx.galton import GaltonConfig, galton_run, galton_s, galton_s_exact
-from chipctx.optics import CouplerSpec, compose, crossing, phase_shifter
+from chipctx.optics import CouplerSpec, compose, coupler, crossing, phase_shifter
 from chipctx.sampling import (
     BOOTSTRAP_LIMIT, SHOTS_LIMIT, CountRecord, count_statistics, derive_seed, derive_seeds,
     estimate_s, sample_counts, write_counts_csv,
 )
-from chipctx.sweep import STEPS_LIMIT, SweepSpec
+from chipctx.sweep import STEPS_LIMIT, SweepSpec, run_sweep
 
 PREP = (0.0, 1.0, 0.0, 0.0)
 UNIFORM = (0.25, 0.25, 0.25, 0.25)
@@ -220,6 +222,17 @@ NAMED_BAD_CALLS = {
     "report-probabilities-not-iterable": ("probabilities",
                                           lambda: report_from_probabilities(5)),
     "compose-sections-not-iterable": ("sections", lambda: compose(5)),
+    # open() would read an int as a file descriptor, and close it
+    "device-config-path-an-int": ("path", lambda: load_device_config(5)),
+    "significance-text-s": ("s", lambda: significance("a", 0.0, 1.0)),
+    "significance-text-eps": ("eps", lambda: significance(2.5, "a", 1.0)),
+    "report-expectations-not-a-mapping": ("expectations",
+                                          lambda: InequalityReport(5, 0.0, 0.0, 2.0)),
+    "coupler-spec-not-a-spec": ("spec", lambda: coupler(5)),
+    "measurement-config-not-a-config": ("config", lambda: measurement_unitary(5)),
+    "preparation-config-not-a-config": ("config", lambda: prepare_state_circuit(5)),
+    "sweep-spec-not-a-spec": ("spec", lambda: run_sweep(5)),
+    "calibration-skeleton-not-a-skeleton": ("skeleton", lambda: calibrate_phases(np.eye(4), 5)),
 }
 BAD_CALLS.update({row: call for row, (_, call) in NAMED_BAD_CALLS.items()})
 
@@ -228,17 +241,8 @@ EXEMPT_DOORS = {
     "CalibrationError": "an exception type, raised by the package",
     "ConsistencyError": "an exception type, raised by the package",
     "classical_bound_enumeration": "takes no argument",
-    "InequalityReport": "a result record that build_report makes; its range checks are "
-                        "tested in tests/test_analysis.py",
     "MeasurementConfig": "each field is checked and tested in tests/test_chips.py",
     "PreparationConfig": "each field is checked and tested in tests/test_chips.py",
-    "load_device_config": "takes a path; malformed documents are tested in tests/test_cli.py",
-    "coupler": "takes a CouplerSpec, which checks its fields",
-    "measurement_unitary": "takes a MeasurementConfig, which checks its fields",
-    "prepare_state_circuit": "takes a PreparationConfig, which checks its fields",
-    "run_sweep": "takes a SweepSpec, which checks its fields",
-    "significance": "elementwise over arrays; its sigma_s check is tested in "
-                    "tests/test_analysis.py",
     "count_statistics": "the --bootstrap pairs above feed it every edge value; its shape and "
                         "record checks are tested in tests/test_sampling.py",
 }

@@ -1,7 +1,6 @@
 """Counting statistics: sampling, estimators, uncertainty scaling, CSV."""
 
 import re
-import sys
 import threading
 import time
 
@@ -15,7 +14,6 @@ from chipctx.sampling import (
     CountRecord,
     count_statistics,
     derive_seed,
-    derive_seeds,
     estimate_s,
     read_counts_csv,
     sample_counts,
@@ -344,12 +342,6 @@ def test_each_record_is_checked_once_where_it_enters(monkeypatch, tmp_path, caps
     capsys.readouterr()
 
 
-def bootstrap_kernel(counts, group_seeds, bootstrap):
-    """The bootstrap kernel's sigma_S of (group, context, detector) counts, given the group seeds."""
-    totals = counts.sum(axis=-1)
-    return sampling._bootstrap_sigma_s(counts / totals[..., None], totals, group_seeds, bootstrap)
-
-
 def random_groups(n_groups, seed):
     """Counts (group, context, detector) of up to 1e5 events a context, and record seeds (group, context)."""
     rng = np.random.default_rng(seed)
@@ -357,71 +349,50 @@ def random_groups(n_groups, seed):
     return counts, rng.integers(0, 2**64, size=(n_groups, 4), dtype=np.uint64)
 
 
+class TestBootstrapLaw:
+    """The bootstrap's sigma_S against its exact law, not against pinned bytes."""
+
+    def test_the_variance_estimate_is_unbiased(self):
+        # each replicate's E_c has variance (1 - E_c^2)/N_c, so the ddof=1 variance of S
+        # over B replicates has mean sum_c (1 - E_c^2)/N_c; at B = 50 one group's ratio has
+        # a spread of about 0.2, so the mean of 4000 lies within 0.03 of 1 at about 9 sigma.
+        # Detectors 1 and 4 take about 4/5 of the events, so E is near 0.6 and a redraw
+        # that pairs other detectors misses the law
+        rng = np.random.default_rng(2031)
+        p = rng.uniform(0.1, 1.0, size=(4000, 4, 4)) * [4.0, 1.0, 1.0, 4.0]
+        totals = rng.integers(50, 5000, size=(4000, 4))
+        counts = rng.multinomial(totals, p / p.sum(axis=-1, keepdims=True))
+        seeds = rng.integers(0, 2**64, size=(4000, 4), dtype=np.uint64)
+        e, _, sigma_s = count_statistics(counts, seeds, bootstrap=50)
+        variance = ((1.0 - e * e) / counts.sum(axis=-1)).sum(axis=-1)
+        assert abs(np.mean(sigma_s**2 / variance) - 1.0) <= 0.03
+
+    def test_a_record_of_2_to_the_63_minus_1_events_gives_finite_statistics(self):
+        # ZZ splits its events into n1 + n4 = 2**62 - 1 and n2 + n3 = 2**62, so about half
+        # of its replicates draw k >= 2**62, where 2k - N would wrap in int64
+        n = 2**63 - 1
+        counts = np.array([[[2**62, 2**61, 2**60, n - 2**62 - 2**61 - 2**60]] * 3
+                           + [[2**61, 2**61, 2**62 - 2**61, 2**62 - 1 - 2**61]]], dtype=np.int64)
+        seeds = np.arange(4, dtype=np.uint64)[None]
+        e, eps, sigma_s = count_statistics(counts, seeds, bootstrap=50)
+        assert np.isfinite(e).all() and np.isfinite(eps).all()
+        assert e[0].tolist() == [0.25, 0.25, 0.25, -1.0 / n]
+        assert 0.0 < sigma_s[0] < 1e-8  # sqrt(sum (1 - E^2)/N) is 4e-10
+
+
 class TestBootstrapThreads:
-    """The bootstrap kernel's blocks of groups drawn on several threads."""
+    """The bootstrap kernel draws its blocks of groups on the calling thread alone."""
 
-    def draw_threads(self, monkeypatch, wait=False):
-        """The thread that reduces each block of groups to sigma_S, appended as it does.
-
-        With ``wait``, the calling thread reduces its first block only once
-        another thread has reduced one, so that a worker surely draws.
-        """
-        caller, threads, other_drew = threading.current_thread(), [], threading.Event()
+    def draw_threads(self, monkeypatch):
+        """The thread that reduces each block of groups to sigma_S, appended as it does."""
+        threads = []
 
         def recording_s_value(e):
-            thread = threading.current_thread()
-            if thread is not caller:
-                other_drew.set()
-            elif wait and caller not in threads:  # the caller's first block
-                other_drew.wait(timeout=60)
-            threads.append(thread)
+            threads.append(threading.current_thread())
             return s_value(e)
 
         monkeypatch.setattr(sampling, "s_value", recording_s_value)
         return threads
-
-    @pytest.mark.parametrize("n_groups", [1, 5, 7, 19])
-    def test_thread_count_does_not_change_sigma_s(self, monkeypatch, n_groups):
-        # blocks of 6 groups on one thread, 3 on two and 2 on three: 1, block - 1,
-        # block + 1 and 3 block + 1 groups of the one-thread block
-        bootstrap = 50
-        monkeypatch.setattr(sampling, "_BOOTSTRAP_BLOCK_BYTES", 6 * 8 * 4 * bootstrap)
-        counts, seeds = random_groups(n_groups, seed=n_groups)
-        group_seeds = derive_seeds(*seeds.T)
-        sigma_s = {}
-        for workers in (1, 2, 3):
-            several_blocks = n_groups > 6 // workers
-            threads = self.draw_threads(monkeypatch, wait=workers > 1 and several_blocks)
-            monkeypatch.setattr(sampling, "_worker_threads", lambda workers=workers: workers)
-            sigma_s[workers] = bootstrap_kernel(counts, group_seeds, bootstrap)
-            if workers > 1 and several_blocks:
-                assert set(threads) - {threading.current_thread()}
-            else:
-                assert set(threads) == {threading.current_thread()}
-        assert sigma_s[2].tobytes() == sigma_s[1].tobytes() == sigma_s[3].tobytes()
-        if n_groups <= 7:
-            assert sigma_s[3].tolist() == [
-                bootstrap_sigma_s(n, np.random.default_rng(derive_seed(*seed)), bootstrap)
-                for n, seed in zip(counts, seeds.tolist())]
-
-    def test_many_threads_switching_fast_draw_each_block_once(self, monkeypatch):
-        # 8 threads on fewer CPUs, a switch every microsecond and one group a block
-        bootstrap = 20
-        monkeypatch.setattr(sampling, "_BOOTSTRAP_BLOCK_BYTES", 8 * 8 * 4 * bootstrap)
-        counts, seeds = random_groups(200, seed=8)
-        group_seeds = derive_seeds(*seeds.T)
-        monkeypatch.setattr(sampling, "_worker_threads", lambda: 1)
-        expected = bootstrap_kernel(counts, group_seeds, bootstrap)
-        threads = self.draw_threads(monkeypatch)
-        monkeypatch.setattr(sampling, "_worker_threads", lambda: 8)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            sigma_s = bootstrap_kernel(counts, group_seeds, bootstrap)
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(threads) == 200
-        assert sigma_s.tobytes() == expected.tobytes()
 
     def test_a_single_block_starts_no_thread(self, monkeypatch):
         def no_thread(*args, **kwargs):
@@ -434,17 +405,33 @@ class TestBootstrapThreads:
         estimate_s([CountRecord(c, n, n.sum(), seed)
                     for c, n, seed in zip(CONTEXTS, counts[0], seeds[0].tolist())], bootstrap=200)
 
-    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("n_groups", [1, 40, 1001])
+    def test_the_bootstrap_starts_no_thread(self, monkeypatch, tmp_path, capsys, n_groups):
+        # at B = 200 a group holds 6400 bytes, so 40 groups fill the 256 KiB budget and
+        # 1001 groups take 26 blocks, on as many CPUs as there may be
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        counts, seeds = random_groups(n_groups, seed=n_groups)
+        counts_csv = tmp_path / "counts.csv"
+        write_counts_csv(counts_csv, [(float(g), CountRecord(c, n, n.sum(), seed))
+                                      for g, (group, group_seeds) in enumerate(zip(counts, seeds))
+                                      for c, n, seed in zip(CONTEXTS, group, group_seeds.tolist())])
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        monkeypatch.setattr(sampling, "_worker_threads", lambda: 16)
+        count_statistics(counts, seeds, bootstrap=200)
+        assert cli.main(["analyze", str(counts_csv), "--bootstrap", "200"]) == 0
+        capsys.readouterr()
+
     @pytest.mark.parametrize("bootstrap", [200, 1000])
-    def test_threads_share_the_block_budget(self, monkeypatch, workers, bootstrap):
-        counts, seeds = random_groups(500, seed=workers)
-        monkeypatch.setattr(sampling, "_worker_threads", lambda: workers)
+    def test_threads_share_the_block_budget(self, bootstrap):
+        counts, seeds = random_groups(500, seed=2)
         # the per-group columns: the peak with 2 replicates, whose blocks hold 64 bytes a group
         columns = traced_peak(count_statistics, counts, seeds, 2)
         # slack: S and its standard deviation take two (group, replicate) float64 arrays
-        # besides a block's four, and each thread's draw of one context holds (B, 4) int64
-        # counts and their (B,) sign sum and E
-        slack = sampling._BOOTSTRAP_BLOCK_BYTES // 2 + workers * 48 * bootstrap
+        # besides a block's four, and a context's draw holds (B,) int64 counts and a
+        # (B,) temporary
+        slack = sampling._BOOTSTRAP_BLOCK_BYTES // 2 + 16 * bootstrap
         peak = traced_peak(count_statistics, counts, seeds, bootstrap)
         assert peak <= columns + sampling._BOOTSTRAP_BLOCK_BYTES + slack
 
@@ -454,31 +441,16 @@ class TestBootstrapThreads:
         counts, seeds = random_groups(3, seed=4)
         alone = traced_peak(count_statistics, counts[:1], seeds[:1], bootstrap)  # one block
         threads = self.draw_threads(monkeypatch)
-        monkeypatch.setattr(sampling, "_worker_threads", lambda: 2)
         peak = traced_peak(count_statistics, counts, seeds, bootstrap)
         assert set(threads) == {threading.current_thread()}
         assert peak <= alone + 4096  # the columns of two more groups, not a second block
 
-    def test_many_cpus_share_out_the_default_bootstrap(self, monkeypatch):
-        # at the default B = 1000 a group holds 32 000 bytes, so the 256 KiB budget holds
-        # 8 groups: 16 CPUs draw on 8 threads, a group a block, instead of on one
-        bootstrap = 1000
-        counts, seeds = random_groups(24, seed=16)
-        group_seeds = derive_seeds(*seeds.T)
-        monkeypatch.setattr(sampling, "_worker_threads", lambda: 1)
-        alone = bootstrap_kernel(counts, group_seeds, bootstrap)
-        columns = traced_peak(count_statistics, counts, seeds, 2)
-        threads = self.draw_threads(monkeypatch, wait=True)
-        monkeypatch.setattr(sampling, "_worker_threads", lambda: 16)
-        sigma_s = bootstrap_kernel(counts, group_seeds, bootstrap)
-        drawing = sampling._BOOTSTRAP_BLOCK_BYTES // (8 * 4 * bootstrap)
-        assert 1 < len(set(threads)) <= drawing == 8
-        assert sigma_s.tobytes() == alone.tobytes()
-        # test_threads_share_the_block_budget's bound, for the threads that draw
-        slack = sampling._BOOTSTRAP_BLOCK_BYTES // 2 + drawing * 48 * bootstrap
-        peak = traced_peak(count_statistics, counts, seeds, bootstrap)
-        assert peak <= columns + sampling._BOOTSTRAP_BLOCK_BYTES + slack
-
+    def test_a_replicate_holds_at_most_52_bytes(self):
+        # a replicate's four float64 E (32 bytes), and at once either a context's int64
+        # draw and one temporary (16 bytes) or S and its deviations (16 bytes)
+        counts, seeds = random_groups(1, seed=20)
+        bootstrap = 2**20
+        assert traced_peak(count_statistics, counts, seeds, bootstrap) <= 52 * bootstrap
 
 
 @pytest.mark.parametrize("cpus", [3, None])
