@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -153,8 +154,9 @@ def corrected_bound(eps):
 
 def significance(s, eps, sigma_s):
     """Violation z-score (s - (2 + eps)) / sigma_s, elementwise; negative: no violation."""
-    for name, value in (("s", s), ("eps", eps)):
-        if np.asarray(value).dtype.kind not in "iuf":
+    for name, value in (("s", s), ("eps", eps), ("sigma_s", sigma_s)):
+        if not (isinstance(value, (numbers.Real, np.ndarray))
+                and np.asarray(value).dtype.kind in "iuf"):
             raise ValueError(f"{name} must be a number or an array of numbers, got {value!r}")
     sigma = np.asarray(sigma_s)
     if not ((sigma > 0.0) & np.isfinite(sigma)).all():

@@ -33,7 +33,7 @@ from .sampling import (
     read_counts_csv,
 )
 from .sweep import (
-    STEPS_LIMIT, SweepSpec, run_sweep, write_figure_curves_csv, write_sweep_csv,
+    STEPS_LIMIT, SweepSpec, _check_grid, run_sweep, write_figure_curves_csv, write_sweep_csv,
 )
 from .text import JSON_NON_FINITE, JSON_SIGNIFICANCE, STDOUT_SIGNIFICANCE, blocks, column_text
 
@@ -167,11 +167,10 @@ def _parser() -> argparse.ArgumentParser:
 
 def _sweep_usage_error(args) -> str | None:
     """Why these flags are unusable: a bad grid, a missing or ignored flag, a file named twice."""
-    if not args.phi_start < args.phi_end:
-        return f"--phi-start must be below --phi-end, got {args.phi_start!r} >= {args.phi_end!r}"
-    if not math.isfinite(args.phi_end - args.phi_start):
-        return (f"--phi-start to --phi-end spans more than a float holds, "
-                f"got {args.phi_start!r} to {args.phi_end!r}")
+    try:
+        _check_grid(args.phi_start, args.phi_end, "--phi-start", "--phi-end")
+    except ValueError as exc:
+        return str(exc)
     needs_config = args.device == "imperfect" or args.emit_figure3
     if needs_config and args.config is None:
         return "--config is required for --device imperfect and --emit-figure3"

@@ -7,18 +7,15 @@ exposed for robustness checks, the bound argument only needs that the ball's
 channel is defined at every stage).  The digit section acts first, then the
 letter section; the two commute because they touch different bits.
 
-A run draws its balls in chunks of ``_CHUNK`` into one reused set of
-buffers, so its memory does not grow with the shot count.  Each draw (the
-channels, then each X section) reads its own run of the seed's PCG64 stream
-from a generator advanced to it, so the counts are those of drawing every
-ball at once.  The four contexts of a sampled board (:func:`galton_s`,
-``chipctx hv``) run on one thread per available CPU; each runs on its own
-seed, so the output does not depend on the thread count.
+Each ball picks its channel and flips its bits on its own, so the counts of
+one run are exactly Multinomial(shots, q), where q is the preparation pushed
+through the X sections; a run is that one draw, on the seed's generator.
+The four contexts of a sampled board (:func:`galton_s`, ``chipctx hv``) run
+one after another, each on its own seed.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,15 +23,9 @@ import numpy as np
 
 from .analysis import CONTEXTS, check_distribution, s_value, sign_sum
 from .errors import check_integer, check_number
-from .sampling import (
-    SEED_LIMIT, SHOTS_LIMIT, CountRecord, _count_statistics, _share_out, _worker_threads,
-    derive_seed,
-)
+from .sampling import SHOTS_LIMIT, CountRecord, _count_statistics, derive_seed, sample_counts
 
 MEASUREMENTS = ("Z", "X")
-
-# Balls drawn at a time: one float64 uniform and three bytes each in reused buffers.
-_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -61,54 +52,33 @@ class GaltonConfig:
         return self.m12 + self.nab
 
 
-def galton_run(config: GaltonConfig, seed: int,
-               stop: threading.Event | None = None) -> CountRecord | None:
-    """Sample one counting run of the board, ``_CHUNK`` balls at a time.
+def galton_run(config: GaltonConfig, seed: int) -> CountRecord:
+    """Sample one counting run of the board: one multinomial draw of its shots.
 
-    One uniform per ball picks its channel index ``2*letter_bit + digit_bit``
-    from the preparation, then each X section (digit, then letter) draws one
-    uniform per ball and flips its bit where that falls below the flip
-    probability.  The stream is read exactly as by
-    ``rng.choice(4, size=shots, p=preparation)`` followed by one
-    ``rng.random(shots) < f`` per X section, so the counts equal those of
-    that draw.  ``Generator.random`` takes one PCG64 output per float64, so
-    the k-th of these draws reads outputs [k*shots, (k+1)*shots) of the
-    seed's stream; each draw reads them from its own generator, advanced by
-    k*shots, a chunk at a time.  Deterministic per seed.
-
-    With ``stop``, the run checks it before each chunk and returns None
-    once it is set.  ``seed`` is an integer in [0, 2**64), checked before any draw.
+    The counts are ``default_rng(seed).multinomial(shots, q)``, the law of
+    dropping every ball one by one, with q the channel distribution of one
+    ball (:func:`_channel_probabilities`) renormalised to sum 1 by
+    :func:`~chipctx.sampling.sample_counts`.  Deterministic per seed.
+    ``seed`` is an integer in [0, 2**64), checked before the draw.
     """
-    seed = check_integer(seed, "seed", 0, SEED_LIMIT)
-    shots = config.shots
-    cdf = np.cumsum(config.preparation)
-    cdf /= cdf[-1]  # as Generator.choice normalizes it
-    flip_bits = [bit for section, bit in ((config.m12, 1), (config.nab, 2)) if section == "X"]
-    draws = [np.random.Generator(np.random.PCG64(seed).advance(k * shots))
-             for k in range(1 + len(flip_bits))]
-    size = min(shots, _CHUNK)
-    u, channels, hits, flips = (np.empty(size), np.empty(size, dtype=np.uint8),
-                                np.empty(size, dtype=bool), np.empty(size, dtype=np.uint8))
-    counts = [0, 0, 0]
-    for start in range(0, shots, _CHUNK):
-        if stop is not None and stop.is_set():
-            return None
-        n = min(_CHUNK, shots - start)
-        u_n, channels_n, hits_n, flips_n = u[:n], channels[:n], hits[:n], flips[:n]
-        # Generator.choice returns cdf.searchsorted(u, side="right"), which for a
-        # non-decreasing cdf is the number of cdf entries at or below u.
-        draws[0].random(out=u_n)
-        np.greater_equal(u_n, cdf[0], out=channels_n.view(bool))
-        for edge in cdf[1:3]:
-            channels_n += np.greater_equal(u_n, edge, out=hits_n).view(np.uint8)
-        for draw, bit in zip(draws[1:], flip_bits):
-            draw.random(out=u_n)
-            np.less(u_n, config.x_flip_probability, out=hits_n)
-            channels_n ^= np.multiply(hits_n.view(np.uint8), np.uint8(bit), out=flips_n)
-        for k in range(3):
-            counts[k] += int(np.count_nonzero(np.equal(channels_n, k, out=hits_n)))
-    counts.append(shots - sum(counts))
-    return CountRecord(context=config.context, counts=counts, total=shots, seed=seed)
+    return sample_counts(_channel_probabilities(config), config.shots, seed, config.context)
+
+
+def _channel_probabilities(config: GaltonConfig) -> np.ndarray:
+    """Final channel distribution q of one ball of the board.
+
+    The preparation is divided by its sum, as ``Generator.choice``
+    normalises it.  Each X section, digit then letter, mixes every channel
+    with its bit-flipped partner (index XOR 1, then XOR 2): q = (1 - f) q +
+    f q[flip].
+    """
+    q = np.array(config.preparation)
+    q /= q.sum()
+    f = config.x_flip_probability
+    for section, bit in ((config.m12, 1), (config.nab, 2)):
+        if section == "X":
+            q = (1.0 - f) * q + f * q[np.arange(4) ^ bit]
+    return q
 
 
 def galton_s(
@@ -131,26 +101,16 @@ def _board_counts(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sampled (context, detector) int64 counts and (context,) uint64 seeds of the board.
 
-    Each configuration runs on its own seed substream derived from the
-    master seed and the context index.  The runs are shared out among
-    :func:`~chipctx.sampling._worker_threads` threads, the calling one
-    included; their draws release the GIL.  An exception raised in any
-    run stops the others before their next chunk, and is raised here once
-    every thread has stopped.  Each run's record is a checked
-    :class:`~chipctx.sampling.CountRecord`, in CONTEXTS order.
+    Each configuration runs, in CONTEXTS order on the calling thread, on its
+    own seed substream derived from the master seed and the context index.
+    Each run's record is a checked :class:`~chipctx.sampling.CountRecord`.
     """
-    configs = [
-        GaltonConfig(preparation=preparation, m12=ctx[0], nab=ctx[1], shots=shots,
-                     x_flip_probability=x_flip_probability)
-        for ctx in CONTEXTS
+    records = [
+        galton_run(GaltonConfig(preparation=preparation, m12=ctx[0], nab=ctx[1], shots=shots,
+                                x_flip_probability=x_flip_probability),
+                   derive_seed(master_seed, idx))
+        for idx, ctx in enumerate(CONTEXTS)
     ]
-    seeds = [derive_seed(master_seed, idx) for idx in range(len(configs))]
-    records: list[CountRecord | None] = [None] * len(configs)
-
-    def run(idx: int, stop: threading.Event) -> None:
-        records[idx] = galton_run(configs[idx], seeds[idx], stop)
-
-    _share_out(run, range(len(configs)), _worker_threads())
     return (np.array([rec.counts for rec in records], dtype=np.int64),
             np.array([rec.seed for rec in records], dtype=np.uint64))
 

@@ -23,12 +23,11 @@ sampled sweep calls it once per block, ``chipctx analyze`` once per counts
 CSV, and :func:`estimate_s` and the classical board once per record group;
 the public :func:`count_statistics` checks an API caller's arrays and then
 calls it.  The bootstrap redraws each context's E from one binomial draw,
-a block of groups at a time, on the calling thread: its draws are short, and
-threads would only queue for the GIL between them.  The classical board runs
-its contexts on threads through :func:`_share_out`, which hands out items
-under a lock, stops every thread once one raises, and joins them all before
-it returns or raises.  :func:`read_counts_csv` reads a counts CSV straight
-into phase groups, checking its rows a block at a time and then its groups.
+a block of groups at a time, and the classical board draws each context's
+record with :func:`sample_counts`; both run on the calling thread, as their
+draws are short and threads would only queue for the GIL between them.
+:func:`read_counts_csv` reads a counts CSV straight into phase groups,
+checking its rows a block at a time and then its groups.
 Each count record is checked once, where it enters: an API caller's by
 :class:`CountRecord`, or in count arrays by :func:`count_statistics`; a
 file's by :func:`read_counts_csv`; the sweep's draws by its
@@ -46,12 +45,10 @@ from __future__ import annotations
 
 import csv
 import math
-import os
-import threading
 from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -387,62 +384,6 @@ def estimate_s(
     seeds = np.array([rec.seed for rec in ordered], dtype=np.uint64)
     e, _, sigma_s = _count_statistics(counts, seeds, bootstrap)
     return float(s_value(e)), float(sigma_s)
-
-
-def _worker_threads() -> int:
-    """Threads that share out work, the calling one included: one per CPU this process may use."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        return os.cpu_count() or 1
-
-
-def _share_out(work: Callable[[int, threading.Event], None], items: Sequence[int],
-               threads: int) -> None:
-    """Call ``work(item, stop)`` for every item, on at most ``threads`` threads.
-
-    The classical board runs its four contexts through it; the bootstrap
-    does not.  The calling thread is one of the threads, so one item or one
-    thread starts no other.  Each thread takes the next item under a lock
-    until none is left.  When any thread raises (a ``KeyboardInterrupt`` in
-    the calling thread too), ``stop`` is set: the others take no further
-    item, and an item that checks ``stop`` may return early, since its
-    result is discarded.  The first exception is raised here once every
-    thread has stopped.
-    """
-    remaining, lock, errors, stop = iter(items), threading.Lock(), [], threading.Event()
-
-    def take_items():
-        try:
-            while not stop.is_set():
-                with lock:
-                    item = next(remaining, None)
-                if item is None:
-                    return
-                work(item, stop)
-        except BaseException as exc:  # raised below once every thread has stopped
-            errors.append(exc)
-            stop.set()
-
-    started = []
-    try:
-        for _ in range(min(threads, len(items)) - 1):
-            # listed before it starts, so an interrupt within start() still joins it
-            started.append(threading.Thread(target=take_items, name="chipctx-worker"))
-            started[-1].start()
-        take_items()
-    except BaseException as exc:  # an interrupt while the threads start
-        errors.append(exc)
-        stop.set()
-    for thread in started:
-        while thread.is_alive():
-            try:
-                thread.join()
-            except BaseException as exc:  # an interrupt while waiting: stop the others, wait on
-                errors.append(exc)
-                stop.set()
-    if errors:
-        raise errors[0]
 
 
 def _bootstrap_sigma_s(plus: np.ndarray, totals: np.ndarray, seeds: np.ndarray,

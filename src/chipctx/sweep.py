@@ -49,6 +49,15 @@ STEPS_LIMIT = 2**60
 _BLOCK = 1024
 
 
+def _check_grid(start: float, end: float, start_name: str, end_name: str) -> None:
+    """Raise a one-line ValueError naming the limits unless start < end with a finite span."""
+    if not start < end:
+        raise ValueError(f"{start_name} must be below {end_name}, got {start!r} >= {end!r}")
+    if not math.isfinite(end - start):
+        raise ValueError(f"{start_name} to {end_name} spans more than a float holds, "
+                         f"got {start!r} to {end!r}")
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """Grid, evaluation mode and device of one sweep; each field is checked as its CLI flag is."""
@@ -65,10 +74,7 @@ class SweepSpec:
     def __post_init__(self):
         start = check_number(self.phi_start, "phi_start")
         end = check_number(self.phi_end, "phi_end")
-        if not start < end:
-            raise ValueError(f"phi_start must be below phi_end, got {start} >= {end}")
-        if not math.isfinite(end - start):
-            raise ValueError(f"phase span must be finite, got {end} - {start}")
+        _check_grid(start, end, "phi_start", "phi_end")
         check_instance(self.device, DeviceConfig, "device")
         if self.mode not in ("analytic", "sampled"):
             raise ValueError(f"mode must be 'analytic' or 'sampled', got {self.mode!r}")

@@ -103,21 +103,6 @@ DIGIT_FLIP = np.array([1, 0, 3, 2])
 LETTER_FLIP = np.array([2, 3, 0, 1])
 
 
-def board_exact_probabilities(preparation, m12, nab, flip=0.5) -> np.ndarray:
-    """Channel distribution of the board after both sections, computed exactly.
-
-    An X section mixes each channel with its bit-flipped partner, so the
-    flipped pairs share identical expressions and later sign sums cancel
-    exactly in floating point.
-    """
-    p = np.asarray(preparation, dtype=float)
-    if m12 == "X":
-        p = (1.0 - flip) * p + flip * p[DIGIT_FLIP]
-    if nab == "X":
-        p = (1.0 - flip) * p + flip * p[LETTER_FLIP]
-    return p
-
-
 def board_counts(preparation, m12, nab, shots, flip, seed) -> tuple[int, ...]:
     """Counts of one board run, drawn ball by ball with ``Generator.choice``.
 

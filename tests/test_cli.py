@@ -5,13 +5,13 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import shlex
 import subprocess
 import sys
 import textwrap
-import threading
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -295,29 +295,6 @@ class TestSweepCommand:
         assert captured.err.count("\n") == 1
         assert not out.exists()
 
-    def test_memory_error_in_a_board_thread_is_a_one_line_data_error(self, capsys, monkeypatch):
-        from chipctx import galton
-
-        # two threads for the four contexts; the worker's first context fails
-        monkeypatch.setattr(galton, "_worker_threads", lambda: 2)
-        caller, worker_failed, run = threading.current_thread(), threading.Event(), galton.galton_run
-
-        def failing_run(config, seed, stop):  # the caller's context waits for the worker to fail
-            if threading.current_thread() is caller:
-                worker_failed.wait(timeout=60)
-                return run(config, seed, stop)
-            worker_failed.set()
-            raise MemoryError("Unable to allocate 512 KiB for an array with shape (65536,)")
-
-        monkeypatch.setattr(galton, "galton_run", failing_run)
-        baseline = threading.active_count()
-        assert run_cli("hv", "--prep", 0, 1, 0, 0, "--shots", 10**6) == 2
-        assert worker_failed.is_set()
-        assert threading.active_count() == baseline
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: Unable to allocate 512 KiB for an array with shape (65536,)\n"
-
     def test_usage_error_exits_one(self):
         assert run_cli("sweep", "--mode", "bogus") == 1
         assert run_cli("bogus-command") == 1
@@ -397,20 +374,30 @@ class TestHvCommand:
         # exact output of a seeded run: any change to the board's random stream shows here
         assert run_cli("hv", "--prep", 0.1, 0.2, 0.3, 0.4, "--shots", 100000, "--seed", 3) == 0
         assert capsys.readouterr().out == (
-            "S = -0.003200 +- 0.006325 (100000 shots per context)\n"
-            "epsilon=0.017120 bound=2.017120 significance=-319.442\n"
+            "S = 0.008320 +- 0.006325 (100000 shots per context)\n"
+            "epsilon=0.015240 bound=2.015240 significance=-317.323\n"
             "verdict: no violation\n"
         )
 
     def test_seeded_stdout_across_many_chunks_is_pinned(self, capsys):
-        # sixteen full chunks of balls and a partial one per context, with biased flips
+        # a million and three balls per context, with biased flips
         assert run_cli("hv", "--prep", 0.1, 0.2, 0.3, 0.4, "--shots", 1000003, "--seed", 11,
                        "--flip-prob", 0.3) == 0
         assert capsys.readouterr().out == (
-            "S = -0.000688 +- 0.002000 (1000003 shots per context)\n"
-            "epsilon=0.005842 bound=2.005842 significance=-1003.267\n"
+            "S = 0.001964 +- 0.002000 (1000003 shots per context)\n"
+            "epsilon=0.001642 bound=2.001642 significance=-999.841\n"
             "verdict: no violation\n"
         )
+
+    def test_2_to_the_63_minus_1_shots_give_finite_statistics(self, capsys):
+        # the largest count a record holds: one multinomial draw per context
+        assert run_cli("hv", "--prep", 0.1, 0.2, 0.3, 0.4, "--shots", 2**63 - 1) == 0
+        s_line, bound_line, verdict = capsys.readouterr().out.splitlines()
+        s, sigma = re.fullmatch(r"S = (\S+) \+- (\S+) \(9223372036854775807 shots per context\)",
+                                s_line).groups()
+        z = re.fullmatch(r"epsilon=\S+ bound=\S+ significance=(\S+)", bound_line).group(1)
+        assert all(math.isfinite(float(x)) for x in (s, sigma, z))
+        assert verdict == "verdict: no violation"
 
     def test_exact_mode(self, capsys):
         assert run_cli("hv", "--prep", 0, 1, 0, 0, "--exact") == 0

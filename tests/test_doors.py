@@ -14,7 +14,6 @@ import io
 import math
 import numbers
 import os
-import threading
 from contextlib import redirect_stderr
 
 import numpy as np
@@ -186,9 +185,6 @@ BAD_CALLS = {
 }
 
 
-STOPPED = threading.Event()
-STOPPED.set()
-
 # row: (the parameter its message names, the call)
 NAMED_BAD_CALLS = {
     "derive-seeds-negative-array": ("key", lambda: derive_seeds(0, np.array([-1]))),
@@ -204,9 +200,8 @@ NAMED_BAD_CALLS = {
     "crossing-three-modes": ("mode_pair", lambda: crossing((1, 2, 3))),
     "report-three-expectations": ("expectations", lambda: build_report([0.5] * 3, 0.0)),
     "report-five-expectations": ("expectations", lambda: build_report([0.5] * 5, 0.0)),
-    # a set stop returns before the first chunk, so only a seed checked up front raises
     "board-run-seed-past-uint64": ("seed", lambda: galton_run(GaltonConfig(PREP, shots=10),
-                                                               2**64, STOPPED)),
+                                                               2**64)),
     # the seed is checked before the draw, so before the record checks its context
     "sample-seed-past-uint64": ("seed", lambda: sample_counts(UNIFORM, 10, 2**64, "XY")),
     "spec-device-not-a-config": ("device", lambda: SweepSpec(**GRID, device="x")),
@@ -226,6 +221,9 @@ NAMED_BAD_CALLS = {
     "device-config-path-an-int": ("path", lambda: load_device_config(5)),
     "significance-text-s": ("s", lambda: significance("a", 0.0, 1.0)),
     "significance-text-eps": ("eps", lambda: significance(2.5, "a", 1.0)),
+    "significance-list-s": ("s", lambda: significance([2.5], 0.0, 0.1)),
+    "significance-list-eps": ("eps", lambda: significance(2.5, [0.0], 0.1)),
+    "significance-list-sigma": ("sigma_s", lambda: significance(2.5, 0.0, [0.1])),
     "report-expectations-not-a-mapping": ("expectations",
                                           lambda: InequalityReport(5, 0.0, 0.0, 2.0)),
     "coupler-spec-not-a-spec": ("spec", lambda: coupler(5)),

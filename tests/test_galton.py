@@ -2,19 +2,18 @@
 
 import re
 import threading
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chipctx import galton
+from chipctx import cli, galton
 from chipctx.analysis import CONTEXTS
 from chipctx.galton import GaltonConfig, galton_run, galton_s, galton_s_exact, zz_expectation
-from chipctx.sampling import derive_seed, estimate_s
+from chipctx.sampling import derive_seed
 
-from conftest import board_counts, board_exact_probabilities, traced_peak
+from conftest import board_counts, traced_peak
 
 # one board run: any preparation and flip probability, with their edge values
 board_runs = given(
@@ -23,17 +22,15 @@ board_runs = given(
     flip=st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
     m12=st.sampled_from("ZX"),
     nab=st.sampled_from("ZX"),
-    shots=st.integers(1, 5000),
+    shots=st.integers(1, 5000) | st.just(2**63 - 1),
     seed=st.integers(0, 2**64 - 1),
 )
 
 
-def assert_ball_by_ball_counts(weights, flip, m12, nab, shots, seed):
-    """galton_run counts the same PCG64 stream as Generator.choice plus one uniform per ball
-    per X section."""
-    prep = tuple(w / sum(weights) for w in weights)
-    cfg = GaltonConfig(prep, m12=m12, nab=nab, shots=shots, x_flip_probability=flip)
-    assert galton_run(cfg, seed).counts == board_counts(prep, m12, nab, shots, flip, seed)
+def channel_probabilities(prep, m12, nab, flip=0.5):
+    """The board's final channel distribution of one ball, as galton_run draws from it."""
+    cfg = GaltonConfig(tuple(prep), m12=m12, nab=nab, x_flip_probability=flip)
+    return galton._channel_probabilities(cfg)
 
 
 def random_preparations(n, seed):
@@ -60,18 +57,18 @@ class TestExactProbabilities:
             for m12 in "ZX":
                 for nab in "ZX":
                     expected = brute_force_probabilities(prep, m12, nab)
-                    assert np.allclose(board_exact_probabilities(prep, m12, nab), expected,
+                    assert np.allclose(channel_probabilities(prep, m12, nab), expected,
                                        atol=1e-14)
 
     def test_marginals_are_never_disturbed(self):
         # letter marginal identical whatever the digit section does, exactly
         for prep in random_preparations(100, seed=43):
-            base = board_exact_probabilities(prep, "Z", "Z")
-            mixed = board_exact_probabilities(prep, "X", "Z")
+            base = channel_probabilities(prep, "Z", "Z")
+            mixed = channel_probabilities(prep, "X", "Z")
             assert base[0] + base[1] == mixed[0] + mixed[1]
             assert base[2] + base[3] == mixed[2] + mixed[3]
-            base_d = board_exact_probabilities(prep, "Z", "Z")
-            mixed_d = board_exact_probabilities(prep, "Z", "X")
+            base_d = channel_probabilities(prep, "Z", "Z")
+            mixed_d = channel_probabilities(prep, "Z", "X")
             assert base_d[0] + base_d[2] == mixed_d[0] + mixed_d[2]
             assert base_d[1] + base_d[3] == mixed_d[1] + mixed_d[3]
 
@@ -106,48 +103,39 @@ class TestGaltonRun:
 
     @settings(deadline=None, derandomize=True, database=None, max_examples=300)
     @board_runs
-    def test_counts_are_those_of_the_ball_by_ball_choice_draw(self, weights, flip, m12, nab,
-                                                               shots, seed):
-        assert_ball_by_ball_counts(weights, flip, m12, nab, shots, seed)
+    def test_counts_are_one_multinomial_draw_on_the_seed(self, weights, flip, m12, nab, shots,
+                                                          seed):
+        prep = tuple(w / sum(weights) for w in weights)
+        cfg = GaltonConfig(prep, m12=m12, nab=nab, shots=shots, x_flip_probability=flip)
+        q = galton._channel_probabilities(cfg)
+        q /= q.sum()  # as sample_counts renormalises it: at 2**63 - 1 balls an ulp shows
+        assert galton_run(cfg, seed).counts == tuple(
+            np.random.default_rng(seed).multinomial(shots, q).tolist())
 
-    @pytest.mark.parametrize("chunk", [1, 7, 64])
-    @settings(deadline=None, derandomize=True, database=None, max_examples=300)
-    @board_runs
-    def test_counts_do_not_depend_on_the_chunk(self, chunk, weights, flip, m12, nab, shots, seed):
-        # most runs span many chunks, and the last chunk of most is partial; a chunk of one
-        # ball is never partial, so that case draws at most 300 balls (300 chunks)
-        if chunk == 1:
-            shots = 1 + (shots - 1) % 300
-        with mock.patch.object(galton, "_CHUNK", chunk):
-            assert_ball_by_ball_counts(weights, flip, m12, nab, shots, seed)
+    @pytest.mark.parametrize("draw", ["multinomial", "ball-by-ball"])
+    @pytest.mark.parametrize("context", CONTEXTS)
+    def test_counts_follow_the_law_of_dropping_each_ball(self, context, draw):
+        # 2000 runs of 200 balls at a biased flip: the pooled counts match the branch
+        # enumeration (chi-squared, 3 degrees of freedom, 0.01 % level), and each run's
+        # Pearson statistic has mean k - 1 = 3, as a multinomial's has; the ball-by-ball
+        # draw is the reference the board's one draw must agree with
+        prep, flip, shots, runs = (0.1, 0.2, 0.3, 0.4), 0.3, 200, 2000
+        cfg = GaltonConfig(prep, m12=context[0], nab=context[1], shots=shots,
+                           x_flip_probability=flip)
+        expected = shots * brute_force_probabilities(prep, context[0], context[1], flip)
+        counts = np.array([
+            galton_run(cfg, seed).counts if draw == "multinomial"
+            else board_counts(prep, context[0], context[1], shots, flip, seed)
+            for seed in range(runs)])
+        pooled = counts.sum(axis=0)
+        assert np.sum((pooled - runs * expected) ** 2 / (runs * expected)) < 21.11
+        pearson = np.sum((counts - expected) ** 2 / expected, axis=1)
+        assert abs(pearson.mean() - 3.0) < 0.3  # its standard error is about 0.055
 
-    def test_memory_does_not_grow_with_the_shots(self):
-        # the buffers of one chunk: a float64 uniform and three bytes a ball
-        buffers = 11 * galton._CHUNK
+    def test_a_run_of_2_to_the_63_minus_1_balls_holds_under_64_kib(self):
         cfg = GaltonConfig((0.1, 0.2, 0.3, 0.4), m12="X", nab="X", x_flip_probability=0.3,
-                           shots=10**6)
-        peak = traced_peak(galton_run, cfg, 5)
-        assert peak < 2 * 2**20
-        assert peak <= traced_peak(galton_run, GaltonConfig(**{**vars(cfg), "shots": 10**5}),
-                                   5) + buffers
-
-    def test_a_set_stop_ends_the_run_before_its_next_chunk(self, monkeypatch):
-        class StopAfter:  # reads as set from its (checks + 1)-th check on
-            def __init__(self, checks):
-                self.checks, self.calls = checks, 0
-
-            def is_set(self):
-                self.calls += 1
-                return self.calls > self.checks
-
-        monkeypatch.setattr(galton, "_CHUNK", 10)
-        cfg = GaltonConfig((0.1, 0.2, 0.3, 0.4), m12="X", nab="Z", shots=45)
-        stop = StopAfter(2)
-        assert galton_run(cfg, 3, stop) is None
-        assert stop.calls == 3
-        never = StopAfter(100)
-        assert galton_run(cfg, 3, never) == galton_run(cfg, 3)
-        assert never.calls == 5
+                           shots=2**63 - 1)
+        assert traced_peak(galton_run, cfg, 5) < 64 * 2**10
 
     def test_deterministic_per_seed(self):
         cfg = GaltonConfig((0.1, 0.2, 0.3, 0.4), m12="X", nab="X", shots=1000)
@@ -221,27 +209,14 @@ class TestGaltonS:
         s, sigma = galton_s((0.25,) * 4, shots=10**6, master_seed=71)
         assert abs(s) < 5 * sigma
 
-    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
-    def test_thread_count_does_not_change_s(self, monkeypatch, workers):
-        # three chunks and a partial one per context, at a biased flip
-        prep, shots, flip = (0.1, 0.2, 0.3, 0.4), 3 * galton._CHUNK + 5, 0.3
-        expected = estimate_s(
-            galton_run(GaltonConfig(prep, m12=ctx[0], nab=ctx[1], shots=shots,
-                                    x_flip_probability=flip), derive_seed(17, i))
-            for i, ctx in enumerate(CONTEXTS))
-        run, caller, worker_ran = galton.galton_run, threading.current_thread(), threading.Event()
+    def test_the_board_starts_no_thread(self, monkeypatch, capsys):
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
 
-        def recording_run(*args):  # the caller's first run waits until a worker has run one
-            if threading.current_thread() is not caller:
-                worker_ran.set()
-            elif workers > 1:
-                assert worker_ran.wait(timeout=60)
-            return run(*args)
-
-        monkeypatch.setattr(galton, "galton_run", recording_run)
-        monkeypatch.setattr(galton, "_worker_threads", lambda: workers)
-        assert galton_s(prep, shots, 17, flip) == expected
-        assert worker_ran.is_set() == (workers > 1)
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        galton_s((0.1, 0.2, 0.3, 0.4), 10**5, 17, 0.3)
+        assert cli.main(["hv", "--prep", "0.1", "0.2", "0.3", "0.4"]) == 0
+        capsys.readouterr()
 
     def test_never_violates_with_sampling(self):
         for i, prep in enumerate(random_preparations(100, seed=73)):

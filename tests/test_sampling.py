@@ -2,7 +2,6 @@
 
 import re
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -399,8 +398,7 @@ class TestBootstrapThreads:
             raise AssertionError("a thread was started")
 
         monkeypatch.setattr(threading, "Thread", no_thread)
-        monkeypatch.setattr(sampling, "_worker_threads", lambda: 4)
-        counts, seeds = random_groups(3, seed=1)  # a block of 4 threads holds 10 such groups
+        counts, seeds = random_groups(3, seed=1)  # a block holds 40 such groups
         count_statistics(counts, seeds, bootstrap=200)
         estimate_s([CountRecord(c, n, n.sum(), seed)
                     for c, n, seed in zip(CONTEXTS, counts[0], seeds[0].tolist())], bootstrap=200)
@@ -408,7 +406,7 @@ class TestBootstrapThreads:
     @pytest.mark.parametrize("n_groups", [1, 40, 1001])
     def test_the_bootstrap_starts_no_thread(self, monkeypatch, tmp_path, capsys, n_groups):
         # at B = 200 a group holds 6400 bytes, so 40 groups fill the 256 KiB budget and
-        # 1001 groups take 26 blocks, on as many CPUs as there may be
+        # 1001 groups take 26 blocks
         def no_thread(*args, **kwargs):
             raise AssertionError("a thread was started")
 
@@ -418,7 +416,6 @@ class TestBootstrapThreads:
                                       for g, (group, group_seeds) in enumerate(zip(counts, seeds))
                                       for c, n, seed in zip(CONTEXTS, group, group_seeds.tolist())])
         monkeypatch.setattr(threading, "Thread", no_thread)
-        monkeypatch.setattr(sampling, "_worker_threads", lambda: 16)
         count_statistics(counts, seeds, bootstrap=200)
         assert cli.main(["analyze", str(counts_csv), "--bootstrap", "200"]) == 0
         capsys.readouterr()
@@ -451,136 +448,6 @@ class TestBootstrapThreads:
         counts, seeds = random_groups(1, seed=20)
         bootstrap = 2**20
         assert traced_peak(count_statistics, counts, seeds, bootstrap) <= 52 * bootstrap
-
-
-@pytest.mark.parametrize("cpus", [3, None])
-def test_worker_threads_without_cpu_affinity_count_the_cpus(monkeypatch, cpus):
-    # a platform without sched_getaffinity: every CPU, or one when the count is unknown
-    monkeypatch.delattr(sampling.os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(sampling.os, "cpu_count", lambda: cpus)
-    assert sampling._worker_threads() == (cpus or 1)
-
-
-def test_an_interrupt_in_the_calling_thread_stops_every_thread():
-    # the caller raises once the worker holds an item; the worker's item ends at the stop
-    caller, worker_busy, items_seen, stopped = threading.current_thread(), threading.Event(), [], []
-
-    def work(item, stop):
-        items_seen.append(item)
-        if threading.current_thread() is caller:
-            assert worker_busy.wait(timeout=60)
-            raise KeyboardInterrupt
-        worker_busy.set()
-        stopped.append(stop.wait(timeout=60))
-
-    baseline = threading.active_count()
-    with pytest.raises(KeyboardInterrupt):
-        sampling._share_out(work, range(5), 2)
-    assert stopped == [True]
-    assert sorted(items_seen) == [0, 1]  # no thread takes an item after the stop
-    assert threading.active_count() == baseline
-
-
-@pytest.fixture
-def interrupted_threads(monkeypatch):
-    """A Thread class, put in place of threading.Thread, whose start or join raises KeyboardInterrupt.
-
-    ``start`` raises from the ``interrupt_start``-th thread made on, once the
-    thread runs and holds an item (``holds_item``, which the work sets);
-    ``join`` raises on its first ``interrupt_joins`` calls, before it waits.
-    Every thread made is joined at the end.
-    """
-    Thread = threading.Thread
-
-    class Interrupted(Thread):
-        made, interrupt_start, interrupt_joins = [], 0, 0
-
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            self.holds_item = threading.Event()
-            Interrupted.made.append(self)
-
-        def start(self):
-            super().start()
-            if len(self.made) >= self.interrupt_start > 0:
-                assert self.holds_item.wait(timeout=60)
-                raise KeyboardInterrupt
-
-        def join(self, timeout=None):
-            if Interrupted.interrupt_joins > 0:
-                Interrupted.interrupt_joins -= 1
-                raise KeyboardInterrupt
-            super().join(timeout)
-
-    monkeypatch.setattr(threading, "Thread", Interrupted)
-    yield Interrupted
-    for thread in Interrupted.made:
-        Thread.join(thread, timeout=60)
-
-
-def worker_item(threads, stops, finished, error=None):
-    """Work for _share_out: a worker thread holds its item until the stop, then finishes it.
-
-    The calling thread returns from each item once the first worker holds
-    one.  A worker records whether the stop came, sleeps so that it is still
-    running when a caller that does not join it raises, then appends its
-    item to ``finished``, or raises ``error`` when given.
-    """
-    caller = threading.current_thread()
-
-    def work(item, stop):
-        thread = threading.current_thread()
-        if thread is caller:
-            assert threads.made[0].holds_item.wait(timeout=60)
-            return
-        thread.holds_item.set()
-        stops.append(stop.wait(timeout=60))
-        time.sleep(0.1)
-        if error is not None:
-            raise error
-        finished.append(item)
-
-    return work
-
-
-def test_an_interrupt_as_a_worker_starts_joins_that_worker(interrupted_threads):
-    # start() is interrupted after the thread runs: the thread must still be joined
-    interrupted_threads.interrupt_start = 1
-    stops, finished = [], []
-    baseline = threading.active_count()
-    with pytest.raises(KeyboardInterrupt):
-        sampling._share_out(worker_item(interrupted_threads, stops, finished),
-                            range(3), 2)
-    assert stops == [True]
-    assert finished == [0]  # the worker's item ended before _share_out raised
-    assert threading.active_count() == baseline
-
-
-def test_an_interrupt_while_the_workers_start_stops_and_joins_the_started_ones(
-        interrupted_threads):
-    # the second worker's start is interrupted; both workers raise their own error
-    # after the stop, and the interrupt, the first exception, is the one raised
-    interrupted_threads.interrupt_start = 2
-    stops = []
-    baseline = threading.active_count()
-    with pytest.raises(KeyboardInterrupt):
-        sampling._share_out(worker_item(interrupted_threads, stops, [],
-                                        error=RuntimeError("after the stop")), range(4), 3)
-    assert stops == [True, True]
-    assert threading.active_count() == baseline
-
-
-def test_an_interrupt_while_joining_stops_the_workers_and_waits_on(interrupted_threads):
-    # the caller's items are done; its first join is interrupted, the second waits
-    interrupted_threads.interrupt_joins = 1
-    stops = []
-    baseline = threading.active_count()
-    with pytest.raises(KeyboardInterrupt):
-        sampling._share_out(worker_item(interrupted_threads, stops, [],
-                                        error=RuntimeError("after the stop")), range(2), 2)
-    assert stops == [True]
-    assert interrupted_threads.interrupt_joins == 0
-    assert threading.active_count() == baseline
 
 
 class TestGroupCounts:
